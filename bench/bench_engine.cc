@@ -7,12 +7,6 @@
 /// sweep: LUBM star/chain/scan query classes at 1..N worker pipelines,
 /// writing BENCH_engine.json (with the host's core count — interpret
 /// speedups accordingly; a 1-core container cannot show wall-clock gains).
-///
-/// `bench_engine --shards N` runs the scatter-gather sweep instead: the
-/// same query classes against in-process sharded stores at 1..N shards
-/// (DESIGN.md §16), writing BENCH_engine.json. The honest "cores" field
-/// applies doubly here: every shard shares one worker pool, so on few
-/// cores the sweep measures coordination overhead, not speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -27,7 +21,6 @@
 #include "bench/harness.h"
 #include "benchdata/lubm.h"
 #include "rdf/dictionary.h"
-#include "shard/sharded_store.h"
 #include "sql/btree.h"
 #include "sql/database.h"
 #include "sql/hash_index.h"
@@ -330,93 +323,6 @@ int RunThreadSweep(unsigned max_threads) {
   return 0;
 }
 
-// ------------------------------------------------- --shards sweep
-
-int RunShardSweep(unsigned max_shards) {
-  const double scale = bench::ScaleFactor();
-  const unsigned cores = std::thread::hardware_concurrency();
-  const uint64_t universities = static_cast<uint64_t>(40 * scale);
-
-  std::vector<unsigned> counts{1};
-  for (unsigned s = 2; s <= max_shards; s *= 2) counts.push_back(s);
-  if (counts.back() != max_shards) counts.push_back(max_shards);
-
-  uint64_t triples = 0;
-  std::printf("== sharded scatter-gather sweep: LUBM x%.0f, "
-              "%u hardware cores ==\n",
-              40 * scale, cores);
-  if (cores < max_shards) {
-    std::printf("note: %u shards on %u cores — shards share one worker "
-                "pool; expect coordination overhead, not speedup.\n",
-                max_shards, cores);
-  }
-
-  // One timing table per query class; shard count varies per row.
-  benchdata::Workload probe = benchdata::MakeLubm(universities, 4);
-  std::string json = "{\"bench\":\"engine_shards\",\"scale\":";
-  char buf[256];
-  std::string sweep_json;
-  bool first_class = true;
-  for (const SweepClass& sc : kSweepClasses) {
-    const auto it = std::find_if(
-        probe.queries.begin(), probe.queries.end(),
-        [&](const benchdata::NamedQuery& q) { return q.id == sc.id; });
-    if (it == probe.queries.end()) continue;
-    if (!first_class) sweep_json += ",";
-    first_class = false;
-    sweep_json += "{\"class\":\"";
-    sweep_json += sc.cls;
-    sweep_json += "\",\"query\":\"";
-    sweep_json += sc.id;
-    sweep_json += "\",\"shards\":[";
-    int64_t rows = 0;
-    double base_ms = 0;
-    for (size_t i = 0; i < counts.size(); ++i) {
-      const unsigned n = counts[i];
-      benchdata::Workload w = benchdata::MakeLubm(universities, 4);
-      triples = w.graph.size();
-      shard::ShardedStoreOptions so;
-      so.shards = n;
-      auto store = shard::ShardedStore::Load(std::move(w.graph), so);
-      if (!store.ok()) {
-        std::fprintf(stderr, "shard load failed: %s\n",
-                     store.status().ToString().c_str());
-        return 1;
-      }
-      const double ms =
-          TimeQueryThreads(store->get(), it->sparql, 1, &rows);
-      if (n == 1) base_ms = ms;
-      const double speedup = ms > 0 ? base_ms / ms : 0;
-      std::printf("  %-5s %-5s shards=%-3u %9.2f ms  (%lld rows, "
-                  "speedup %.2fx)\n",
-                  sc.cls, sc.id, n, ms, static_cast<long long>(rows),
-                  speedup);
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"shards\":%u,\"mean_ms\":%.3f,\"speedup\":%.3f}",
-                    i == 0 ? "" : ",", n, ms, speedup);
-      sweep_json += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "],\"rows\":%lld}",
-                  static_cast<long long>(rows));
-    sweep_json += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%.2f,\"cores\":%u,\"triples\":%llu,",
-                scale, cores, static_cast<unsigned long long>(triples));
-  json += buf;
-  json += "\"sweep\":[" + sweep_json + "]}\n";
-
-  const char* json_path = "BENCH_engine.json";
-  std::FILE* f = std::fopen(json_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path);
-  return 0;
-}
-
 }  // namespace
 }  // namespace rdfrel
 
@@ -424,10 +330,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       return rdfrel::RunThreadSweep(
-          static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1]))));
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      return rdfrel::RunShardSweep(
           static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1]))));
     }
   }

@@ -63,15 +63,4 @@ if "${CLANGXX}" -std=c++20 -fsyntax-only -Isrc \
        "-Werror=thread-safety must reject it." >&2
   exit 1
 fi
-# Same pair for the sharded-store coordinator lock discipline.
-"${CLANGXX}" -std=c++20 -fsyntax-only -Isrc \
-  -Wthread-safety -Werror=thread-safety \
-  tests/compilefail/coordinator_lock_clean.cc
-if "${CLANGXX}" -std=c++20 -fsyntax-only -Isrc \
-    -Wthread-safety -Werror=thread-safety \
-    tests/compilefail/coordinator_lock_violation.cc 2> /dev/null; then
-  echo "compile-fail harness: coordinator_lock_violation.cc compiled, but" \
-       "-Werror=thread-safety must reject it." >&2
-  exit 1
-fi
 echo "compile-fail harness passed."

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "serve/result_writer.h"
-#include "shard/sharded_store.h"
 #include "sql/parallel.h"
 #include "store/row_sink.h"
 #include "util/arena.h"
@@ -30,10 +29,6 @@ constexpr size_t kReadChunk = 16 * 1024;
 /// Upper bound on the per-request ?threads= parallelism degree, so one
 /// client cannot request an absurd pipeline fan-out.
 constexpr unsigned kMaxRequestThreads = 32;
-
-/// Upper bound on the per-request ?shards= scatter width. Only meaningful
-/// against a sharded store (single stores ignore scatter_width).
-constexpr unsigned kMaxRequestShards = 256;
 
 /// Executor-pool / parallel-query counters. GlobalStarted() keeps a /stats
 /// probe from spinning up the worker pool on an idle server.
@@ -437,18 +432,6 @@ bool SparqlServer::HandleSparql(int fd, const HttpRequest& req) {
     }
     opts.max_threads = n;
   }
-  if (auto sh = req.QueryParam("shards"); sh.has_value()) {
-    unsigned n = 0;
-    auto [ptr, ec] =
-        std::from_chars(sh->data(), sh->data() + sh->size(), n);
-    if (ec != std::errc() || ptr != sh->data() + sh->size() || n == 0 ||
-        n > kMaxRequestShards) {
-      return fail(400, "shards must be an integer in [1, " +
-                           std::to_string(kMaxRequestShards) + "]");
-    }
-    opts.scatter_width = n;
-  }
-
   std::unique_ptr<ResultWriter> writer = MakeResultWriter(format);
   HttpStreamSink sink(fd, writer.get(), keep_alive);
   Status st = store_->QueryWith(*query, opts, sink);
@@ -529,32 +512,6 @@ std::string SparqlServer::StatsJson() const {
   out += ",\"plan_cache\":" + CacheStatsJson(store_->plan_cache_stats());
   out += ",\"page_cache\":" + CacheStatsJson(store_->page_cache_stats());
   out += ",\"persist\":" + PersistStatsJson(store_->persist_stats());
-  if (const auto* sharded =
-          dynamic_cast<const shard::ShardedStore*>(store_)) {
-    const shard::CoordinatorStats cs = sharded->coordinator_stats();
-    out += ",\"shards\":{";
-    out += "\"count\":" + std::to_string(sharded->num_shards());
-    out += ",\"backend\":\"" + JsonEscape(sharded->backend_kind()) + "\"";
-    out += ",\"generation\":" + std::to_string(sharded->generation());
-    out += ",\"rows_routed\":" + std::to_string(sharded->rows_routed());
-    out += ",\"coordinator\":{";
-    out += "\"queries\":" + std::to_string(cs.queries);
-    out += ",\"fragments\":" + std::to_string(cs.fragments);
-    out += ",\"subqueries\":" + std::to_string(cs.subqueries);
-    out += ",\"rows_gathered\":" + std::to_string(cs.rows_gathered);
-    out += ",\"gather_inflight\":" + std::to_string(cs.gather_inflight);
-    out += ",\"gather_peak\":" + std::to_string(cs.gather_peak);
-    out += "}";
-    out += ",\"per_shard\":[";
-    for (uint32_t i = 0; i < sharded->num_shards(); ++i) {
-      const store::SparqlStore* s = sharded->shard(i);
-      if (i > 0) out += ",";
-      out += "{\"plan_cache\":" + CacheStatsJson(s->plan_cache_stats());
-      out += ",\"page_cache\":" + CacheStatsJson(s->page_cache_stats());
-      out += "}";
-    }
-    out += "]}";
-  }
   out += ",\"server\":{";
   out += "\"connections_accepted\":" +
          std::to_string(

@@ -1,13 +1,12 @@
 #include "store/backend_util.h"
 
-#include "opt/cost_model.h"
-#include "opt/data_flow_graph.h"
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "opt/cost_model.h"
+#include "opt/data_flow_graph.h"
 #include "opt/flow_tree.h"
-#include "opt/plan_verifier.h"
 #include "util/verify.h"
 
 namespace rdfrel::store {
@@ -41,16 +40,18 @@ Result<opt::FlowTree> BuildFlowTree(const opt::DataFlowGraph& dfg,
 
 }  // namespace
 
-Result<opt::ExecNodePtr> OptimizeForBackend(const sparql::Query& query,
-                                            const opt::Statistics& stats,
-                                            const rdf::Dictionary& dict,
-                                            const QueryOptions& opts) {
+Result<opt::ExecNodePtr> OptimizeQuery(const sparql::Query& query,
+                                       const OptimizerInputs& in,
+                                       const QueryOptions& opts,
+                                       SparqlStore::Explanation* explain) {
   const bool verify = opts.verify_plans || util::VerifyPlansEnabled();
-  opt::CostModel cost(&stats, &dict);
+  opt::CostModel cost(in.stats, in.dict);
   opt::DataFlowGraph dfg = opt::DataFlowGraph::Build(query, cost);
   RDFREL_ASSIGN_OR_RETURN(opt::FlowTree flow,
                           BuildFlowTree(dfg, opts.flow));
   if (verify) {
+    // The parse-order ablation deliberately ignores the data-flow guards,
+    // so it is held only to the relaxed bound-by-an-earlier-choice contract.
     RDFREL_RETURN_NOT_OK(opt::VerifyFlowTree(
         dfg, flow,
         opts.flow == FlowMode::kParseOrder
@@ -60,57 +61,52 @@ Result<opt::ExecNodePtr> OptimizeForBackend(const sparql::Query& query,
   RDFREL_ASSIGN_OR_RETURN(opt::ExecNodePtr plan,
                           opt::BuildExecTree(query, flow, opts.late_fusing));
   if (verify) {
-    // Baseline layouts have no DPH/RPH schema; the structural checks still
-    // apply with an empty context.
-    RDFREL_RETURN_NOT_OK(opt::VerifyExecTree(*plan, query, {}));
+    RDFREL_RETURN_NOT_OK(opt::VerifyExecTree(*plan, query, in.verify));
   }
+  if (explain != nullptr) {
+    explain->parse_tree = query.where->ToString();
+    explain->flow_tree = flow.ToString();
+    explain->exec_tree = plan->ToString();
+  }
+  if (opts.merging && in.spill) {
+    plan = opt::MergeExecTree(std::move(plan), dfg.tree(), in.spill);
+    if (verify) {
+      RDFREL_RETURN_NOT_OK(opt::VerifyExecTree(*plan, query, in.verify));
+    }
+  }
+  if (explain != nullptr) explain->plan_tree = plan->ToString();
   return plan;
 }
 
-Result<SparqlStore::Explanation> ExplainForBackend(
-    const sparql::Query& query, const opt::Statistics& stats,
-    const rdf::Dictionary& dict, const QueryOptions& opts,
-    const SqlBuildFn& build, sql::Database* db) {
-  SparqlStore::Explanation ex;
-  ex.parse_tree = query.where->ToString();
-  opt::CostModel cost(&stats, &dict);
-  opt::DataFlowGraph dfg = opt::DataFlowGraph::Build(query, cost);
-  RDFREL_ASSIGN_OR_RETURN(opt::FlowTree flow,
-                          BuildFlowTree(dfg, opts.flow));
-  ex.flow_tree = flow.ToString();
+Result<translate::TranslatedQuery> TranslateQuery(
+    const sparql::Query& query, const OptimizerInputs& in,
+    const QueryOptions& opts, const SqlBuildFn& build,
+    SparqlStore::Explanation* explain) {
   RDFREL_ASSIGN_OR_RETURN(opt::ExecNodePtr plan,
-                          opt::BuildExecTree(query, flow, opts.late_fusing));
-  ex.exec_tree = plan->ToString();
-  ex.plan_tree = ex.exec_tree;  // baselines never merge stars
+                          OptimizeQuery(query, in, opts, explain));
   RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
                           build(query, *plan));
-  ex.sql = std::move(tq.sql);
-  if (db != nullptr) {
-    // Execute once with profiling to expose per-operator rows/batches/time
-    // (including Exchange morsel/worker counters when opts ask for threads).
-    const sql::ExecOptions exec = ExecOptionsFromQueryOptions(opts);
-    RDFREL_RETURN_NOT_OK(
-        db->QueryProfiled(ex.sql, &ex.exec_stats, &exec).status());
-  }
-  return ex;
+  if (explain != nullptr) explain->sql = tq.sql;
+  return tq;
 }
 
-Result<std::shared_ptr<const CachedPlan>> TranslateForBackend(
-    sparql::Query query, const opt::Statistics& stats,
-    const rdf::Dictionary& dict, const QueryOptions& opts,
-    const SqlBuildFn& build) {
-  RDFREL_ASSIGN_OR_RETURN(opt::ExecNodePtr exec,
-                          OptimizeForBackend(query, stats, dict, opts));
-  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                          build(query, *exec));
+std::shared_ptr<const CachedPlan> MakeCachedPlan(
+    sparql::Query query, translate::TranslatedQuery translated) {
   auto plan = std::make_shared<CachedPlan>();
   // The post-filter pointers reach into heap-allocated FILTER nodes of the
   // AST, so moving the Query into the plan keeps them valid.
   plan->query = std::move(query);
-  plan->sql = std::move(tq.sql);
-  plan->post_filters = std::move(tq.post_filters);
-  plan->post_filter_vars = std::move(tq.post_filter_vars);
-  return std::shared_ptr<const CachedPlan>(std::move(plan));
+  plan->sql = std::move(translated.sql);
+  plan->post_filters = std::move(translated.post_filters);
+  plan->post_filter_vars = std::move(translated.post_filter_vars);
+  return plan;
+}
+
+Status ProfileExplained(sql::Database* db, const QueryOptions& opts,
+                        SparqlStore::Explanation* explain) {
+  const sql::ExecOptions exec = ExecOptionsFromQueryOptions(opts);
+  return db->QueryProfiled(explain->sql, &explain->exec_stats, &exec)
+      .status();
 }
 
 namespace {
@@ -196,18 +192,22 @@ Status ExecuteDecodedSqlStreaming(
   vars.insert(vars.end(), post_filter_vars.begin(), post_filter_vars.end());
   const std::vector<sparql::AggKind> kinds = ColumnAggKinds(query,
                                                             vars.size());
-  // When the translator widened a DISTINCT row it also deferred the
-  // dedup and the LIMIT/OFFSET slice to this stage (same rule as
-  // sql_base.cc Build: DISTINCT over the wide row would be wrong).
-  const bool post_distinct = query.distinct && !post_filter_vars.empty();
+  // The modifiers the SQL builder left out run here, after the
+  // post-filters (same rule as the builder: translate::PlaceModifiers).
+  RDFREL_ASSIGN_OR_RETURN(
+      const translate::ModifierPlacement place,
+      translate::PlaceModifiers(query, !post_filters.empty(),
+                                !post_filter_vars.empty()));
+  const bool distinct_here = query.distinct && !place.distinct_in_sql;
+  const bool slice_here = !place.slice_in_sql;
   std::set<std::string> seen;
-  int64_t skip =
-      post_distinct && query.offset.has_value() ? *query.offset : 0;
-  int64_t budget =
-      post_distinct && query.limit.has_value() ? *query.limit : -1;
+  int64_t skip = slice_here && query.offset.has_value() ? *query.offset : 0;
+  int64_t budget = slice_here && query.limit.has_value() ? *query.limit : -1;
   RDFREL_RETURN_NOT_OK(sink.Begin(visible));
   RDFREL_RETURN_NOT_OK(db->QueryStreaming(
       sql, exec, nullptr, [&](const sql::RowBatch& batch) -> Status {
+        // The slice is full: later rows cannot reach the sink.
+        if (budget == 0) return Status::OK();
         std::vector<Binding> block;
         block.reserve(batch.ActiveSize());
         for (size_t r = 0; r < batch.ActiveSize(); ++r) {
@@ -230,21 +230,23 @@ Status ExecuteDecodedSqlStreaming(
         if (visible_width < vars.size()) {
           for (auto& row : block) row.resize(visible_width);
         }
-        if (post_distinct) {
+        if (distinct_here || slice_here) {
           std::vector<Binding> kept;
           kept.reserve(block.size());
           for (auto& row : block) {
-            std::string sig;
-            for (const auto& c : row) {
-              sig += c.has_value() ? c->ToNTriples() : std::string("\x01");
-              sig += '\x1f';
+            if (distinct_here) {
+              std::string sig;
+              for (const auto& c : row) {
+                sig += c.has_value() ? c->ToNTriples() : std::string("\x01");
+                sig += '\x1f';
+              }
+              if (!seen.insert(std::move(sig)).second) continue;
             }
-            if (!seen.insert(std::move(sig)).second) continue;
             if (skip > 0) {
               --skip;
               continue;
             }
-            if (budget == 0) continue;
+            if (budget == 0) break;
             if (budget > 0) --budget;
             kept.push_back(std::move(row));
           }

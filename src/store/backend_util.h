@@ -3,9 +3,10 @@
 
 /// \file backend_util.h
 /// Shared pipeline pieces for every SparqlStore implementation: optimize a
-/// query into an execution tree, execute+decode generated SQL, explain the
-/// pipeline stages, and memoize translated plans in a sharded LRU cache so
-/// repeated queries skip the whole parse/optimize/translate front half.
+/// query into an execution tree and translate it (one pipeline for
+/// queries and Explain alike), execute+decode generated SQL, and memoize
+/// translated plans in a sharded LRU cache so repeated queries skip the
+/// whole parse/optimize/translate front half.
 
 #include <functional>
 #include <memory>
@@ -13,6 +14,8 @@
 #include <string_view>
 
 #include "opt/exec_tree.h"
+#include "opt/merge.h"
+#include "opt/plan_verifier.h"
 #include "opt/statistics.h"
 #include "rdf/dictionary.h"
 #include "sparql/ast.h"
@@ -39,9 +42,6 @@ struct CachedPlan {
   /// Unprojected variables the post-filters read; carried as extra
   /// trailing SQL columns and dropped after filtering (sql_base.h).
   std::vector<std::string> post_filter_vars;
-  /// True when `sql` references materialized property-path closure tables;
-  /// such plans die with the tables on the next write.
-  bool uses_closure = false;
 };
 
 /// The cache key: the raw query text plus the QueryOptions knobs (each knob
@@ -74,36 +74,50 @@ class PlanCache {
       cache_;
 };
 
-/// Optimization for the baseline backends: flow tree per \p opts, late
-/// fusing per \p opts. No star merging (baseline layouts have no wide
-/// rows, so the merging knob is ignored).
-Result<opt::ExecNodePtr> OptimizeForBackend(const sparql::Query& query,
-                                            const opt::Statistics& stats,
-                                            const rdf::Dictionary& dict,
-                                            const QueryOptions& opts = {});
+/// What the optimizer reads from a backend besides the query and knobs.
+struct OptimizerInputs {
+  const opt::Statistics* stats = nullptr;
+  const rdf::Dictionary* dict = nullptr;
+  /// Star merging's spill test (DB2RDF). Empty for the baselines: their
+  /// layouts have no wide rows, so they never merge and ignore
+  /// QueryOptions::merging.
+  opt::SpillCheck spill;
+  /// Schema facts for VerifyExecTree; empty for the baselines, where only
+  /// the structural checks apply.
+  opt::PlanVerifyContext verify;
+};
 
-/// Backend hook for ExplainForBackend / TranslateForBackend: turn an
-/// execution tree into SQL. The query reference passed in is the one the
-/// resulting plan will own (do not capture another copy: the caller's
-/// query may already be moved-from).
+/// The optimizer pipeline, shared by every backend's queries, translation
+/// and Explain: data-flow graph, flow tree per opts.flow, exec tree, then
+/// star merging when opts.merging and in.spill is set. Each tree is
+/// verified when opts.verify_plans or the process-wide gate asks. When
+/// \p explain is non-null its parse/flow/exec/plan tree strings are filled.
+Result<opt::ExecNodePtr> OptimizeQuery(
+    const sparql::Query& query, const OptimizerInputs& in,
+    const QueryOptions& opts,
+    SparqlStore::Explanation* explain = nullptr);
+
+/// Backend hook: turn an optimized plan into SQL for the backend's layout.
 using SqlBuildFn = std::function<Result<translate::TranslatedQuery>(
     const sparql::Query&, const opt::ExecNode&)>;
 
-/// Shared Explain implementation for backends without star merging:
-/// parse/flow/exec stages from the shared optimizer, plan_tree == exec
-/// tree, SQL from \p build. When \p db is non-null the SQL is also executed
-/// once with profiling on to fill Explanation::exec_stats.
-Result<SparqlStore::Explanation> ExplainForBackend(
-    const sparql::Query& query, const opt::Statistics& stats,
-    const rdf::Dictionary& dict, const QueryOptions& opts,
-    const SqlBuildFn& build, sql::Database* db = nullptr);
+/// OptimizeQuery followed by \p build: the one path from a parsed query to
+/// SQL. When \p explain is non-null it also receives the SQL, so Explain
+/// shows exactly what TranslateWith returns.
+Result<translate::TranslatedQuery> TranslateQuery(
+    const sparql::Query& query, const OptimizerInputs& in,
+    const QueryOptions& opts, const SqlBuildFn& build,
+    SparqlStore::Explanation* explain = nullptr);
 
-/// Shared translation for baseline backends: optimizer + \p build, wrapped
-/// into a CachedPlan (consuming \p query).
-Result<std::shared_ptr<const CachedPlan>> TranslateForBackend(
-    sparql::Query query, const opt::Statistics& stats,
-    const rdf::Dictionary& dict, const QueryOptions& opts,
-    const SqlBuildFn& build);
+/// Wraps a translation of \p query into a shareable plan (consumes both).
+std::shared_ptr<const CachedPlan> MakeCachedPlan(
+    sparql::Query query, translate::TranslatedQuery translated);
+
+/// Runs explain->sql once on \p db with profiling on to fill
+/// explain->exec_stats: per-operator rows/batches/time, with Exchange
+/// morsel/worker counters when \p opts ask for threads.
+Status ProfileExplained(sql::Database* db, const QueryOptions& opts,
+                        SparqlStore::Explanation* explain);
 
 /// Builds the executor-side cancellation handle from the execution-only
 /// QueryOptions fields (deadline, cancel token).

@@ -267,14 +267,18 @@ Result<std::unique_ptr<PredicateStoreBackend>> PredicateStoreBackend::Load(
   return store;
 }
 
-Result<std::shared_ptr<const CachedPlan>> PredicateStoreBackend::BuildPlan(
-    sparql::Query query, const QueryOptions& opts) {
+Result<translate::TranslatedQuery> PredicateStoreBackend::Translate(
+    const sparql::Query& query, const QueryOptions& opts,
+    Explanation* explain) const {
+  OptimizerInputs in;
+  in.stats = &stats_;
+  in.dict = &dict_;
   auto build = [this](const sparql::Query& q, const opt::ExecNode& exec) {
     PredicateStoreSqlBuilder builder(q, &dict_, lex_table_, &tables_,
                                      options_.max_union_predicates);
     return builder.Build(exec);
   };
-  return TranslateForBackend(std::move(query), stats_, dict_, opts, build);
+  return TranslateQuery(query, in, opts, build, explain);
 }
 
 Result<std::shared_ptr<const CachedPlan>>
@@ -283,7 +287,9 @@ PredicateStoreBackend::GetOrBuildPlan(std::string_view sparql,
   const std::string key = PlanCacheKey(sparql, opts);
   if (auto plan = plan_cache_.Get(key)) return plan;
   RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  RDFREL_ASSIGN_OR_RETURN(auto plan, BuildPlan(std::move(query), opts));
+  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                          Translate(query, opts));
+  auto plan = MakeCachedPlan(std::move(query), std::move(tq));
   plan_cache_.Put(key, plan);
   return plan;
 }
@@ -304,12 +310,10 @@ Result<std::string> PredicateStoreBackend::TranslateWith(
 Result<SparqlStore::Explanation> PredicateStoreBackend::Explain(
     std::string_view sparql, const QueryOptions& opts) {
   RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  auto build = [this](const sparql::Query& q, const opt::ExecNode& exec) {
-    PredicateStoreSqlBuilder builder(q, &dict_, lex_table_, &tables_,
-                                     options_.max_union_predicates);
-    return builder.Build(exec);
-  };
-  return ExplainForBackend(query, stats_, dict_, opts, build, &db_);
+  Explanation ex;
+  RDFREL_RETURN_NOT_OK(Translate(query, opts, &ex).status());
+  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, opts, &ex));
+  return ex;
 }
 
 Result<persist::SnapshotSections> PredicateStoreBackend::SnapshotState()

@@ -1,21 +1,12 @@
 #include "store/rdf_store.h"
 
 #include <cmath>
-
-#include "opt/cost_model.h"
-#include "opt/data_flow_graph.h"
-#include "opt/exec_tree.h"
-#include "opt/flow_tree.h"
-#include "opt/merge.h"
-#include "opt/plan_verifier.h"
-#include "persist/coding.h"
-#include "persist/serializer.h"
-#include "util/verify.h"
-#include "schema/hash_mapping.h"
-#include "sparql/parser.h"
-#include <sstream>
 #include <unordered_set>
 
+#include "persist/coding.h"
+#include "persist/serializer.h"
+#include "schema/hash_mapping.h"
+#include "sparql/parser.h"
 #include "translate/sql_builder.h"
 
 namespace rdfrel::store {
@@ -143,10 +134,9 @@ Result<std::string> RdfStore::EnsureClosureTable(const rdf::Term& pred,
     edge_query.where = sparql::MakeTriplePattern(std::move(tp));
     edge_query.num_triples = 1;
   }
-  std::vector<const sparql::FilterExpr*> post;
-  RDFREL_ASSIGN_OR_RETURN(std::string sql,
-                          Translate(edge_query, QueryOptions{}, &post));
-  RDFREL_ASSIGN_OR_RETURN(sql::QueryResult qr, db_.Query(sql));
+  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery edges,
+                          Translate(edge_query, QueryOptions{}));
+  RDFREL_ASSIGN_OR_RETURN(sql::QueryResult qr, db_.Query(edges.sql));
 
   // 2. Transitive closure by per-node BFS over the adjacency lists.
   std::unordered_map<int64_t, std::vector<int64_t>> adj;
@@ -220,62 +210,25 @@ Status RdfStore::EnsureClosuresFor(const sparql::Query& query) {
   return Status::OK();
 }
 
-Result<std::string> RdfStore::Translate(
+Result<translate::TranslatedQuery> RdfStore::Translate(
     const sparql::Query& query, const QueryOptions& opts,
-    std::vector<const sparql::FilterExpr*>* post_filters,
-    std::vector<std::string>* post_filter_vars) const {
-  const bool verify = opts.verify_plans || util::VerifyPlansEnabled();
-  opt::CostModel cost(&stats_, &dict_);
-  opt::DataFlowGraph dfg = opt::DataFlowGraph::Build(query, cost);
-  opt::FlowTree flow;
-  switch (opts.flow) {
-    case FlowMode::kGreedy:
-      flow = opt::GreedyFlowTree(dfg);
-      break;
-    case FlowMode::kExhaustive: {
-      RDFREL_ASSIGN_OR_RETURN(flow, opt::ExhaustiveFlowTree(dfg, 10));
-      break;
-    }
-    case FlowMode::kParseOrder:
-      flow = opt::ParseOrderFlowTree(dfg);
-      break;
-  }
-  if (verify) {
-    // The parse-order ablation deliberately ignores the data-flow guards,
-    // so it is held only to the relaxed bound-by-an-earlier-choice contract.
-    RDFREL_RETURN_NOT_OK(opt::VerifyFlowTree(
-        dfg, flow,
-        opts.flow == FlowMode::kParseOrder
-            ? opt::FlowVerifyLevel::kRelaxed
-            : opt::FlowVerifyLevel::kStrict));
-  }
-  opt::PlanVerifyContext vctx;
-  vctx.dict = &dict_;
-  vctx.direct = direct_.get();
-  vctx.reverse = reverse_.get();
-  vctx.k_direct = schema_->config().k_direct;
-  vctx.k_reverse = schema_->config().k_reverse;
-  RDFREL_ASSIGN_OR_RETURN(opt::ExecNodePtr plan,
-                          opt::BuildExecTree(query, flow,
-                                             opts.late_fusing));
-  if (verify) {
-    RDFREL_RETURN_NOT_OK(opt::VerifyExecTree(*plan, query, vctx));
-  }
-  if (opts.merging) {
-    opt::SpillCheck spill = [this](const sparql::TriplePattern& t,
-                                   opt::AccessMethod m) {
-      if (t.predicate.is_var) return true;
-      uint64_t pid = dict_.Lookup(t.predicate.term);
-      const auto& spilled = m == opt::AccessMethod::kAco
-                                ? schema_->spilled_reverse()
-                                : schema_->spilled_direct();
-      return spilled.count(pid) > 0;
-    };
-    plan = opt::MergeExecTree(std::move(plan), dfg.tree(), spill);
-    if (verify) {
-      RDFREL_RETURN_NOT_OK(opt::VerifyExecTree(*plan, query, vctx));
-    }
-  }
+    Explanation* explain) const {
+  OptimizerInputs in;
+  in.stats = &stats_;
+  in.dict = &dict_;
+  in.spill = [this](const sparql::TriplePattern& t, opt::AccessMethod m) {
+    if (t.predicate.is_var) return true;
+    uint64_t pid = dict_.Lookup(t.predicate.term);
+    const auto& spilled = m == opt::AccessMethod::kAco
+                              ? schema_->spilled_reverse()
+                              : schema_->spilled_direct();
+    return spilled.count(pid) > 0;
+  };
+  in.verify.dict = &dict_;
+  in.verify.direct = direct_.get();
+  in.verify.reverse = reverse_.get();
+  in.verify.k_direct = schema_->config().k_direct;
+  in.verify.k_reverse = schema_->config().k_reverse;
 
   // Look up the pre-materialized closure tables for transitive
   // property-path triples (see EnsureClosuresFor).
@@ -306,30 +259,17 @@ Result<std::string> RdfStore::Translate(
   ctx.dict = &dict_;
   ctx.lex_table = lex_table_;
   ctx.closure_tables = &closure_tables;
-  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                          translate::BuildSqlFull(query, *plan, ctx));
-  if (post_filters != nullptr) {
-    *post_filters = std::move(tq.post_filters);
-    if (post_filter_vars != nullptr) {
-      *post_filter_vars = std::move(tq.post_filter_vars);
-    }
-  } else if (!tq.post_filters.empty()) {
-    return Status::Unsupported("query requires post-filters");
-  }
-  return std::move(tq.sql);
+  auto build = [&ctx](const sparql::Query& q, const opt::ExecNode& plan) {
+    return translate::BuildSqlFull(q, plan, ctx);
+  };
+  return TranslateQuery(query, in, opts, build, explain);
 }
 
 Result<std::shared_ptr<const CachedPlan>> RdfStore::BuildPlan(
     sparql::Query query, const QueryOptions& opts) const {
-  auto plan = std::make_shared<CachedPlan>();
-  plan->uses_closure = HasPropertyPaths(query);
-  RDFREL_ASSIGN_OR_RETURN(
-      plan->sql, Translate(query, opts, &plan->post_filters,
-                           &plan->post_filter_vars));
-  // Post-filter pointers reach into heap-allocated FILTER nodes, so moving
-  // the AST into the plan keeps them valid.
-  plan->query = std::move(query);
-  return std::shared_ptr<const CachedPlan>(std::move(plan));
+  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                          Translate(query, opts));
+  return MakeCachedPlan(std::move(query), std::move(tq));
 }
 
 Status RdfStore::QueryWith(std::string_view sparql, const QueryOptions& opts,
@@ -367,22 +307,16 @@ Result<ResultSet> RdfStore::QueryParsed(const sparql::Query& query,
   if (HasPropertyPaths(query)) {
     util::WriterLock lock(&mutex_);
     RDFREL_RETURN_NOT_OK(EnsureClosuresFor(query));
-    std::vector<const sparql::FilterExpr*> post_filters;
-    std::vector<std::string> post_filter_vars;
-    RDFREL_ASSIGN_OR_RETURN(
-        std::string sql,
-        Translate(query, opts, &post_filters, &post_filter_vars));
-    return ExecuteDecodedSql(&db_, sql, query, dict_, post_filters,
-                             post_filter_vars);
+    RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                            Translate(query, opts));
+    return ExecuteDecodedSql(&db_, tq.sql, query, dict_, tq.post_filters,
+                             tq.post_filter_vars);
   }
   util::ReaderLock lock(&mutex_);
-  std::vector<const sparql::FilterExpr*> post_filters;
-  std::vector<std::string> post_filter_vars;
-  RDFREL_ASSIGN_OR_RETURN(
-      std::string sql,
-      Translate(query, opts, &post_filters, &post_filter_vars));
-  return ExecuteDecodedSql(&db_, sql, query, dict_, post_filters,
-                           post_filter_vars);
+  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                          Translate(query, opts));
+  return ExecuteDecodedSql(&db_, tq.sql, query, dict_, tq.post_filters,
+                           tq.post_filter_vars);
 }
 
 Result<std::string> RdfStore::TranslateWith(std::string_view sparql,
@@ -391,12 +325,14 @@ Result<std::string> RdfStore::TranslateWith(std::string_view sparql,
   if (HasPropertyPaths(query)) {
     util::WriterLock lock(&mutex_);
     RDFREL_RETURN_NOT_OK(EnsureClosuresFor(query));
-    std::vector<const sparql::FilterExpr*> post_filters;
-    return Translate(query, opts, &post_filters);
+    RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                            Translate(query, opts));
+    return std::move(tq.sql);
   }
   util::ReaderLock lock(&mutex_);
-  std::vector<const sparql::FilterExpr*> post_filters;
-  return Translate(query, opts, &post_filters);
+  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                          Translate(query, opts));
+  return std::move(tq.sql);
 }
 
 Result<SparqlStore::Explanation> RdfStore::Explain(std::string_view sparql,
@@ -416,49 +352,8 @@ Result<SparqlStore::Explanation> RdfStore::Explain(std::string_view sparql,
 Result<SparqlStore::Explanation> RdfStore::ExplainLocked(
     const sparql::Query& query, const QueryOptions& opts) {
   Explanation ex;
-  ex.parse_tree = query.where->ToString();
-
-  opt::CostModel cost(&stats_, &dict_);
-  opt::DataFlowGraph dfg = opt::DataFlowGraph::Build(query, cost);
-  opt::FlowTree flow;
-  switch (opts.flow) {
-    case FlowMode::kGreedy:
-      flow = opt::GreedyFlowTree(dfg);
-      break;
-    case FlowMode::kExhaustive: {
-      RDFREL_ASSIGN_OR_RETURN(flow, opt::ExhaustiveFlowTree(dfg, 10));
-      break;
-    }
-    case FlowMode::kParseOrder:
-      flow = opt::ParseOrderFlowTree(dfg);
-      break;
-  }
-  ex.flow_tree = flow.ToString();
-
-  RDFREL_ASSIGN_OR_RETURN(opt::ExecNodePtr plan,
-                          opt::BuildExecTree(query, flow, opts.late_fusing));
-  ex.exec_tree = plan->ToString();
-  if (opts.merging) {
-    opt::SpillCheck spill = [this](const sparql::TriplePattern& t,
-                                   opt::AccessMethod m) {
-      if (t.predicate.is_var) return true;
-      uint64_t pid = dict_.Lookup(t.predicate.term);
-      const auto& spilled = m == opt::AccessMethod::kAco
-                                ? schema_->spilled_reverse()
-                                : schema_->spilled_direct();
-      return spilled.count(pid) > 0;
-    };
-    plan = opt::MergeExecTree(std::move(plan), dfg.tree(), spill);
-  }
-  ex.plan_tree = plan->ToString();
-
-  std::vector<const sparql::FilterExpr*> post_filters;
-  RDFREL_ASSIGN_OR_RETURN(ex.sql, Translate(query, opts, &post_filters));
-  // Execute once with profiling to expose per-operator rows/batches/time
-  // (with Exchange counters when opts request parallelism).
-  const sql::ExecOptions exec = ExecOptionsFromQueryOptions(opts);
-  RDFREL_RETURN_NOT_OK(
-      db_.QueryProfiled(ex.sql, &ex.exec_stats, &exec).status());
+  RDFREL_RETURN_NOT_OK(Translate(query, opts, &ex).status());
+  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, opts, &ex));
   return ex;
 }
 

@@ -147,16 +147,13 @@ class RdfStore final : public SparqlStore {
  private:
   RdfStore() = default;
 
-  /// Pure translation: optimizer pipeline + SQL build. Requires every
-  /// closure table needed by \p query to already be materialized (see
+  /// Pure translation: the shared optimizer pipeline plus the DB2RDF SQL
+  /// builder; fills \p explain when non-null. Requires every closure
+  /// table needed by \p query to already be materialized (see
   /// EnsureClosuresFor); const and safe under a shared lock.
-  Result<std::string> Translate(const sparql::Query& query,
-                                const QueryOptions& opts,
-                                std::vector<const sparql::FilterExpr*>*
-                                    post_filters,
-                                std::vector<std::string>* post_filter_vars =
-                                    nullptr) const
-      RDFREL_REQUIRES_SHARED(mutex_);
+  Result<translate::TranslatedQuery> Translate(
+      const sparql::Query& query, const QueryOptions& opts,
+      Explanation* explain = nullptr) const RDFREL_REQUIRES_SHARED(mutex_);
 
   /// Translates \p query into an immutable, shareable plan (consumes it).
   Result<std::shared_ptr<const CachedPlan>> BuildPlan(

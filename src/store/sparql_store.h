@@ -103,11 +103,6 @@ struct QueryOptions {
   unsigned max_threads = 0;
   /// Rows per morsel (0 = engine default, sql::ExecOptions).
   uint32_t morsel_rows = 0;
-  /// Sharded store only: cap on shard sub-queries in flight per fragment
-  /// scatter (0 = all target shards at once). Results are identical for
-  /// every value — like max_threads, this is execution-only and never part
-  /// of plan identity. Single stores ignore it.
-  unsigned scatter_width = 0;
 
   /// Convenience: deadline = now + \p budget.
   QueryOptions& WithTimeout(std::chrono::nanoseconds budget) {

@@ -151,13 +151,17 @@ Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::Load(
   return store;
 }
 
-Result<std::shared_ptr<const CachedPlan>> TripleStoreBackend::BuildPlan(
-    sparql::Query query, const QueryOptions& opts) {
+Result<translate::TranslatedQuery> TripleStoreBackend::Translate(
+    const sparql::Query& query, const QueryOptions& opts,
+    Explanation* explain) const {
+  OptimizerInputs in;
+  in.stats = &stats_;
+  in.dict = &dict_;
   auto build = [this](const sparql::Query& q, const opt::ExecNode& exec) {
     TripleStoreSqlBuilder builder(q, &dict_, lex_table_);
     return builder.Build(exec);
   };
-  return TranslateForBackend(std::move(query), stats_, dict_, opts, build);
+  return TranslateQuery(query, in, opts, build, explain);
 }
 
 Result<std::shared_ptr<const CachedPlan>>
@@ -166,7 +170,9 @@ TripleStoreBackend::GetOrBuildPlan(std::string_view sparql,
   const std::string key = PlanCacheKey(sparql, opts);
   if (auto plan = plan_cache_.Get(key)) return plan;
   RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  RDFREL_ASSIGN_OR_RETURN(auto plan, BuildPlan(std::move(query), opts));
+  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
+                          Translate(query, opts));
+  auto plan = MakeCachedPlan(std::move(query), std::move(tq));
   plan_cache_.Put(key, plan);
   return plan;
 }
@@ -187,11 +193,10 @@ Result<std::string> TripleStoreBackend::TranslateWith(
 Result<SparqlStore::Explanation> TripleStoreBackend::Explain(
     std::string_view sparql, const QueryOptions& opts) {
   RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  auto build = [this](const sparql::Query& q, const opt::ExecNode& exec) {
-    TripleStoreSqlBuilder builder(q, &dict_, lex_table_);
-    return builder.Build(exec);
-  };
-  return ExplainForBackend(query, stats_, dict_, opts, build, &db_);
+  Explanation ex;
+  RDFREL_RETURN_NOT_OK(Translate(query, opts, &ex).status());
+  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, opts, &ex));
+  return ex;
 }
 
 Result<persist::SnapshotSections> TripleStoreBackend::SnapshotState() const {

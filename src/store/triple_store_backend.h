@@ -82,10 +82,11 @@ class TripleStoreBackend final : public SparqlStore {
 
   Result<persist::SnapshotSections> SnapshotState() const;
 
-  /// Translation behind the cache: parse is done, build plan via the
-  /// shared backend pipeline.
-  Result<std::shared_ptr<const CachedPlan>> BuildPlan(
-      sparql::Query query, const QueryOptions& opts);
+  /// The shared optimizer pipeline plus this layout's SQL builder;
+  /// fills \p explain when non-null.
+  Result<translate::TranslatedQuery> Translate(
+      const sparql::Query& query, const QueryOptions& opts,
+      Explanation* explain = nullptr) const;
   Result<std::shared_ptr<const CachedPlan>> GetOrBuildPlan(
       std::string_view sparql, const QueryOptions& opts);
 

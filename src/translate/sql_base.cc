@@ -17,6 +17,23 @@ std::string VarColumn(const std::string& var) {
   return out;
 }
 
+Result<ModifierPlacement> PlaceModifiers(const sparql::Query& query,
+                                         bool has_post_filters,
+                                         bool has_post_filter_vars) {
+  ModifierPlacement out;
+  if (!has_post_filters) {
+    out.distinct_in_sql = query.distinct;
+    return out;
+  }
+  if (query.HasAggregates()) {
+    return Status::Unsupported(
+        "aggregate over a FILTER the SQL translation cannot express");
+  }
+  out.distinct_in_sql = query.distinct && !has_post_filter_vars;
+  out.slice_in_sql = false;
+  return out;
+}
+
 Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
   RDFREL_RETURN_NOT_OK(Translate(plan, /*is_root=*/true));
   if (cur_.empty()) {
@@ -34,10 +51,9 @@ Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
       CollectExtraFilterVars(*f, &have, &extra);
     }
   }
-  // DISTINCT over the widened row would keep duplicate projections, so
-  // dedup — and the LIMIT/OFFSET slice that depends on it — defers to the
-  // decode stage whenever extra columns are present.
-  const bool slice_in_sql = !(query_.distinct && !extra.empty());
+  RDFREL_ASSIGN_OR_RETURN(
+      const ModifierPlacement place,
+      PlaceModifiers(query_, !post_filters_.empty(), !extra.empty()));
   std::string sql;
   if (!ctes_.empty()) {
     sql += "WITH ";
@@ -52,7 +68,7 @@ Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
     sql += agg_sql;
   } else {
   sql += "SELECT ";
-  if (query_.distinct && extra.empty()) sql += "DISTINCT ";
+  if (place.distinct_in_sql) sql += "DISTINCT ";
   for (size_t i = 0; i < vars.size(); ++i) {
     if (i) sql += ", ";
     auto it = bound_.find(vars[i]);
@@ -80,10 +96,10 @@ Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
     }
     if (!order.empty()) sql += " ORDER BY " + order;
   }
-  if (query_.limit.has_value() && slice_in_sql) {
+  if (query_.limit.has_value() && place.slice_in_sql) {
     sql += " LIMIT " + std::to_string(*query_.limit);
   }
-  if (query_.offset.has_value() && slice_in_sql) {
+  if (query_.offset.has_value() && place.slice_in_sql) {
     sql += " OFFSET " + std::to_string(*query_.offset);
   }
   TranslatedQuery out;

@@ -29,12 +29,29 @@ struct TranslatedQuery {
   std::vector<const sparql::FilterExpr*> post_filters;
   /// Variables the post-filters read that are NOT in the projection: the
   /// SQL carries them as extra trailing columns so the filters can see
-  /// them, and the decode stage drops them again afterwards. When the
-  /// query is DISTINCT and this is non-empty, DISTINCT and LIMIT/OFFSET
-  /// are likewise deferred to the decode stage (the widened row would
-  /// otherwise keep duplicate projections).
+  /// them, and the decode stage drops them again afterwards. Which of
+  /// DISTINCT and LIMIT/OFFSET then stay in the SQL is PlaceModifiers'.
   std::vector<std::string> post_filter_vars;
 };
+
+/// Where DISTINCT and the LIMIT/OFFSET slice run: in the generated SQL, or
+/// in the decode stage after the post-filters. Whatever does not run in
+/// the SQL runs at decode (DISTINCT only if the query asks for it).
+struct ModifierPlacement {
+  bool distinct_in_sql = false;
+  bool slice_in_sql = true;
+};
+
+/// The one rule for placing solution modifiers, shared by the SQL builder
+/// and the decode stage (store/backend_util.cc). Post-filters drop rows
+/// after the SQL, so any slice in the SQL would cut before them: with
+/// post-filters the slice always defers to decode. DISTINCT stays in the
+/// SQL unless extra filter columns widen the row, where it would keep
+/// duplicate projections. An aggregate computed in the SQL cannot see a
+/// post-filter at all, so that combination is Unsupported.
+Result<ModifierPlacement> PlaceModifiers(const sparql::Query& query,
+                                         bool has_post_filters,
+                                         bool has_post_filter_vars);
 
 /// SQL identifier for a SPARQL variable ("v_<name>", sanitized).
 std::string VarColumn(const std::string& var);

@@ -125,24 +125,17 @@ namespace rdfrel::util {
 // mutex it already holds. Gaps leave room for future layers.
 //
 // The order encodes every nesting the engine actually performs:
-//   server conn queue -> sharded-store coordinator -> shard router/gather
-//   -> store r/w lock -> plan cache shard -> decoded-page cache -> exchange
-//   reorder buffer -> shared join build -> join shard -> query arena -> WAL
-//   writer (group-commit flusher state) -> Env file map -> worker-pool
-//   wake/queue locks.
+//   server conn queue -> store r/w lock -> plan cache shard -> decoded-page
+//   cache -> exchange reorder buffer -> shared join build -> join shard ->
+//   query arena -> WAL writer (group-commit flusher state) -> Env file map
+//   -> worker-pool wake/queue locks.
 // e.g. a writer holding the store lock logs to the WAL (kStore < kWal), the
 // WAL writer under kEveryRecord appends while holding its own lock
 // (kWal < kEnv), and ExchangeOp::Open submits pipeline tasks to the global
-// pool under the store's read lock (kStore < kPool). The multi-shard
-// coordinator sits ABOVE the per-shard stores: a coordinator thread routes
-// a mutation or scatters a fragment while holding its own locks and only
-// then enters a shard's kStore lock (kCoordinator < kShardRouter < kStore);
-// a shard never calls back up into the coordinator.
+// pool under the store's read lock (kStore < kPool).
 namespace lock_rank {
 inline constexpr int kUnranked = 0;    ///< ordering not checked (leaf-only)
 inline constexpr int kServer = 100;    ///< serve::SparqlServer connection queue
-inline constexpr int kCoordinator = 140;  ///< shard::ShardedStore top lock
-inline constexpr int kShardRouter = 170;  ///< scatter/gather + router state
 inline constexpr int kStore = 200;     ///< store reader/writer lock
 inline constexpr int kPlanCache = 300; ///< sharded plan/translation cache
 inline constexpr int kPageCache = 400; ///< sql::Table decoded-page cache
