@@ -2,30 +2,18 @@
 /// google-benchmark microbenchmarks for the embedded relational engine's
 /// primitives: row serde, B+-tree, hash index, dictionary encoding, and
 /// end-to-end SQL evaluation paths (index scan, hash join, star lookup).
-///
-/// `bench_engine --threads N` instead runs the intra-query parallelism
-/// sweep: LUBM star/chain/scan query classes at 1..N worker pipelines,
-/// writing BENCH_engine.json (with the host's core count — interpret
-/// speedups accordingly; a 1-core container cannot show wall-clock gains).
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench/harness.h"
-#include "benchdata/lubm.h"
 #include "rdf/dictionary.h"
 #include "sql/btree.h"
 #include "sql/database.h"
 #include "sql/hash_index.h"
 #include "sql/row.h"
-#include "store/rdf_store.h"
 
 namespace rdfrel {
 namespace {
@@ -206,136 +194,7 @@ void BM_SqlIndexNLJoinBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlIndexNLJoinBatch);
 
-// ------------------------------------------------- --threads sweep
-
-/// Mean ms/query over `rounds` timed rounds after one warm-up, with the
-/// given parallelism degree.
-double TimeQueryThreads(store::SparqlStore* store, const std::string& sparql,
-                        unsigned threads, int64_t* rows_out, int rounds = 3) {
-  store::QueryOptions opts;
-  opts.max_threads = threads;
-  auto first = store->QueryWith(sparql, opts);
-  if (!first.ok()) {
-    std::fprintf(stderr, "query failed: %s\n",
-                 first.status().ToString().c_str());
-    std::exit(1);
-  }
-  *rows_out = static_cast<int64_t>(first->size());
-  double total = 0;
-  for (int r = 0; r < rounds; ++r) {
-    total += bench::TimeOnceMs([&] {
-      auto res = store->QueryWith(sparql, opts);
-      if (!res.ok()) std::abort();
-    });
-  }
-  return total / rounds;
-}
-
-/// LUBM query classes for the sweep: a star (multi-predicate subject star),
-/// a chain (multi-hop join path), and a scan-heavy union.
-struct SweepClass {
-  const char* cls;
-  const char* id;
-};
-constexpr SweepClass kSweepClasses[] = {
-    {"star", "LQ4"},   // professors of a department with contact info
-    {"chain", "LQ8"},  // university -> department -> student -> email
-    {"scan", "LQ6"},   // all students (huge union scan)
-};
-
-int RunThreadSweep(unsigned max_threads) {
-  const double scale = bench::ScaleFactor();
-  const unsigned cores = std::thread::hardware_concurrency();
-  benchdata::Workload w =
-      benchdata::MakeLubm(static_cast<uint64_t>(40 * scale), 4);
-  const uint64_t triples = w.graph.size();
-  auto store = store::RdfStore::Load(std::move(w.graph));
-  if (!store.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 store.status().ToString().c_str());
-    return 1;
-  }
-
-  std::vector<unsigned> degrees{1};
-  for (unsigned t = 2; t <= max_threads; t *= 2) degrees.push_back(t);
-  if (degrees.back() != max_threads) degrees.push_back(max_threads);
-
-  std::printf("== engine parallelism sweep: LUBM x%.0f (%llu triples), "
-              "%u hardware cores ==\n",
-              40 * scale, static_cast<unsigned long long>(triples), cores);
-  if (cores < max_threads) {
-    std::printf("note: %u threads requested on %u cores — parallel "
-                "pipelines time-slice; expect overhead, not speedup.\n",
-                max_threads, cores);
-  }
-
-  std::string json = "{\"bench\":\"engine_parallel\",\"scale\":";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%.2f,\"cores\":%u,\"triples\":%llu,",
-                scale, cores, static_cast<unsigned long long>(triples));
-  json += buf;
-  json += "\"sweep\":[";
-
-  bool first_class = true;
-  for (const SweepClass& sc : kSweepClasses) {
-    const auto it = std::find_if(
-        w.queries.begin(), w.queries.end(),
-        [&](const benchdata::NamedQuery& q) { return q.id == sc.id; });
-    if (it == w.queries.end()) continue;
-    int64_t rows = 0;
-    double base_ms = 0;
-    if (!first_class) json += ",";
-    first_class = false;
-    json += "{\"class\":\"";
-    json += sc.cls;
-    json += "\",\"query\":\"";
-    json += sc.id;
-    json += "\",\"threads\":[";
-    for (size_t i = 0; i < degrees.size(); ++i) {
-      const unsigned t = degrees[i];
-      const double ms = TimeQueryThreads(store->get(), it->sparql, t, &rows);
-      if (t == 1) base_ms = ms;
-      const double speedup = ms > 0 ? base_ms / ms : 0;
-      std::printf("  %-5s %-5s threads=%-3u %9.2f ms  (%lld rows, "
-                  "speedup %.2fx)\n",
-                  sc.cls, sc.id, t, ms, static_cast<long long>(rows),
-                  speedup);
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"threads\":%u,\"mean_ms\":%.3f,\"speedup\":%.3f}",
-                    i == 0 ? "" : ",", t, ms, speedup);
-      json += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "],\"rows\":%lld}",
-                  static_cast<long long>(rows));
-    json += buf;
-  }
-  json += "]}\n";
-
-  const char* json_path = "BENCH_engine.json";
-  std::FILE* f = std::fopen(json_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path);
-  return 0;
-}
-
 }  // namespace
 }  // namespace rdfrel
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      return rdfrel::RunThreadSweep(
-          static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1]))));
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -23,8 +23,8 @@ rdf::Graph UniformFivePredGraph(uint64_t subjects) {
     rdf::Term subject = rdf::Term::Iri("http://n/s" + std::to_string(s));
     for (int p = 0; p < 5; ++p) {
       g.Add({subject, rdf::Term::Iri("http://n/p" + std::to_string(p)),
-             rdf::Term::Literal(
-                 "v" + std::to_string(s * 5 + static_cast<uint64_t>(p)))});
+             rdf::Term::Literal(std::string("v").append(
+                 std::to_string(s * 5 + static_cast<uint64_t>(p))))});
     }
   }
   return g;

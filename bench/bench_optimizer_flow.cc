@@ -32,7 +32,7 @@ rdf::Graph MicroFlowGraph(uint64_t subjects) {
            rdf::Term::Literal(o2 ? "O2" : "other2-" + std::to_string(s))});
     // Filler predicates so scans are not free.
     g.Add({subject, rdf::Term::Iri("http://f/SV3"),
-           rdf::Term::Literal("x" + std::to_string(s))});
+           rdf::Term::Literal(std::string("x").append(std::to_string(s)))});
   }
   return g;
 }

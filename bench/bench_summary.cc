@@ -83,23 +83,6 @@ void RunOne(const std::string& name, MakeFn make) {
   PrintSummaries(name, w.graph.size(), w.queries.size(), summaries);
 }
 
-/// If a `bench_engine --threads N` sweep left its artifact in the current
-/// directory, echo it after the cross-dataset summary so one bench run
-/// produces one combined report. The artifact carries its own "cores"
-/// field — speedups on few-core hosts are expected to hover near 1.0x.
-void PrintEngineSweepIfPresent() {
-  std::FILE* f = std::fopen("BENCH_engine.json", "r");
-  if (f == nullptr) return;
-  std::printf(
-      "\n== intra-query parallelism sweep (BENCH_engine.json) ==\n");
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    std::fwrite(buf, 1, n, stdout);
-  }
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -122,6 +105,5 @@ int main() {
       "\nShape check (paper): DB2RDF completes every query (77/78 in the "
       "paper) and has\nthe best or near-best means; the naive-flow variant "
       "and the baseline layouts\nfall behind on the complex queries.\n");
-  PrintEngineSweepIfPresent();
   return 0;
 }

@@ -11,12 +11,11 @@
 /// `load` uses a small built-in dataset when no file is given, so the demo
 /// runs standalone:
 ///
-///   ./examples/persist_demo load  /tmp/demo-store
-///   ./examples/persist_demo insert /tmp/demo-store \
-///       http://ex/ElonMusk http://ex/founder http://ex/Tesla
-///   ./examples/persist_demo query /tmp/demo-store \
-///       "SELECT ?p ?c WHERE { ?p <http://ex/founder> ?c }"
-///   ./examples/persist_demo stats /tmp/demo-store
+///   demo=./examples/persist_demo dir=/tmp/demo-store
+///   $demo load "$dir"
+///   $demo insert "$dir" http://ex/ElonMusk http://ex/founder http://ex/Tesla
+///   $demo query "$dir" "SELECT ?p ?c WHERE { ?p <http://ex/founder> ?c }"
+///   $demo stats "$dir"
 
 #include <cstdint>
 #include <cstdio>

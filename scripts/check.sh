@@ -9,11 +9,8 @@
 #       full sweep of the compile database enforcing arena-escape,
 #       blocking-under-lock, borrowed-batch, and status-discipline.
 #   2.  ThreadSanitizer build, running the concurrency + plan-cache tests
-#       (the reader/writer stress test is the point of this build), the
-#       morsel-driven parallel executor suite (ParallelTest): dispenser /
-#       shared-build / arena primitives plus serial-vs-parallel
-#       differentials, so executor data races fail the gate — the Serve
-#       suite, so the endpoint's worker pool races fail it too.
+#       (the reader/writer stress test is the point of this build) and the
+#       Serve suite, so the endpoint's worker pool races fail it too.
 #   3.  Debug + AddressSanitizer build, running the full ctest suite.
 #   4.  UndefinedBehaviorSanitizer build with recovery disabled, running
 #       the full suite: any UB (signed overflow, bad shifts, misaligned
@@ -52,18 +49,16 @@ fi
 scripts/lint.sh
 
 echo
-echo "== [2/7] ThreadSanitizer: concurrency + parallel + serve =="
+echo "== [2/7] ThreadSanitizer: concurrency + serve =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRDFREL_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j"${JOBS}" \
-  --target concurrency_test util_test parallel_test serve_test
+  --target concurrency_test util_test serve_test
 # TSan aborts the process on a race, so a clean exit means no reports.
-# ParallelTest covers the morsel dispenser, shared join build, per-query
-# arenas, and the serial-vs-parallel differential suite across backends;
 # Serve exercises the endpoint's acceptor/worker handoff and shutdown.
 (cd build-tsan && ctest --output-on-failure -j"${JOBS}" \
-    -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|ParallelTest|Serve')
+    -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|Serve')
 
 echo
 echo "== [3/7] Debug + AddressSanitizer: full suite =="

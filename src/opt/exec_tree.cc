@@ -33,7 +33,8 @@ std::string ExecNode::ToString(int indent) const {
       out += ", " + std::string(AccessMethodToString(method)) + "](";
       for (size_t i = 0; i < star_triples.size(); ++i) {
         if (i) out += ", ";
-        out += "t" + std::to_string(star_triples[i]->id);
+        out += "t";
+        out += std::to_string(star_triples[i]->id);
         if (star_optional[i]) out += "?";
       }
       out += ")\n";

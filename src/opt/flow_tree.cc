@@ -32,10 +32,15 @@ double FlowTree::TotalCost() const {
 std::string FlowTree::ToString() const {
   std::string out;
   for (const auto& c : choices_) {
-    out += "t" + std::to_string(c.triple_id) + " via " +
-           AccessMethodToString(c.method) + " cost " +
-           std::to_string(c.cost) + " fed-by t" +
-           std::to_string(c.parent_triple) + "\n";
+    out += "t";
+    out += std::to_string(c.triple_id);
+    out += " via ";
+    out += AccessMethodToString(c.method);
+    out += " cost ";
+    out += std::to_string(c.cost);
+    out += " fed-by t";
+    out += std::to_string(c.parent_triple);
+    out += "\n";
   }
   return out;
 }

@@ -29,8 +29,9 @@ const std::array<uint32_t, 256>& Table() {
 uint32_t Crc32c(std::string_view data, uint32_t init) {
   const auto& table = Table();
   uint32_t crc = ~init;
-  for (unsigned char c : data) {
-    crc = table[(crc ^ c) & 0xFFu] ^ (crc >> 8);
+  for (char ch : data) {
+    const uint32_t byte = static_cast<unsigned char>(ch);
+    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -46,7 +46,7 @@ std::string Term::ToNTriples() const {
     case TermKind::kBlankNode:
       return "_:" + lexical_;
     case TermKind::kLiteral: {
-      std::string out = "\"" + NtEscape(lexical_) + "\"";
+      std::string out = std::string("\"").append(NtEscape(lexical_)) + "\"";
       if (!language_.empty()) {
         out += "@" + language_;
       } else if (!datatype_.empty()) {

@@ -59,9 +59,9 @@ double LatencyHistogram::Mean() const {
 }
 
 std::string EndpointMetrics::ToJson() const {
+  // One `,"k":v` member, rounded to centi-us so the JSON stays compact.
   auto field = [](const char* k, double v) {
-    // Round to centi-us so the JSON stays compact.
-    return std::string("\"") + k + "\":" +
+    return std::string(",\"") + k + "\":" +
            std::to_string(std::round(v * 100.0) / 100.0);
   };
   std::string out = "{";
@@ -71,10 +71,10 @@ std::string EndpointMetrics::ToJson() const {
          std::to_string(errors.load(std::memory_order_relaxed));
   out += ",\"bytes_out\":" +
          std::to_string(bytes_out.load(std::memory_order_relaxed));
-  out += "," + field("p50_us", latency.Quantile(0.50));
-  out += "," + field("p99_us", latency.Quantile(0.99));
-  out += "," + field("p999_us", latency.Quantile(0.999));
-  out += "," + field("mean_us", latency.Mean());
+  out += field("p50_us", latency.Quantile(0.50));
+  out += field("p99_us", latency.Quantile(0.99));
+  out += field("p999_us", latency.Quantile(0.999));
+  out += field("mean_us", latency.Mean());
   out += "}";
   return out;
 }

@@ -18,6 +18,13 @@ Status ErrnoStatus(const char* what, int err) {
   return Status::Internal(std::string(what) + ": " + std::strerror(err));
 }
 
+/// Results stream in small chunks on both ends of a connection; don't let
+/// Nagle hold a chunk back waiting for the peer's delayed ACK.
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 UniqueFd& UniqueFd::operator=(UniqueFd&& o) noexcept {
@@ -83,11 +90,18 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port) {
                    sizeof(addr));
   } while (rc != 0 && errno == EINTR);
   if (rc != 0) return ErrnoStatus("connect", errno);
-
-  // Results stream in small chunks; don't let Nagle batch them up.
-  int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd.get());
   return fd;
+}
+
+Result<UniqueFd> AcceptTcp(int listen_fd) {
+  int fd;
+  do {
+    fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return ErrnoStatus("accept", errno);
+  SetNoDelay(fd);
+  return UniqueFd(fd);
 }
 
 Status WriteAll(int fd, std::string_view data) {

@@ -38,7 +38,11 @@ Result<UniqueFd> ListenTcp(const std::string& host, uint16_t port,
                            int backlog, uint16_t* bound_port);
 
 /// Blocking connect to host:port (numeric IPv4, e.g. "127.0.0.1").
+/// The socket has TCP_NODELAY set.
 Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port);
+
+/// Accepts one connection on \p listen_fd, with TCP_NODELAY set.
+Result<UniqueFd> AcceptTcp(int listen_fd);
 
 /// Writes all of \p data (handles partial writes). Returns kCancelled on
 /// EPIPE/ECONNRESET — the peer went away, which streaming treats as a

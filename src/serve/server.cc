@@ -1,17 +1,11 @@
 #include "serve/server.h"
 
-#include <sys/socket.h>
-
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <utility>
 
 #include "serve/result_writer.h"
-#include "sql/parallel.h"
 #include "store/row_sink.h"
-#include "util/arena.h"
-#include "util/thread_pool.h"
 
 namespace rdfrel::serve {
 
@@ -25,40 +19,6 @@ constexpr size_t kStreamThreshold = 32 * 1024;
 
 /// Read granularity for the connection loop.
 constexpr size_t kReadChunk = 16 * 1024;
-
-/// Upper bound on the per-request ?threads= parallelism degree, so one
-/// client cannot request an absurd pipeline fan-out.
-constexpr unsigned kMaxRequestThreads = 32;
-
-/// Executor-pool / parallel-query counters. GlobalStarted() keeps a /stats
-/// probe from spinning up the worker pool on an idle server.
-std::string ExecutorStatsJson() {
-  std::string out = "{\"pool\":{";
-  if (util::ThreadPool::GlobalStarted()) {
-    const util::ThreadPool::Stats ps = util::ThreadPool::Global().stats();
-    out += "\"started\":true";
-    out += ",\"workers\":" + std::to_string(ps.workers);
-    out += ",\"submitted\":" + std::to_string(ps.submitted);
-    out += ",\"executed\":" + std::to_string(ps.executed);
-    out += ",\"steals\":" + std::to_string(ps.steals);
-    out += ",\"queued\":" + std::to_string(ps.queued);
-  } else {
-    out += "\"started\":false";
-  }
-  out += "},\"parallel\":{";
-  const sql::ParallelExecStats& qs = sql::GlobalParallelExecStats();
-  out += "\"queries\":" +
-         std::to_string(qs.queries.load(std::memory_order_relaxed));
-  out += ",\"morsels\":" +
-         std::to_string(qs.morsels.load(std::memory_order_relaxed));
-  out += ",\"arena_bytes_peak\":" +
-         std::to_string(qs.arena_bytes_peak.load(std::memory_order_relaxed));
-  const util::ArenaStats& as = util::GlobalArenaStats();
-  out += ",\"arenas_created\":" +
-         std::to_string(as.arenas_created.load(std::memory_order_relaxed));
-  out += "}}";
-  return out;
-}
 
 uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
   return static_cast<uint64_t>(
@@ -247,12 +207,9 @@ void SparqlServer::AcceptLoop() {
     // Short poll so Stop() is observed promptly without pipe tricks.
     Result<bool> ready = WaitReadable(listen_fd_.get(), 100);
     if (!ready.ok() || !*ready) continue;
-    int fd;
-    do {
-      fd = ::accept(listen_fd_.get(), nullptr, nullptr);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) continue;
-    UniqueFd conn(fd);
+    Result<UniqueFd> accepted = AcceptTcp(listen_fd_.get());
+    if (!accepted.ok()) continue;
+    UniqueFd conn = std::move(accepted).value();
     metrics_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
 
     {
@@ -420,18 +377,6 @@ bool SparqlServer::HandleSparql(int fd, const HttpRequest& req) {
   store::QueryOptions opts;
   opts.WithTimeout(timeout);
   opts.cancel = &stop_;  // shutdown cancels in-flight queries
-  opts.max_threads = 1;  // serial unless the client asks (?threads=)
-  if (auto th = req.QueryParam("threads"); th.has_value()) {
-    unsigned n = 0;
-    auto [ptr, ec] =
-        std::from_chars(th->data(), th->data() + th->size(), n);
-    if (ec != std::errc() || ptr != th->data() + th->size() || n == 0 ||
-        n > kMaxRequestThreads) {
-      return fail(400, "threads must be an integer in [1, " +
-                           std::to_string(kMaxRequestThreads) + "]");
-    }
-    opts.max_threads = n;
-  }
   std::unique_ptr<ResultWriter> writer = MakeResultWriter(format);
   HttpStreamSink sink(fd, writer.get(), keep_alive);
   Status st = store_->QueryWith(*query, opts, sink);
@@ -531,7 +476,6 @@ std::string SparqlServer::StatsJson() const {
          std::to_string(
              metrics_.streams_aborted.load(std::memory_order_relaxed));
   out += "}";
-  out += ",\"executor\":" + ExecutorStatsJson();
   out += ",\"endpoints\":{\"sparql\":" + metrics_.sparql.ToJson();
   out += ",\"stats\":" + metrics_.stats.ToJson() + "}";
   out += "}";

@@ -5,6 +5,22 @@
 
 namespace rdfrel::sparql {
 
+namespace {
+
+/// `(lhs op rhs)`, built by appending: gcc 12 -Wrestrict misfires on
+/// `"(" + std::string&&`.
+std::string Infix(const FilterExpr& lhs, const char* op,
+                  const FilterExpr& rhs) {
+  std::string out = "(";
+  out += lhs.ToString();
+  out += op;
+  out += rhs.ToString();
+  out += ")";
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::string> TriplePattern::Variables() const {
   std::vector<std::string> out;
   auto add = [&](const TermOrVar& t) {
@@ -28,21 +44,21 @@ std::string FilterExpr::ToString() const {
       return "REGEX(" + lhs->ToString() + ", \"" + pattern + "\")";
     case FilterOp::kNot: return "(!" + lhs->ToString() + ")";
     case FilterOp::kAnd:
-      return "(" + lhs->ToString() + " && " + rhs->ToString() + ")";
+      return Infix(*lhs, " && ", *rhs);
     case FilterOp::kOr:
-      return "(" + lhs->ToString() + " || " + rhs->ToString() + ")";
+      return Infix(*lhs, " || ", *rhs);
     case FilterOp::kEq:
-      return "(" + lhs->ToString() + " = " + rhs->ToString() + ")";
+      return Infix(*lhs, " = ", *rhs);
     case FilterOp::kNe:
-      return "(" + lhs->ToString() + " != " + rhs->ToString() + ")";
+      return Infix(*lhs, " != ", *rhs);
     case FilterOp::kLt:
-      return "(" + lhs->ToString() + " < " + rhs->ToString() + ")";
+      return Infix(*lhs, " < ", *rhs);
     case FilterOp::kLe:
-      return "(" + lhs->ToString() + " <= " + rhs->ToString() + ")";
+      return Infix(*lhs, " <= ", *rhs);
     case FilterOp::kGt:
-      return "(" + lhs->ToString() + " > " + rhs->ToString() + ")";
+      return Infix(*lhs, " > ", *rhs);
     case FilterOp::kGe:
-      return "(" + lhs->ToString() + " >= " + rhs->ToString() + ")";
+      return Infix(*lhs, " >= ", *rhs);
   }
   return "?";
 }

@@ -151,7 +151,8 @@ Result<std::vector<Token>> LexSparql(std::string_view in) {
       while (i < n && IsNameChar(in[i])) ++i;
       while (i > lstart && in[i - 1] == '.') --i;
       tokens.push_back(
-          {TokenKind::kPname, ":" + std::string(in.substr(lstart, i - lstart)),
+          {TokenKind::kPname,
+           std::string(":").append(in.substr(lstart, i - lstart)),
            start});
       continue;
     }

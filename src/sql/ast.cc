@@ -30,15 +30,15 @@ std::string Expr::ToString() const {
     case ExprKind::kColumnRef:
       return qualifier.empty() ? column : qualifier + "." + column;
     case ExprKind::kBinary:
-      return "(" + lhs->ToString() + " " + BinaryOpToString(op) + " " +
-             rhs->ToString() + ")";
+      return std::string("(") + lhs->ToString() + " " +
+             BinaryOpToString(op) + " " + rhs->ToString() + ")";
     case ExprKind::kNot:
       return "(NOT " + child->ToString() + ")";
     case ExprKind::kNeg:
       return "(-" + child->ToString() + ")";
     case ExprKind::kIsNull:
-      return "(" + child->ToString() + (negated ? " IS NOT NULL" : " IS NULL") +
-             ")";
+      return std::string("(") + child->ToString() +
+             (negated ? " IS NOT NULL" : " IS NULL") + ")";
     case ExprKind::kCase: {
       std::string out = "CASE";
       for (const auto& b : branches) {

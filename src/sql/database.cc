@@ -51,21 +51,11 @@ Status Database::QueryStreaming(
     std::string_view sql, const ExecControl* control,
     std::vector<std::string>* columns,
     const std::function<Status(const RowBatch&)>& on_batch) {
-  ExecOptions exec;
-  exec.control = control;
-  return QueryStreaming(sql, exec, columns, on_batch);
-}
-
-Status Database::QueryStreaming(
-    std::string_view sql, const ExecOptions& exec,
-    std::vector<std::string>* columns,
-    const std::function<Status(const RowBatch&)>& on_batch) {
-  const ExecControl* control = exec.control;
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
-  RDFREL_ASSIGN_OR_RETURN(
-      OperatorPtr op,
-      PlanSelect(catalog_, *stmt, &env, exec_mode_, control, &exec));
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
+                          PlanSelect(catalog_, *stmt, &env, exec_mode_,
+                                     control));
   op->SetExecMode(exec_mode_);
   if (control != nullptr) op->SetControl(control);
   RDFREL_RETURN_NOT_OK(op->Open());
@@ -109,18 +99,12 @@ Result<QueryResult> Database::QueryAst(const ast::SelectStmt& stmt) {
 }
 
 Result<QueryResult> Database::QueryProfiled(std::string_view sql,
-                                            std::string* profile_out,
-                                            const ExecOptions* exec) {
+                                            std::string* profile_out) {
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
-  RDFREL_ASSIGN_OR_RETURN(
-      OperatorPtr op,
-      PlanSelect(catalog_, *stmt, &env, exec_mode_,
-                 exec != nullptr ? exec->control : nullptr, exec));
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
+                          PlanSelect(catalog_, *stmt, &env, exec_mode_));
   op->SetExecMode(exec_mode_);
-  if (exec != nullptr && exec->control != nullptr) {
-    op->SetControl(exec->control);
-  }
   op->EnableTiming(true);
   RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                           CollectRows(op.get(), exec_mode_));

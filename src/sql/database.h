@@ -55,24 +55,13 @@ class Database {
                         std::vector<std::string>* columns,
                         const std::function<Status(const RowBatch&)>& on_batch);
 
-  /// Like the overload above, but \p exec also carries the intra-query
-  /// parallelism knobs (max_threads, morsel_rows — sql/exec_control.h);
-  /// exec.control plays the role of the control argument. Results are
-  /// identical to a serial run regardless of thread count.
-  Status QueryStreaming(std::string_view sql, const ExecOptions& exec,
-                        std::vector<std::string>* columns,
-                        const std::function<Status(const RowBatch&)>& on_batch);
-
   /// Executes a parsed SELECT.
   Result<QueryResult> QueryAst(const ast::SelectStmt& stmt);
 
   /// Executes a SELECT with per-operator profiling enabled and renders the
   /// operator tree (rows/batches/time per operator) into \p profile_out.
-  /// \p exec (optional) enables the parallel executor so EXPLAIN output
-  /// shows Exchange morsel/worker counters.
   Result<QueryResult> QueryProfiled(std::string_view sql,
-                                    std::string* profile_out,
-                                    const ExecOptions* exec = nullptr);
+                                    std::string* profile_out);
 
   /// Drive mode for all SELECTs on this instance. Batch-at-a-time is the
   /// default; kRow forces the Volcano fallback (differential tests and

@@ -41,34 +41,12 @@ struct ExecControl {
   bool Trivial() const { return !has_deadline && cancel == nullptr; }
 };
 
-/// Per-execution knobs that never affect plan *shape* (and therefore must
-/// never enter plan-cache identity — see store::PlanCacheKey): control flow
-/// plus the intra-query parallelism settings (DESIGN.md §13).
+/// Per-execution settings that never affect plan *shape* (and therefore
+/// must never enter plan-cache identity — see store::PlanCacheKey). Today
+/// it carries only the control.
 struct ExecOptions {
-  /// Default morsel granularity: big enough that per-morsel overhead
-  /// (re-Open of the pipeline, one dispenser claim, one reorder-buffer
-  /// publish) is amortized over several batches, small enough that scans
-  /// split into many work units per worker.
-  static constexpr uint32_t kDefaultMorselRows = 4096;
-  /// Driving inputs below this stay serial under auto parallelism: a few
-  /// thousand rows finish faster on one thread than the pool hand-off costs.
-  static constexpr uint64_t kDefaultParallelMinRows = 8192;
-
   /// Borrowed; must outlive the execution. nullptr = uncontrolled.
   const ExecControl* control = nullptr;
-  /// Resolved worker-pipeline count: <=1 executes serially. Callers resolve
-  /// "auto" (hardware_concurrency) before constructing ExecOptions.
-  unsigned max_threads = 1;
-  /// Target rows per morsel; 0 = kDefaultMorselRows. Tests shrink this to
-  /// force many morsels over small inputs.
-  uint32_t morsel_rows = 0;
-  /// Minimum driving-input rows before a plan goes parallel; explicit
-  /// max_threads requests set this to 0 to force parallelism.
-  uint64_t parallel_min_rows = kDefaultParallelMinRows;
-
-  uint32_t effective_morsel_rows() const {
-    return morsel_rows == 0 ? kDefaultMorselRows : morsel_rows;
-  }
 };
 
 }  // namespace rdfrel::sql

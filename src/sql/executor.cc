@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "sql/operator_verifier.h"
-#include "sql/parallel.h"
 #include "util/verify.h"
 
 namespace rdfrel::sql {
@@ -172,7 +171,6 @@ void FormatStatsRec(Operator& op, int depth, std::string* out) {
                   static_cast<double>(s.ns) / 1e6);
     out->append(buf);
   }
-  out->append(op.StatsSuffix());
   out->push_back('\n');
   for (Operator* c : op.children()) FormatStatsRec(*c, depth + 1, out);
 }
@@ -192,31 +190,14 @@ SeqScanOp::SeqScanOp(const Table* table, const std::string& alias)
 }
 
 Status SeqScanOp::Open() {
-  page_ = static_cast<size_t>(range_begin_);
+  page_ = 0;
   row_ = 0;
   cur_page_.reset();
   return Status::OK();
 }
 
-size_t SeqScanOp::EndPage() const {
-  const size_t pages = table_->storage().heap().num_pages();
-  return range_end_ < pages ? static_cast<size_t>(range_end_) : pages;
-}
-
-uint64_t SeqScanOp::MorselUnits() const {
-  return table_->storage().heap().num_pages();
-}
-
-uint64_t SeqScanOp::RowsPerUnit() const {
-  const uint64_t pages = MorselUnits();
-  if (pages == 0) return 1;
-  return std::max<uint64_t>(1, table_->row_count() / pages);
-}
-
-uint64_t SeqScanOp::ApproxRows() const { return table_->row_count(); }
-
 Result<bool> SeqScanOp::NextImpl(Row* out) {
-  const size_t end_page = EndPage();
+  const size_t end_page = table_->storage().heap().num_pages();
   while (true) {
     if (cur_page_ != nullptr && row_ < cur_page_->rows.size()) {
       *out = cur_page_->rows[row_++];
@@ -231,7 +212,7 @@ Result<bool> SeqScanOp::NextImpl(Row* out) {
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
-  const size_t end_page = EndPage();
+  const size_t end_page = table_->storage().heap().num_pages();
   while (page_ < end_page) {
     RDFREL_ASSIGN_OR_RETURN(cur_page_,
                             table_->DecodePage(static_cast<uint32_t>(page_)));
@@ -284,23 +265,18 @@ MaterializedScanOp::MaterializedScanOp(
 }
 
 Status MaterializedScanOp::Open() {
-  pos_ = static_cast<size_t>(range_begin_);
+  pos_ = 0;
   return Status::OK();
 }
 
-size_t MaterializedScanOp::EndRow() const {
-  const size_t rows = mat_->rows.size();
-  return range_end_ < rows ? static_cast<size_t>(range_end_) : rows;
-}
-
 Result<bool> MaterializedScanOp::NextImpl(Row* out) {
-  if (pos_ >= EndRow()) return false;
+  if (pos_ >= mat_->rows.size()) return false;
   *out = mat_->rows[pos_++];
   return true;
 }
 
 Result<bool> MaterializedScanOp::NextBatchImpl(RowBatch* out) {
-  const size_t end_row = EndRow();
+  const size_t end_row = mat_->rows.size();
   if (pos_ >= end_row) return false;
   size_t n = std::min(out->capacity(), end_row - pos_);
   out->Borrow(mat_->rows.data() + pos_, n);
@@ -412,25 +388,19 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
 
 Status HashJoinOp::Open() {
   RDFREL_RETURN_NOT_OK(left_->Open());
-  if (shared_ != nullptr) {
-    // Parallel mode: the shared table is built at most once per query; a
-    // per-morsel re-Open only resets probe state.
-    RDFREL_RETURN_NOT_OK(EnsureSharedBuild());
-  } else {
-    RDFREL_RETURN_NOT_OK(right_->Open());
-    build_.clear();
-    RDFREL_RETURN_NOT_OK(ForEachChildRow(right_.get(), [&](const Row& row) {
-      std::vector<Value> key;
-      key.reserve(right_keys_.size());
-      for (const auto& k : right_keys_) {
-        RDFREL_ASSIGN_OR_RETURN(Value v, k->Evaluate(row));
-        if (v.is_null()) return Status::OK();  // NULL keys never join
-        key.push_back(std::move(v));
-      }
-      build_[std::move(key)].push_back(row);
-      return Status::OK();
-    }));
-  }
+  RDFREL_RETURN_NOT_OK(right_->Open());
+  build_.clear();
+  RDFREL_RETURN_NOT_OK(ForEachChildRow(right_.get(), [&](const Row& row) {
+    std::vector<Value> key;
+    key.reserve(right_keys_.size());
+    for (const auto& k : right_keys_) {
+      RDFREL_ASSIGN_OR_RETURN(Value v, k->Evaluate(row));
+      if (v.is_null()) return Status::OK();  // NULL keys never join
+      key.push_back(std::move(v));
+    }
+    build_[std::move(key)].push_back(row);
+    return Status::OK();
+  }));
   left_valid_ = false;
   matches_ = nullptr;
   probe_.Reset();
@@ -438,103 +408,10 @@ Status HashJoinOp::Open() {
   return Status::OK();
 }
 
-void HashJoinOp::SetSharedBuild(std::shared_ptr<SharedJoinBuild> shared,
-                                MorselSource* build_leaf) {
-  shared_ = std::move(shared);
-  build_leaf_ = build_leaf;
-}
-
-std::string HashJoinOp::StatsSuffix() const {
-  if (shared_ == nullptr) return "";
-  return shared_->build_dispenser() != nullptr ? " build=shared-coop"
-                                               : " build=shared-solo";
-}
-
 const std::vector<Row>* HashJoinOp::LookupBuild(
     const std::vector<Value>& key) const {
-  if (shared_ != nullptr) return shared_->Lookup(key);
   auto it = build_.find(key);
   return it == build_.end() ? nullptr : &it->second;
-}
-
-Status HashJoinOp::EnsureSharedBuild() {
-  if (shared_->built()) return Status::OK();
-  MorselDispenser* dispenser = shared_->build_dispenser();
-  if (dispenser == nullptr) {
-    // Solo: first arriver drains its own clone of the build side in serial
-    // scan order; seq tags are already monotone.
-    if (!shared_->TryClaimSolo()) return shared_->WaitBuilt(control_);
-    Status st = right_->Open();
-    if (st.ok()) {
-      uint64_t seq = 0;
-      st = ForEachChildRow(right_.get(), [&](const Row& row) {
-        std::vector<Value> key;
-        key.reserve(right_keys_.size());
-        for (const auto& k : right_keys_) {
-          RDFREL_ASSIGN_OR_RETURN(Value v, k->Evaluate(row));
-          if (v.is_null()) return Status::OK();
-          key.push_back(std::move(v));
-        }
-        shared_->Insert(std::move(key), seq++, row);
-        return Status::OK();
-      });
-    }
-    shared_->FinishSolo(st);
-    return st.ok() ? shared_->WaitBuilt(control_) : st;
-  }
-  // Cooperative: claim build morsels over this pipeline's own clone of the
-  // build subtree; the seq tag (morsel index, row-in-morsel) restores serial
-  // insertion order when the last finisher seals the table.
-  if (!shared_->BeginParticipate()) return shared_->WaitBuilt(control_);
-  Status st = Status::OK();
-  RowBatch batch;
-  while (st.ok()) {
-    if (control_ != nullptr) {
-      st = control_->Check();
-      if (!st.ok()) break;
-    }
-    auto m = dispenser->Claim();
-    if (!m.has_value()) break;
-    build_leaf_->SetMorselRange(m->begin, m->end);
-    st = right_->Open();
-    if (!st.ok()) break;
-    // Row-in-morsel fits comfortably below 2^40 (a morsel is a bounded page
-    // range), so the tag sorts as (morsel, row).
-    uint64_t seq = m->index << 40;
-    std::vector<Value> key;
-    while (st.ok()) {
-      auto has = right_->NextBatch(&batch);
-      if (!has.ok()) {
-        st = has.status();
-        break;
-      }
-      if (!has.value()) break;
-      for (size_t i = 0; i < batch.ActiveSize(); ++i) {
-        const Row& row = batch.Active(i);
-        key.clear();
-        bool null_key = false;
-        for (const auto& k : right_keys_) {
-          auto v = k->Evaluate(row);
-          if (!v.ok()) {
-            st = v.status();
-            break;
-          }
-          if (v->is_null()) {
-            null_key = true;
-            break;
-          }
-          key.push_back(std::move(v).value());
-        }
-        if (!st.ok()) break;
-        const uint64_t tag = seq++;
-        if (null_key) continue;  // NULL keys never join
-        shared_->Insert(std::vector<Value>(key.begin(), key.end()), tag, row);
-      }
-    }
-  }
-  shared_->EndParticipate(st);
-  Status built = shared_->WaitBuilt(control_);
-  return st.ok() ? built : st;
 }
 
 Result<bool> HashJoinOp::NextLeft() {
@@ -1009,10 +886,10 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<BoundExprPtr> keys,
       keys_(std::move(keys)),
       aggs_(std::move(aggs)) {
   for (size_t i = 0; i < keys_.size(); ++i) {
-    scope_.Add("agg", "k" + std::to_string(i));
+    scope_.Add("agg", std::string("k").append(std::to_string(i)));
   }
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    scope_.Add("agg", "a" + std::to_string(i));
+    scope_.Add("agg", std::string("a").append(std::to_string(i)));
   }
 }
 

@@ -54,26 +54,6 @@ struct Materialized {
   std::vector<Row> rows;
 };
 
-/// Secondary interface for scans that can serve an arbitrary sub-range of
-/// their input, implemented by SeqScanOp (unit = heap page) and
-/// MaterializedScanOp (unit = row). The parallel executor (sql/parallel.h)
-/// discovers it by dynamic_cast on a pipeline's driving leaf and calls
-/// SetMorselRange before each per-morsel re-Open.
-class MorselSource {
- public:
-  virtual ~MorselSource() = default;
-
-  /// Total number of morsel units in the input.
-  virtual uint64_t MorselUnits() const = 0;
-  /// Approximate rows per unit (>= 1); sizes morsels in rows.
-  virtual uint64_t RowsPerUnit() const = 0;
-  /// Approximate total input rows (parallelism threshold).
-  virtual uint64_t ApproxRows() const = 0;
-  /// Restricts the next Open() to units [begin, end). end is clamped to
-  /// MorselUnits(). Resetting to [0, UINT64_MAX) restores a full scan.
-  virtual void SetMorselRange(uint64_t begin, uint64_t end) = 0;
-};
-
 /// Per-operator execution counters (see file comment).
 struct OperatorStats {
   uint64_t rows = 0;     ///< active rows produced
@@ -110,10 +90,6 @@ class Operator {
   /// verified separately by VerifyOperatorTree, which prefixes failures
   /// with the operator's dotted path.
   virtual Status VerifySelf() const { return Status::OK(); }
-
-  /// Extra per-operator annotations appended to the profile line (after the
-  /// counters), e.g. " morsels=12 workers=4". Empty by default.
-  virtual std::string StatsSuffix() const { return ""; }
 
   ExecMode exec_mode() const { return mode_; }
   /// Sets the drive mode on this operator and every descendant. Call before
@@ -162,36 +138,22 @@ using OperatorPtr = std::unique_ptr<Operator>;
 std::string FormatOperatorStats(Operator& root);
 
 /// Full-table scan. Batch mode deserializes a whole heap page per call into
-/// reused row storage. MorselSource over heap pages: a morsel range limits
-/// the scan to pages [begin, end).
-class SeqScanOp final : public Operator, public MorselSource {
+/// reused row storage.
+class SeqScanOp final : public Operator {
  public:
   SeqScanOp(const Table* table, const std::string& alias);
   Status Open() override;
   std::string name() const override { return "SeqScan(" + table_->name() + ")"; }
   Status VerifySelf() const override;
 
-  uint64_t MorselUnits() const override;
-  uint64_t RowsPerUnit() const override;
-  uint64_t ApproxRows() const override;
-  void SetMorselRange(uint64_t begin, uint64_t end) override {
-    range_begin_ = begin;
-    range_end_ = end;
-  }
-
  protected:
   Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
-  /// First page past the current morsel range (clamped to the heap).
-  size_t EndPage() const;
-
   const Table* table_;
   size_t page_ = 0;
   uint32_t row_ = 0;  ///< next row within cur_page_ (row path)
-  uint64_t range_begin_ = 0;            ///< morsel range [begin, end) pages
-  uint64_t range_end_ = UINT64_MAX;
   /// Decoded rows of the current page; holding the shared_ptr keeps a
   /// Borrow'ed batch valid even if the cache entry is invalidated mid-scan.
   std::shared_ptr<const DecodedPage> cur_page_;
@@ -224,8 +186,8 @@ class IndexScanOp final : public Operator {
 
 /// Scans a materialized result (CTE / derived table) under a new alias.
 /// Batch mode borrows the cached rows (zero copies); the row path must copy
-/// to satisfy the Next contract. MorselSource over rows.
-class MaterializedScanOp final : public Operator, public MorselSource {
+/// to satisfy the Next contract.
+class MaterializedScanOp final : public Operator {
  public:
   MaterializedScanOp(std::shared_ptr<const Materialized> mat,
                      const std::string& alias);
@@ -233,26 +195,13 @@ class MaterializedScanOp final : public Operator, public MorselSource {
   std::string name() const override { return "MaterializedScan"; }
   Status VerifySelf() const override;
 
-  uint64_t MorselUnits() const override { return mat_->rows.size(); }
-  uint64_t RowsPerUnit() const override { return 1; }
-  uint64_t ApproxRows() const override { return mat_->rows.size(); }
-  void SetMorselRange(uint64_t begin, uint64_t end) override {
-    range_begin_ = begin;
-    range_end_ = end;
-  }
-
  protected:
   Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
-  /// First row past the current morsel range (clamped to the input).
-  size_t EndRow() const;
-
   std::shared_ptr<const Materialized> mat_;
   size_t pos_ = 0;
-  uint64_t range_begin_ = 0;            ///< morsel range [begin, end) rows
-  uint64_t range_end_ = UINT64_MAX;
 };
 
 /// WHERE filter. Batch mode evaluates the predicate over the whole batch
@@ -298,19 +247,10 @@ class ProjectOp final : public Operator {
   std::vector<std::vector<Value>> cols_;  ///< per-expression value columns
 };
 
-class SharedJoinBuild;  // sql/parallel.h
-
 /// Hash join: builds on the right child, probes with the left. Inner or
 /// left-outer. Residual predicate (if any) evaluated on the concatenated
 /// row before a match counts. Batch mode probes a whole left batch per
 /// call, with join keys computed column-at-a-time.
-///
-/// Parallel mode (DESIGN.md §13): when a SharedJoinBuild is attached, all
-/// pipeline clones of this join share one hash table. The first Open()
-/// builds it (cooperatively over build morsels when the build side is a
-/// MorselSource, else solo by the first arriver) and later Open()s — per
-/// probe morsel — only reset probe state. Match order per key equals the
-/// serial build's insertion order, so results stay byte-identical.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
@@ -323,14 +263,6 @@ class HashJoinOp final : public Operator {
     return {left_.get(), right_.get()};
   }
   Status VerifySelf() const override;
-  std::string StatsSuffix() const override;
-
-  /// Switches this join to a shared build table. \p build_leaf, when
-  /// non-null, is the MorselSource leaf inside the right subtree that
-  /// cooperative builders drive; null means solo build.
-  void SetSharedBuild(std::shared_ptr<SharedJoinBuild> shared,
-                      MorselSource* build_leaf);
-  const SharedJoinBuild* shared_build() const { return shared_.get(); }
 
  protected:
   Result<bool> NextImpl(Row* out) override;
@@ -338,10 +270,8 @@ class HashJoinOp final : public Operator {
 
  private:
   Result<bool> NextLeft();
-  /// Build-table probe: local map or shared table. Null when no match.
+  /// Build-table probe. Null when no match.
   const std::vector<Row>* LookupBuild(const std::vector<Value>& key) const;
-  /// Shared mode: participates in / waits for the one-time shared build.
-  Status EnsureSharedBuild();
 
   OperatorPtr left_;
   OperatorPtr right_;
@@ -352,8 +282,6 @@ class HashJoinOp final : public Operator {
 
   std::unordered_map<std::vector<Value>, std::vector<Row>, ValueVectorHasher>
       build_;
-  std::shared_ptr<SharedJoinBuild> shared_;  ///< null = private build_
-  MorselSource* build_leaf_ = nullptr;       ///< cooperative-build leaf
   size_t right_width_ = 0;
   Row left_row_;
   const std::vector<Row>* matches_ = nullptr;

@@ -383,9 +383,8 @@ class CaseExpr final : public BoundExpr {
       : branches_(std::move(branches)), else_(std::move(else_expr)) {}
   Result<Value> Evaluate(const Row& row) const override {
     for (const auto& [when, then] : branches_) {
-      RDFREL_ASSIGN_OR_RETURN(Value w, when->Evaluate(row));
-      RDFREL_ASSIGN_OR_RETURN(std::optional<bool> t, ValueTruth(w));
-      if (t.has_value() && *t) return then->Evaluate(row);
+      RDFREL_ASSIGN_OR_RETURN(bool taken, EvalPredicate(*when, row));
+      if (taken) return then->Evaluate(row);
     }
     if (else_) return else_->Evaluate(row);
     return Value::Null();

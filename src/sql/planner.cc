@@ -1,10 +1,6 @@
 #include "sql/planner.h"
 
-#include <algorithm>
-#include <map>
-
 #include "sql/operator_verifier.h"
-#include "sql/parallel.h"
 #include "util/string_util.h"
 #include "util/verify.h"
 
@@ -46,21 +42,9 @@ struct PendingSource {
 
 class CorePlanner {
  public:
-  /// Shared cache of materialized FROM subqueries, keyed by AST node. When
-  /// the parallel planner clones a core K times, every clone resolves the
-  /// same subquery node — without the cache each clone would *re-execute*
-  /// it (subqueries materialize during planning).
-  using SubqueryCache =
-      std::map<const void*, std::shared_ptr<const Materialized>>;
-
   CorePlanner(const Catalog& catalog, CteEnv* env, ExecMode mode,
-              const ExecControl* control,
-              SubqueryCache* subq_cache = nullptr)
-      : catalog_(catalog),
-        env_(env),
-        mode_(mode),
-        control_(control),
-        subq_cache_(subq_cache) {}
+              const ExecControl* control)
+      : catalog_(catalog), env_(env), mode_(mode), control_(control) {}
 
   /// Plans one core. When \p order_by is non-null the sort is planted inside
   /// this core (below the final projection trim), so sort keys may reference
@@ -73,8 +57,7 @@ class CorePlanner {
   }
 
   /// Plans the FROM/WHERE join pipeline of a core — everything below the
-  /// aggregate/projection tail. This is the segment the parallel executor
-  /// replicates per worker (sql/parallel.h).
+  /// aggregate/projection tail.
   Result<OperatorPtr> PlanJoinTree(const SelectCore& core) {
     // Gather WHERE conjuncts for comma-join processing.
     std::vector<Conjunct> conjuncts;
@@ -173,29 +156,14 @@ class CorePlanner {
     if (core.HasAggregates()) {
       return PlanAggregate(core, std::move(current), order_by);
     }
-    ProjTail tail;
-    RDFREL_ASSIGN_OR_RETURN(
-        current, BuildProjection(core, std::move(current), order_by, &tail));
-    return FinishProjection(core, tail, std::move(current));
+    return PlanProjection(core, std::move(current), order_by);
   }
 
-  /// The pieces of the non-aggregate projection tail that sit *above* the
-  /// parallel exchange: sort slots (over the projected scope, including
-  /// hidden __sortN columns), the visible prefix width, and the projected
-  /// scope itself.
-  struct ProjTail {
-    size_t visible = 0;
-    std::vector<int> sort_slots;
-    std::vector<bool> sort_desc;
-    Scope out;
-  };
-
   /// Builds the SELECT-list projection (plus hidden ORDER BY columns) over
-  /// \p current. Order-preserving per row, so it may live inside a parallel
-  /// pipeline; \p tail captures what FinishProjection needs above it.
-  Result<OperatorPtr> BuildProjection(
+  /// \p current, then sort + hidden-column trim + DISTINCT above it.
+  Result<OperatorPtr> PlanProjection(
       const SelectCore& core, OperatorPtr current,
-      const std::vector<ast::OrderItem>* order_by, ProjTail* tail) {
+      const std::vector<ast::OrderItem>* order_by) {
     std::vector<BoundExprPtr> exprs;
     Scope out;
     for (const auto& it : core.items) {
@@ -248,31 +216,19 @@ class CorePlanner {
 
     current = std::make_unique<ProjectOp>(std::move(current),
                                           std::move(exprs), out);
-    tail->visible = visible;
-    tail->sort_slots = std::move(sort_slots);
-    tail->sort_desc = std::move(sort_desc);
-    tail->out = std::move(out);
-    return current;
-  }
-
-  /// Sort + hidden-column trim + DISTINCT above the projection (or above
-  /// the exchange merging parallel projections).
-  OperatorPtr FinishProjection(const SelectCore& core, const ProjTail& tail,
-                               OperatorPtr current) {
-    if (!tail.sort_slots.empty()) {
+    if (!sort_slots.empty()) {
       std::vector<BoundExprPtr> keys;
-      for (int s : tail.sort_slots) keys.push_back(MakeSlotRef(s));
-      current = std::make_unique<SortOp>(
-          std::move(current), std::move(keys),
-          std::vector<bool>(tail.sort_desc));
+      for (int s : sort_slots) keys.push_back(MakeSlotRef(s));
+      current = std::make_unique<SortOp>(std::move(current), std::move(keys),
+                                         std::move(sort_desc));
     }
-    if (tail.out.size() > tail.visible) {
+    if (out.size() > visible) {
       // Trim hidden sort columns.
       std::vector<BoundExprPtr> trim;
       Scope trimmed;
-      for (size_t i = 0; i < tail.visible; ++i) {
+      for (size_t i = 0; i < visible; ++i) {
         trim.push_back(MakeSlotRef(static_cast<int>(i)));
-        trimmed.Add("", tail.out.column(i).second);
+        trimmed.Add("", out.column(i).second);
       }
       current = std::make_unique<ProjectOp>(std::move(current),
                                             std::move(trim),
@@ -381,16 +337,6 @@ class CorePlanner {
     PendingSource src;
     src.alias = item.alias;
     if (item.kind == FromKind::kSubquery) {
-      if (subq_cache_ != nullptr) {
-        auto it = subq_cache_->find(item.subquery.get());
-        if (it != subq_cache_->end()) {
-          src.mat = it->second;
-          for (size_t i = 0; i < src.mat->scope.size(); ++i) {
-            src.scope.Add(src.alias, src.mat->scope.column(i).second);
-          }
-          return src;
-        }
-      }
       RDFREL_ASSIGN_OR_RETURN(OperatorPtr sub,
                               PlanSelect(catalog_, *item.subquery, env_,
                                          mode_, control_));
@@ -400,9 +346,6 @@ class CorePlanner {
       mat->scope = sub->scope();
       mat->rows = std::move(rows);
       src.mat = mat;
-      if (subq_cache_ != nullptr) {
-        (*subq_cache_)[item.subquery.get()] = mat;
-      }
       for (size_t i = 0; i < mat->scope.size(); ++i) {
         src.scope.Add(src.alias, mat->scope.column(i).second);
       }
@@ -710,7 +653,6 @@ class CorePlanner {
   CteEnv* env_;
   ExecMode mode_;  ///< drive mode for subquery/CTE materialization
   const ExecControl* control_;  ///< cancellation for those materializations
-  SubqueryCache* subq_cache_;   ///< shared across pipeline clones (may be null)
   std::vector<ast::ExprPtr> owned_;
 };
 
@@ -744,121 +686,13 @@ BoundExprPtr CorePlanner::MakeAndExpr(BoundExprPtr a, BoundExprPtr b) {
   return std::make_unique<BoundAnd>(std::move(a), std::move(b));
 }
 
-/// Everything a core plan borrows from planning time: the CorePlanner(s)
-/// owning cloned AST nodes, and the shared subquery-materialization cache.
-struct CoreKeepalive {
-  std::vector<std::shared_ptr<CorePlanner>> planners;
-  std::shared_ptr<CorePlanner::SubqueryCache> subq_cache;
-};
-
-/// Plans one core, parallelizing its join/projection pipeline under an
-/// ExchangeOp when \p exec asks for it and the shape analysis allows it.
-/// Falls back to the exact serial plan otherwise. \p *keepalive receives
-/// ownership anchors the returned tree borrows from.
-Result<OperatorPtr> PlanCoreWithOptions(
-    const Catalog& catalog, CteEnv* env, ExecMode mode,
-    const ExecControl* control, const ExecOptions* exec,
-    const SelectCore& core, const std::vector<ast::OrderItem>* order_by,
-    std::shared_ptr<void>* keepalive) {
-  auto keep = std::make_shared<CoreKeepalive>();
-  keep->subq_cache = std::make_shared<CorePlanner::SubqueryCache>();
-  *keepalive = keep;
-
-  auto planner0 = std::make_shared<CorePlanner>(catalog, env, mode, control,
-                                                keep->subq_cache.get());
-  keep->planners.push_back(planner0);
-  RDFREL_ASSIGN_OR_RETURN(OperatorPtr root0, planner0->PlanJoinTree(core));
-  const bool has_agg = core.HasAggregates();
-  CorePlanner::ProjTail tail0;
-  if (!has_agg) {
-    RDFREL_ASSIGN_OR_RETURN(
-        root0, planner0->BuildProjection(core, std::move(root0), order_by,
-                                         &tail0));
-  }
-
-  // Finishes the core over \p below — either the serial pipeline or the
-  // exchange merging its clones; both expose the same scope.
-  auto finish = [&](OperatorPtr below) -> Result<OperatorPtr> {
-    if (has_agg) {
-      return planner0->PlanAggregate(core, std::move(below), order_by);
-    }
-    return planner0->FinishProjection(core, tail0, std::move(below));
-  };
-
-  if (exec == nullptr || exec->max_threads <= 1 ||
-      mode != ExecMode::kBatch) {
-    return finish(std::move(root0));
-  }
-
-  PipelineAnalysis a0 = AnalyzePipeline(root0.get());
-  if (!a0.parallel_ok || a0.driving_units == 0 ||
-      a0.driving_rows < exec->parallel_min_rows) {
-    return finish(std::move(root0));
-  }
-  const uint64_t morsel_rows = exec->effective_morsel_rows();
-  const uint64_t upm =
-      std::max<uint64_t>(1, morsel_rows / std::max<uint64_t>(
-                                              1, a0.rows_per_unit));
-  auto dispenser =
-      std::make_shared<MorselDispenser>(a0.driving_units, upm);
-  const uint64_t k = std::min<uint64_t>(
-      std::min<uint64_t>(exec->max_threads, 64),
-      dispenser->total_morsels());
-  if (k <= 1) return finish(std::move(root0));
-
-  // One shared hash table per pass-0 join; cooperative when the build side
-  // bottoms out in a morselizable scan, solo otherwise.
-  std::vector<std::shared_ptr<SharedJoinBuild>> builds;
-  for (size_t j = 0; j < a0.joins.size(); ++j) {
-    std::shared_ptr<MorselDispenser> bd;
-    if (a0.build_leaves[j] != nullptr) {
-      MorselSource* leaf = a0.build_leaves[j];
-      const uint64_t bupm = std::max<uint64_t>(
-          1, morsel_rows / std::max<uint64_t>(1, leaf->RowsPerUnit()));
-      bd = std::make_shared<MorselDispenser>(leaf->MorselUnits(), bupm);
-    }
-    builds.push_back(std::make_shared<SharedJoinBuild>(std::move(bd)));
-    a0.joins[j]->SetSharedBuild(builds.back(), a0.build_leaves[j]);
-  }
-
-  // Replicate the pipeline: planning is deterministic, so re-planning the
-  // same core yields a structurally identical tree (checked below).
-  std::vector<ExchangeOp::Pipeline> pipelines;
-  pipelines.push_back({std::move(root0), a0.driving});
-  for (uint64_t i = 1; i < k; ++i) {
-    auto p = std::make_shared<CorePlanner>(catalog, env, mode, control,
-                                           keep->subq_cache.get());
-    keep->planners.push_back(p);
-    RDFREL_ASSIGN_OR_RETURN(OperatorPtr r, p->PlanJoinTree(core));
-    if (!has_agg) {
-      CorePlanner::ProjTail t;
-      RDFREL_ASSIGN_OR_RETURN(
-          r, p->BuildProjection(core, std::move(r), order_by, &t));
-    }
-    PipelineAnalysis ai = AnalyzePipeline(r.get());
-    if (!ai.parallel_ok || ai.signature != a0.signature ||
-        ai.joins.size() != a0.joins.size()) {
-      return Status::Internal("parallel pipeline clone shape mismatch");
-    }
-    for (size_t j = 0; j < ai.joins.size(); ++j) {
-      ai.joins[j]->SetSharedBuild(builds[j], ai.build_leaves[j]);
-    }
-    pipelines.push_back({std::move(r), ai.driving});
-  }
-
-  OperatorPtr exchange = std::make_unique<ExchangeOp>(
-      std::move(pipelines), std::move(dispenser), std::move(builds));
-  return finish(std::move(exchange));
-}
-
 }  // namespace
 
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
                                ExecMode mode, const ExecControl* control,
-                               const ExecOptions* exec) {
-  // Materialize CTEs in order (serially: they run during planning, before
-  // the parallel executor exists).
+                               const ExecOptions* /*exec*/) {
+  // Materialize CTEs in order.
   for (const auto& cte : stmt.ctes) {
     RDFREL_ASSIGN_OR_RETURN(
         OperatorPtr op, PlanSelect(catalog, *cte.query, env, mode, control));
@@ -870,47 +704,18 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
     (*env)[ToLowerAscii(cte.name)] = std::move(mat);
   }
 
-  // Plan cores.
+  // Plan cores. Bound expressions copy what they need from the AST, so the
+  // planner (and the AST nodes it owns) may die before execution.
   std::vector<OperatorPtr> cores;
-  // Keep one shared CorePlanner per core: each owns cloned AST nodes that
-  // its operators borrow, so the planner objects must outlive execution.
-  // We keep them alive by binding them into a wrapper below.
-  struct PlannerKeeper final : public Operator {
-    OperatorPtr inner;
-    std::shared_ptr<void> keepalive;
-    Status Open() override { return inner->Open(); }
-    std::string name() const override { return "Core"; }
-    std::vector<Operator*> children() override { return {inner.get()}; }
-    void SetScope(const Scope& s) { scope_ = s; }
-    Status VerifySelf() const override {
-      if (scope_.size() != inner->scope().size()) {
-        return Status::InternalPlanError("core wrapper changes scope arity");
-      }
-      return Status::OK();
-    }
-
-   protected:
-    Result<bool> NextImpl(Row* out) override { return inner->Next(out); }
-    Result<bool> NextBatchImpl(RowBatch* out) override {
-      return inner->NextBatch(out);
-    }
-  };
-
   const bool single_core = stmt.cores.size() == 1;
   for (const auto& core : stmt.cores) {
-    std::shared_ptr<void> keepalive;
+    CorePlanner planner(catalog, env, mode, control);
     RDFREL_ASSIGN_OR_RETURN(
         OperatorPtr op,
-        PlanCoreWithOptions(catalog, env, mode, control, exec, core,
-                            single_core && !stmt.order_by.empty()
-                                ? &stmt.order_by
-                                : nullptr,
-                            &keepalive));
-    auto keeper = std::make_unique<PlannerKeeper>();
-    keeper->SetScope(op->scope());
-    keeper->inner = std::move(op);
-    keeper->keepalive = std::move(keepalive);
-    cores.push_back(std::move(keeper));
+        planner.PlanCore(core, single_core && !stmt.order_by.empty()
+                                   ? &stmt.order_by
+                                   : nullptr));
+    cores.push_back(std::move(op));
   }
 
   OperatorPtr root;

@@ -29,11 +29,8 @@ using CteEnv = std::map<std::string, std::shared_ptr<const Materialized>>;
 /// materialization of CTEs and subqueries during planning; \p control (when
 /// non-null) makes those materializations — which run *during planning* —
 /// honor the query's deadline/cancel token, and must outlive execution.
-///
-/// \p exec (when non-null, with max_threads > 1 and kBatch mode) lets the
-/// planner parallelize eligible cores: the join/projection pipeline is
-/// cloned per worker under an ExchangeOp (sql/parallel.h). Results are
-/// identical to the serial plan; \p exec must outlive execution.
+/// \p exec is accepted for existing callers and not read: its only field,
+/// control, is passed as \p control.
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
                                ExecMode mode = ExecMode::kBatch,

@@ -100,10 +100,8 @@ class RowBatch {
 
   /// Appends every active row to \p out. Dense owned rows are moved out
   /// (each final result row materializes exactly once); borrowed or
-  /// selected rows are copied. Templated on the allocator so arena-backed
-  /// buffers (sql/parallel.h) drain the same way.
-  template <typename Alloc>
-  void FlushTo(std::vector<Row, Alloc>* out) {
+  /// selected rows are copied.
+  void FlushTo(std::vector<Row>* out) {
     if (!borrowed_ && !has_selection_) {
       for (size_t i = 0; i < count_; ++i) out->push_back(std::move(rows_[i]));
       return;

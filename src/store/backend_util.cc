@@ -2,7 +2,6 @@
 
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "opt/cost_model.h"
 #include "opt/data_flow_graph.h"
@@ -102,11 +101,8 @@ std::shared_ptr<const CachedPlan> MakeCachedPlan(
   return plan;
 }
 
-Status ProfileExplained(sql::Database* db, const QueryOptions& opts,
-                        SparqlStore::Explanation* explain) {
-  const sql::ExecOptions exec = ExecOptionsFromQueryOptions(opts);
-  return db->QueryProfiled(explain->sql, &explain->exec_stats, &exec)
-      .status();
+Status ProfileExplained(sql::Database* db, SparqlStore::Explanation* explain) {
+  return db->QueryProfiled(explain->sql, &explain->exec_stats).status();
 }
 
 namespace {
@@ -159,19 +155,8 @@ sql::ExecControl ControlFromOptions(const QueryOptions& opts) {
   return control;
 }
 
-sql::ExecOptions ExecOptionsFromQueryOptions(const QueryOptions& opts) {
-  sql::ExecOptions exec;
-  if (opts.max_threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    exec.max_threads = hw == 0 ? 1 : hw;
-  } else {
-    exec.max_threads = opts.max_threads;
-    // An explicit degree is a request, not a hint: drop the small-input
-    // cutoff so tests get parallel plans on tiny data.
-    if (opts.max_threads > 1) exec.parallel_min_rows = 0;
-  }
-  exec.morsel_rows = opts.morsel_rows;
-  return exec;
+sql::ExecOptions ExecOptionsFromQueryOptions(const QueryOptions& /*opts*/) {
+  return sql::ExecOptions{};
 }
 
 Status ExecuteDecodedSqlStreaming(
@@ -181,8 +166,6 @@ Status ExecuteDecodedSqlStreaming(
     const std::vector<std::string>& post_filter_vars,
     const QueryOptions& opts, RowSink& sink) {
   const sql::ExecControl control = ControlFromOptions(opts);
-  sql::ExecOptions exec = ExecOptionsFromQueryOptions(opts);
-  exec.control = &control;
   // The SQL row may be wider than the projection: post_filter_vars are
   // extra trailing columns the post-filters need (sql_base.h). They are
   // decoded, filtered over, and trimmed before rows reach the sink.
@@ -205,7 +188,7 @@ Status ExecuteDecodedSqlStreaming(
   int64_t budget = slice_here && query.limit.has_value() ? *query.limit : -1;
   RDFREL_RETURN_NOT_OK(sink.Begin(visible));
   RDFREL_RETURN_NOT_OK(db->QueryStreaming(
-      sql, exec, nullptr, [&](const sql::RowBatch& batch) -> Status {
+      sql, &control, nullptr, [&](const sql::RowBatch& batch) -> Status {
         // The slice is full: later rows cannot reach the sink.
         if (budget == 0) return Status::OK();
         std::vector<Binding> block;

@@ -114,20 +114,16 @@ std::shared_ptr<const CachedPlan> MakeCachedPlan(
     sparql::Query query, translate::TranslatedQuery translated);
 
 /// Runs explain->sql once on \p db with profiling on to fill
-/// explain->exec_stats: per-operator rows/batches/time, with Exchange
-/// morsel/worker counters when \p opts ask for threads.
-Status ProfileExplained(sql::Database* db, const QueryOptions& opts,
-                        SparqlStore::Explanation* explain);
+/// explain->exec_stats: per-operator rows/batches/time.
+Status ProfileExplained(sql::Database* db, SparqlStore::Explanation* explain);
 
 /// Builds the executor-side cancellation handle from the execution-only
 /// QueryOptions fields (deadline, cancel token).
 sql::ExecControl ControlFromOptions(const QueryOptions& opts);
 
-/// Maps the execution-only QueryOptions parallelism knobs onto engine
-/// ExecOptions. max_threads == 0 resolves to hardware concurrency and keeps
-/// the default small-input cutoff; an explicit N > 1 disables the cutoff so
-/// the caller gets parallelism even on tiny inputs (differential tests).
-/// ExecOptions::control is NOT set — callers own the control's lifetime.
+/// Engine ExecOptions for \p opts. Only ExecOptions::control remains, and
+/// it is NOT set here — callers own the control's lifetime (build it with
+/// ControlFromOptions).
 sql::ExecOptions ExecOptionsFromQueryOptions(const QueryOptions& opts);
 
 /// The streaming execution back half shared by every backend: runs \p sql

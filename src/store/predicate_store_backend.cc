@@ -312,7 +312,7 @@ Result<SparqlStore::Explanation> PredicateStoreBackend::Explain(
   RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
   Explanation ex;
   RDFREL_RETURN_NOT_OK(Translate(query, opts, &ex).status());
-  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, opts, &ex));
+  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, &ex));
   return ex;
 }
 

@@ -353,7 +353,7 @@ Result<SparqlStore::Explanation> RdfStore::ExplainLocked(
     const sparql::Query& query, const QueryOptions& opts) {
   Explanation ex;
   RDFREL_RETURN_NOT_OK(Translate(query, opts, &ex).status());
-  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, opts, &ex));
+  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, &ex));
   return ex;
 }
 

@@ -204,8 +204,7 @@ class RdfStore final : public SparqlStore {
   /// materialization (exclusive). Protects db_, dict_, stats_,
   /// closure_cache_ and the schema spill sets. kStore is the outermost
   /// engine rank: holders go on to take the plan cache, decoded-page
-  /// cache, exchange/build locks, the WAL and the pool (see
-  /// util/mutex.h's hierarchy).
+  /// cache and the WAL (see util/mutex.h's hierarchy).
   mutable util::SharedMutex mutex_{"store", util::lock_rank::kStore};
 
   // db_, dict_, stats_, schema_ and friends are accessed under mutex_ in

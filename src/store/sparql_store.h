@@ -94,15 +94,6 @@ struct QueryOptions {
   /// the same boundaries; surfaces as StatusCode::kCancelled, which wins
   /// over an expired deadline.
   const std::atomic<bool>* cancel = nullptr;
-  /// Intra-query parallelism degree. 0 = auto (hardware concurrency, with
-  /// the default small-input cutoff), 1 = serial, N > 1 = request exactly N
-  /// pipelines (and disable the small-input cutoff, so tests exercise the
-  /// parallel path on tiny data). Results are identical regardless of the
-  /// value; like `deadline`, this is execution-only and never part of plan
-  /// identity — a plan cached at one thread count serves every other.
-  unsigned max_threads = 0;
-  /// Rows per morsel (0 = engine default, sql::ExecOptions).
-  uint32_t morsel_rows = 0;
 
   /// Convenience: deadline = now + \p budget.
   QueryOptions& WithTimeout(std::chrono::nanoseconds budget) {

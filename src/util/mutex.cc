@@ -30,8 +30,8 @@ bool InitLockRankMode() {
 namespace {
 
 /// One held lock. POD on purpose: the per-thread stack below must stay
-/// trivially destructible so locks taken during static destruction (the
-/// global ThreadPool joins its workers then) never touch a dead object.
+/// trivially destructible so locks taken during static destruction never
+/// touch a dead object.
 struct Held {
   const void* mu;
   const char* name;

@@ -126,26 +126,18 @@ namespace rdfrel::util {
 //
 // The order encodes every nesting the engine actually performs:
 //   server conn queue -> store r/w lock -> plan cache shard -> decoded-page
-//   cache -> exchange reorder buffer -> shared join build -> join shard ->
-//   query arena -> WAL writer (group-commit flusher state) -> Env file map
-//   -> worker-pool wake/queue locks.
-// e.g. a writer holding the store lock logs to the WAL (kStore < kWal), the
-// WAL writer under kEveryRecord appends while holding its own lock
-// (kWal < kEnv), and ExchangeOp::Open submits pipeline tasks to the global
-// pool under the store's read lock (kStore < kPool).
+//   cache -> WAL writer (group-commit flusher state) -> Env file map.
+// e.g. a writer holding the store lock logs to the WAL (kStore < kWal), and
+// the WAL writer under kEveryRecord appends while holding its own lock
+// (kWal < kEnv).
 namespace lock_rank {
 inline constexpr int kUnranked = 0;    ///< ordering not checked (leaf-only)
 inline constexpr int kServer = 100;    ///< serve::SparqlServer connection queue
 inline constexpr int kStore = 200;     ///< store reader/writer lock
 inline constexpr int kPlanCache = 300; ///< sharded plan/translation cache
 inline constexpr int kPageCache = 400; ///< sql::Table decoded-page cache
-inline constexpr int kExchange = 500;  ///< ExchangeOp reorder buffer
-inline constexpr int kJoinBuild = 600; ///< SharedJoinBuild barrier state
-inline constexpr int kJoinShard = 700; ///< SharedJoinBuild striped shards
-inline constexpr int kArena = 800;     ///< QueryArena chunk list
 inline constexpr int kWal = 900;       ///< persist::WalWriter flusher state
 inline constexpr int kEnv = 1000;      ///< persist Env file maps / fault spec
-inline constexpr int kPool = 1100;     ///< util::ThreadPool wake + queues
 }  // namespace lock_rank
 
 /// Rank checking defaults to ON in Debug builds (!NDEBUG) and OFF

@@ -10,7 +10,7 @@
 /// hold arena-backed pointers and containers — the lint's arena-escape rule
 /// exempts them. Apply it between the class keyword and the name:
 ///
-///   class RDFREL_QUERY_SCOPED ExchangeOp final : public Operator { ... };
+///   class RDFREL_QUERY_SCOPED PerQueryRows final { ... };
 ///
 /// The claim is a contract, not a decoration: marking a type that escapes
 /// the query (a cache entry, a store member, anything reachable from the

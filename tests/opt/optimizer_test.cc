@@ -25,8 +25,10 @@ rdf::Graph ExampleGraph() {
   for (int c = 0; c < 2; ++c) {
     std::string comp = "Comp" + std::to_string(c);
     g.Add({iri(comp), iri("industry"), lit("Software")});
-    g.Add({iri(comp), iri("revenue"), lit("R" + std::to_string(c))});
-    g.Add({iri(comp), iri("employees"), lit("E" + std::to_string(c))});
+    g.Add({iri(comp), iri("revenue"),
+           lit(std::string("R").append(std::to_string(c)))});
+    g.Add({iri(comp), iri("employees"),
+           lit(std::string("E").append(std::to_string(c)))});
     g.Add({iri("Product" + std::to_string(c)), iri("developer"), iri(comp)});
     g.Add({iri("Person" + std::to_string(c)), iri("founder"), iri(comp)});
     g.Add({iri("Person" + std::to_string(c)), iri("member"), iri(comp)});
@@ -90,7 +92,8 @@ TEST(StatisticsTest, TopKFallsBackToAverage) {
   rdf::Graph g;
   // One hot subject with 10 triples, 10 cold subjects with 1 each.
   for (int i = 0; i < 10; ++i) {
-    g.Add({Term::Iri("hot"), Term::Iri("p"), Term::Iri("o" + std::to_string(i))});
+    g.Add({Term::Iri("hot"), Term::Iri("p"),
+           Term::Iri(std::string("o").append(std::to_string(i)))});
     g.Add({Term::Iri("cold" + std::to_string(i)), Term::Iri("p"),
            Term::Iri("x")});
   }
@@ -258,7 +261,7 @@ TEST(ExecTreeTest, StructureRespectsPatternSemantics) {
   // All 7 triples appear exactly once.
   std::string dump = root.ToString();
   for (int t = 1; t <= 7; ++t) {
-    std::string label = "t" + std::to_string(t);
+    std::string label = std::string("t").append(std::to_string(t));
     EXPECT_NE(dump.find(label), std::string::npos) << dump;
   }
 }

@@ -25,11 +25,12 @@ using rdf::Term;
 rdf::Graph TestGraph() {
   rdf::Graph g;
   for (int i = 0; i < 4; ++i) {
-    std::string s = "s" + std::to_string(i);
-    g.Add({Term::Iri(s), Term::Iri("p"), Term::Iri("o" + std::to_string(i))});
+    std::string s = std::string("s").append(std::to_string(i));
+    g.Add({Term::Iri(s), Term::Iri("p"),
+           Term::Iri(std::string("o").append(std::to_string(i)))});
     g.Add({Term::Iri(s), Term::Iri("q"), Term::Literal("v")});
-    g.Add({Term::Iri("o" + std::to_string(i)), Term::Iri("r"),
-           Term::Literal("w")});
+    g.Add({Term::Iri(std::string("o").append(std::to_string(i))),
+           Term::Iri("r"), Term::Literal("w")});
   }
   return g;
 }

@@ -228,7 +228,7 @@ TEST(PersistTestWal, GroupCommitDurabilityAndStats) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&w, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto lsn = w->Append(1, "t" + std::to_string(t));
+        auto lsn = w->Append(1, std::string("t").append(std::to_string(t)));
         ASSERT_TRUE(lsn.ok());
       }
     });

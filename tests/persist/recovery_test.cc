@@ -45,7 +45,8 @@ rdf::Graph BaseGraph() {
 std::vector<rdf::Triple> WorkloadTriples() {
   std::vector<rdf::Triple> out;
   for (int i = 0; i < 8; ++i) {
-    out.push_back({Iri("c" + std::to_string(i)), Iri("industry"),
+    out.push_back({Iri(std::string("c").append(std::to_string(i))),
+                   Iri("industry"),
                    Term::Literal("sector" + std::to_string(i % 3))});
   }
   return out;
@@ -364,8 +365,8 @@ TEST(PersistTestRecovery, GroupCommitConcurrentInsertsAreDurable) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        rdf::Triple triple{Iri("t" + std::to_string(t)),
-                           Iri("n" + std::to_string(i)),
+        rdf::Triple triple{Iri(std::string("t").append(std::to_string(t))),
+                           Iri(std::string("n").append(std::to_string(i))),
                            Term::Literal("v")};
         ASSERT_TRUE(store->Insert(triple).ok());
       }

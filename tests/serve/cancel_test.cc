@@ -26,7 +26,7 @@ std::unique_ptr<RdfStore> BigStore() {
   for (int i = 0; i < kBigRows; ++i) {
     g.Add({rdf::Term::Iri("http://c/s" + std::to_string(i)),
            rdf::Term::Iri("http://c/p"),
-           rdf::Term::Literal("v" + std::to_string(i))});
+           rdf::Term::Literal(std::string("v").append(std::to_string(i)))});
   }
   auto store = RdfStore::Load(std::move(g));
   EXPECT_TRUE(store.ok()) << store.status().ToString();

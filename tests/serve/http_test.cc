@@ -1,7 +1,12 @@
 /// Unit tests for the HTTP message layer: the incremental request parser
 /// (including the malformed-request negatives the server answers with
 /// specific 4xx/5xx codes), URL/query decoding, the streaming result
-/// writers' batch-boundary independence, and the latency histogram.
+/// writers' batch-boundary independence, the latency histogram, and the
+/// socket options of loopback connections.
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <string>
 #include <vector>
@@ -11,6 +16,7 @@
 #include "rdf/term.h"
 #include "serve/http.h"
 #include "serve/metrics.h"
+#include "serve/net.h"
 #include "serve/result_writer.h"
 
 namespace rdfrel::serve {
@@ -288,6 +294,30 @@ TEST(ServeHttpTest, HistogramOrdering) {
   EXPECT_LT(h.Quantile(0.5), 200);
   EXPECT_GT(h.Quantile(0.95), 10'000);
   EXPECT_LE(h.Quantile(0.5), h.Quantile(0.99));
+}
+
+// --- Sockets ---
+
+int NoDelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(ServeHttpTest, LoopbackSocketsSetNoDelayOnBothSides) {
+  // A chunked response written in pieces must not wait on the client's
+  // delayed ACK, so the server side of an accepted connection disables
+  // Nagle just like the client side.
+  uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, /*backlog=*/1, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto server_side = AcceptTcp(listener->get());
+  ASSERT_TRUE(server_side.ok()) << server_side.status().ToString();
+  EXPECT_EQ(NoDelay(server_side->get()), 1);
+  EXPECT_EQ(NoDelay(client->get()), 1);
 }
 
 }  // namespace

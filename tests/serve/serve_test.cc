@@ -357,37 +357,12 @@ TEST_F(ServeTest, HealthzAndStats) {
   for (const char* key :
        {"\"plan_cache\"", "\"page_cache\"", "\"persist\"", "\"server\"",
         "\"endpoints\"", "\"sparql\"", "\"p99_us\"", "\"uptime_s\"",
-        "\"connections_shed\"", "\"executor\"", "\"pool\"", "\"parallel\"",
-        "\"queries\"", "\"morsels\"", "\"arena_bytes_peak\""}) {
+        "\"connections_shed\""}) {
     EXPECT_NE(stats->body.find(key), std::string::npos) << key;
   }
   // The earlier query is visible in the endpoint counters.
   EXPECT_NE(stats->body.find("\"requests\":1"), std::string::npos)
       << stats->body;
-}
-
-TEST_F(ServeTest, ThreadsParamValidatedAndAccepted) {
-  auto server = StartServer(micro_store_);
-  auto client = ClientFor(*server);
-
-  // A valid per-request parallelism degree executes normally (results are
-  // identical to serial by the exchange's determinism contract).
-  auto serial = client.Get("/sparql?query=" + UrlEncode(kSmallQuery));
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial->status, 200);
-  auto par = client.Get("/sparql?query=" + UrlEncode(kSmallQuery) +
-                        "&threads=4");
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(par->status, 200);
-  EXPECT_EQ(par->body, serial->body);
-
-  // Out-of-range or malformed degrees are 400s, not silent clamps.
-  for (const char* bad : {"0", "-1", "9999", "abc"}) {
-    auto resp = client.Get("/sparql?query=" + UrlEncode(kSmallQuery) +
-                           "&threads=" + bad);
-    ASSERT_TRUE(resp.ok()) << bad;
-    EXPECT_EQ(resp->status, 400) << bad;
-  }
 }
 
 TEST_F(ServeTest, ExpiredDeadlineAnswers504) {

@@ -140,7 +140,7 @@ TEST(ServeStreamBackendsTest, MultiBatchResultsArriveInBlocks) {
   for (int i = 0; i < 5000; ++i) {
     g.Add({rdf::Term::Iri("http://b/s" + std::to_string(i)),
            rdf::Term::Iri("http://b/p"),
-           rdf::Term::Literal("v" + std::to_string(i))});
+           rdf::Term::Literal(std::string("v").append(std::to_string(i)))});
   }
   auto store = store::RdfStore::Load(std::move(g));
   ASSERT_TRUE(store.ok());

@@ -10,7 +10,6 @@
 #include "sql/catalog.h"
 #include "sql/executor.h"
 #include "sql/expression.h"
-#include "sql/parallel.h"
 #include "sql/row_batch.h"
 #include "util/verify.h"
 
@@ -162,110 +161,6 @@ TEST(OperatorVerifierTest, RejectsUnnestArgumentSlotOutOfRange) {
                                            "elem");
   ExpectPlanError(VerifyOperatorTree(*unnest),
                   "argument 0 reads slot 9 outside input arity 1");
-}
-
-// ------------------------------------------- parallel plans (ParallelTest)
-
-std::shared_ptr<const Materialized> MakeMat(size_t rows) {
-  auto mat = std::make_shared<Materialized>();
-  mat->scope = MakeScope({"a"});
-  for (size_t i = 0; i < rows; ++i) {
-    mat->rows.push_back({Value::Int(static_cast<int64_t>(i))});
-  }
-  return mat;
-}
-
-/// A morselizable pipeline leaf plus its root, for hand-built exchanges.
-struct HandPipeline {
-  OperatorPtr root;
-  MorselSource* leaf;
-};
-
-HandPipeline ScanPipeline(const std::shared_ptr<const Materialized>& mat) {
-  auto scan = std::make_unique<MaterializedScanOp>(mat, "t");
-  MorselSource* leaf = scan.get();
-  return {std::move(scan), leaf};
-}
-
-TEST(ParallelTestVerifier, AcceptsWellFormedExchange) {
-  auto mat = MakeMat(100);
-  std::vector<ExchangeOp::Pipeline> pipelines;
-  auto p = ScanPipeline(mat);
-  pipelines.push_back({std::move(p.root), p.leaf});
-  ExchangeOp ex(std::move(pipelines),
-                std::make_shared<MorselDispenser>(100, 10), {});
-  EXPECT_TRUE(VerifyOperatorTree(ex).ok());
-}
-
-TEST(ParallelTestVerifier, RejectsOrderSensitiveOperatorOnSpine) {
-  // Sort inside a parallel pipeline would sort each morsel independently —
-  // the verifier must refuse the plan.
-  auto mat = MakeMat(100);
-  auto p = ScanPipeline(mat);
-  auto sort = std::make_unique<SortOp>(std::move(p.root),
-                                       Exprs(MakeSlotRef(0)),
-                                       std::vector<bool>{false});
-  std::vector<ExchangeOp::Pipeline> pipelines;
-  pipelines.push_back({std::move(sort), p.leaf});
-  ExchangeOp ex(std::move(pipelines),
-                std::make_shared<MorselDispenser>(100, 10), {});
-  Status st = VerifyOperatorTree(ex);
-  ExpectPlanError(st, "not allowed on a parallel pipeline spine");
-  ExpectPlanError(st, "Sort");
-}
-
-TEST(ParallelTestVerifier, RejectsMismatchedMorselSourceRegistration) {
-  auto mat = MakeMat(100);
-  auto p = ScanPipeline(mat);
-  std::vector<ExchangeOp::Pipeline> pipelines;
-  pipelines.push_back({std::move(p.root), /*leaf=*/nullptr});
-  ExchangeOp ex(std::move(pipelines),
-                std::make_shared<MorselDispenser>(100, 10), {});
-  ExpectPlanError(VerifyOperatorTree(ex),
-                  "driving leaf does not match its registered morsel source");
-}
-
-TEST(ParallelTestVerifier, RejectsPipelineArityMismatch) {
-  auto narrow = MakeMat(100);
-  auto wide = std::make_shared<Materialized>();
-  wide->scope = MakeScope({"a", "b"});
-  wide->rows.push_back({Value::Int(1), Value::Int(2)});
-  std::vector<ExchangeOp::Pipeline> pipelines;
-  auto p0 = ScanPipeline(narrow);
-  pipelines.push_back({std::move(p0.root), p0.leaf});
-  auto p1 = ScanPipeline(wide);
-  pipelines.push_back({std::move(p1.root), p1.leaf});
-  ExchangeOp ex(std::move(pipelines),
-                std::make_shared<MorselDispenser>(100, 10), {});
-  ExpectPlanError(VerifyOperatorTree(ex), "arity");
-}
-
-TEST(ParallelTestVerifier, RejectsNestedExchange) {
-  auto mat = MakeMat(100);
-  std::vector<ExchangeOp::Pipeline> inner_pipes;
-  auto pi = ScanPipeline(mat);
-  inner_pipes.push_back({std::move(pi.root), pi.leaf});
-  auto inner = std::make_unique<ExchangeOp>(
-      std::move(inner_pipes), std::make_shared<MorselDispenser>(100, 10),
-      std::vector<std::shared_ptr<SharedJoinBuild>>{});
-  // An exchange is not a MorselSource, so nesting also breaks the spine
-  // walk; register a filter above it to hit the nesting check first... the
-  // spine check fires first either way — both rejections are correct.
-  std::vector<ExchangeOp::Pipeline> outer_pipes;
-  outer_pipes.push_back({std::move(inner), nullptr});
-  ExchangeOp ex(std::move(outer_pipes),
-                std::make_shared<MorselDispenser>(100, 10), {});
-  Status st = VerifyOperatorTree(ex);
-  ASSERT_TRUE(st.IsInternalPlanError()) << st.ToString();
-}
-
-TEST(ParallelTestVerifier, RejectsMissingDispenser) {
-  auto mat = MakeMat(100);
-  std::vector<ExchangeOp::Pipeline> pipelines;
-  auto p = ScanPipeline(mat);
-  pipelines.push_back({std::move(p.root), p.leaf});
-  ExchangeOp ex(std::move(pipelines), nullptr, {});
-  ExpectPlanError(VerifyOperatorTree(ex), "no morsel dispenser");
 }
 
 // ------------------------------------------------- NextBatch verification

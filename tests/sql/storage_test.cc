@@ -39,7 +39,8 @@ TEST(RowSerdeTest, WideNullHeavyRowStaysCompact) {
   // 100 int columns, 2 populated: bitmap 13 bytes + 16 value bytes.
   std::vector<ColumnDef> cols;
   for (int i = 0; i < 100; ++i) {
-    cols.push_back({"c" + std::to_string(i), ValueType::kInt64});
+    cols.push_back(
+        {std::string("c").append(std::to_string(i)), ValueType::kInt64});
   }
   Schema s(std::move(cols));
   Row row(100);
@@ -215,7 +216,8 @@ TEST(TableStorageTest, ManyRowsScanCount) {
   TableStorage t(TestSchema());
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(
-        t.Insert({Value::Int(i), Value::Str("n" + std::to_string(i)),
+        t.Insert({Value::Int(i),
+                  Value::Str(std::string("n").append(std::to_string(i))),
                   Value::Real(i * 0.5)})
             .ok());
   }

@@ -26,9 +26,9 @@ rdf::Graph ChainGraph(int n) {
   rdf::Graph g;
   auto iri = [](const std::string& s) { return Term::Iri("http://ex/" + s); };
   for (int i = 0; i < n; ++i) {
-    g.Add({iri("n" + std::to_string(i)), iri("next"),
-           iri("n" + std::to_string(i + 1))});
-    g.Add({iri("n" + std::to_string(i)), iri("label"),
+    g.Add({iri(std::string("n").append(std::to_string(i))), iri("next"),
+           iri(std::string("n").append(std::to_string(i + 1)))});
+    g.Add({iri(std::string("n").append(std::to_string(i))), iri("label"),
            Term::Literal("node " + std::to_string(i))});
   }
   return g;
@@ -249,8 +249,9 @@ TEST(ConcurrencyTest, ReadersAndWriterStress) {
       return Term::Iri("http://ex/" + s);
     };
     for (int i = 0; i < kWriteIters; ++i) {
-      rdf::Triple t{iri("w" + std::to_string(i)), iri("next"),
-                    iri("w" + std::to_string(i + 1))};
+      rdf::Triple t{iri(std::string("w").append(std::to_string(i))),
+                    iri("next"),
+                    iri(std::string("w").append(std::to_string(i + 1)))};
       if (!store->Insert(t).ok()) writer_errors.fetch_add(1);
       if (i % 3 == 0) {
         if (!store->Delete(t).ok()) writer_errors.fetch_add(1);

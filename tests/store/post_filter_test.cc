@@ -54,11 +54,9 @@ class PostFilterTest : public ::testing::TestWithParam<const char*> {
     ASSERT_NE(store_, nullptr);
   }
 
-  /// Runs `kPrefix + select + kWhere + tail` serially.
+  /// Runs `kPrefix + select + kWhere + tail`.
   ResultSet Run(const std::string& select, const std::string& tail = "") {
-    QueryOptions opts;
-    opts.max_threads = 1;
-    auto rs = store_->QueryWith(kPrefix + select + " " + kWhere + tail, opts);
+    auto rs = store_->Query(kPrefix + select + " " + kWhere + tail);
     EXPECT_TRUE(rs.ok()) << rs.status().ToString();
     return rs.ok() ? std::move(*rs) : ResultSet{};
   }

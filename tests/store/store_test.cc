@@ -13,6 +13,15 @@ namespace {
 using rdf::Term;
 
 /// The paper's Figure 1 DBpedia sample, IRIs under http://ex/.
+/// Optimizer-pipeline options; every other field keeps its default.
+QueryOptions Config(FlowMode flow, bool late_fusing, bool merging) {
+  QueryOptions opts;
+  opts.flow = flow;
+  opts.late_fusing = late_fusing;
+  opts.merging = merging;
+  return opts;
+}
+
 rdf::Graph Figure1Graph() {
   rdf::Graph g;
   auto iri = [](const std::string& s) { return Term::Iri("http://ex/" + s); };
@@ -276,11 +285,11 @@ TEST_F(StoreTest, AblationsAgreeWithDefault) {
   auto base = db2rdf_->Query(q);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   for (QueryOptions opts :
-       {QueryOptions{FlowMode::kParseOrder, true, true},
-        QueryOptions{FlowMode::kGreedy, false, true},
-        QueryOptions{FlowMode::kGreedy, true, false},
-        QueryOptions{FlowMode::kExhaustive, true, true},
-        QueryOptions{FlowMode::kParseOrder, false, false}}) {
+       {Config(FlowMode::kParseOrder, true, true),
+        Config(FlowMode::kGreedy, false, true),
+        Config(FlowMode::kGreedy, true, false),
+        Config(FlowMode::kExhaustive, true, true),
+        Config(FlowMode::kParseOrder, false, false)}) {
     auto r = db2rdf_->QueryWith(q, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(Signature(*r), Signature(*base))

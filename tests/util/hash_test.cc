@@ -40,7 +40,7 @@ TEST(SeededHashTest, DifferentSeedsDecorrelate) {
 TEST(SeededHashTest, BucketInRange) {
   SeededHash h(7);
   for (int i = 0; i < 1000; ++i) {
-    uint32_t b = h.Bucket("k" + std::to_string(i), 13);
+    uint32_t b = h.Bucket(std::string("k").append(std::to_string(i)), 13);
     EXPECT_LT(b, 13u);
   }
 }

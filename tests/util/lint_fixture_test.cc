@@ -171,8 +171,13 @@ class SuppressionTest : public ::testing::Test {
     if (!path_.empty()) std::remove(path_.c_str());
   }
 
+  /// Writes \p text to a file named after the running test, so cases run
+  /// concurrently (ctest -j) never share a fixture file.
   void WriteSource(const std::string& text) {
-    path_ = ::testing::TempDir() + "/lint_suppression_fixture.cc";
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/lint_suppression_" + info->name() +
+            ".cc";
     std::ofstream out(path_);
     ASSERT_TRUE(out.is_open());
     out << text;

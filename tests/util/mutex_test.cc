@@ -134,11 +134,11 @@ TEST_F(LockRankDeathTest, ReentrantSharedAborts) {
 }
 
 TEST_F(LockRankDeathTest, ReportListsHeldLocks) {
-  Mutex pool("pool", lock_rank::kPool);
+  Mutex env("env", lock_rank::kEnv);
   Mutex store("store", lock_rank::kStore);
   EXPECT_DEATH(
       {
-        MutexLock outer(&pool);
+        MutexLock outer(&env);
         MutexLock inner(&store);
       },
       "while holding");

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/arena.h"
-
 namespace rdfrel {
 namespace {
 
@@ -51,27 +49,6 @@ TEST(ScopeMarkersTest, MarkerIsLayoutNeutral) {
   };
   EXPECT_EQ(sizeof(Marked), sizeof(Unmarked));
   EXPECT_EQ(alignof(Marked), alignof(Unmarked));
-}
-
-TEST(ScopeMarkersTest, ScopedClassMayHoldArenaBackedMembers) {
-  // The canonical use: a query-scoped class keeps arena-backed state in a
-  // member, and both die together. (rdfrel-lint would reject this exact
-  // code on an unmarked class.)
-  class RDFREL_QUERY_SCOPED PerQueryRows {
-   public:
-    void Remember(util::QueryArena* arena) {
-      row_ = arena->Allocate(16, alignof(int));
-    }
-    void* row() const { return row_; }
-
-   private:
-    void* row_ = nullptr;
-  };
-
-  util::QueryArena arena;
-  PerQueryRows rows;
-  rows.Remember(&arena);
-  EXPECT_NE(rows.row(), nullptr);
 }
 
 }  // namespace

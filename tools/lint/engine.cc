@@ -471,7 +471,7 @@ void Analyzer::HandleDeclOrAssign(size_t k) {
       }
       if (IsIdent(j) && !IsPunct(j + 1, "::") && !IsPunct(j + 1, "(") &&
           RuleOn(kRuleStatusDiscipline)) {
-        status_vars_.push_back({Tok(j).text, DeclDepth()});
+        status_vars_.push_back({Tok(j).text, DeclDepth(), false});
       }
     }
     // Arena-typed declarations (`ArenaRows rows{...}`, `QueryArena* a`)
@@ -484,7 +484,7 @@ void Analyzer::HandleDeclOrAssign(size_t k) {
           (IsPunct(j + 1, "{") || IsPunct(j + 1, "=") || IsPunct(j + 1, ";") ||
            IsPunct(j + 1, "(")) &&
           RuleOn(kRuleArenaEscape)) {
-        arena_tainted_.push_back({Tok(j).text, DeclDepth()});
+        arena_tainted_.push_back({Tok(j).text, DeclDepth(), false});
       }
     }
   }
