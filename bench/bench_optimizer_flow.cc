@@ -3,12 +3,22 @@
 /// sub-optimal (bottom-up, parse-order) flow on (a) the two-triple
 /// micro-query with constants of frequency .75 and .01, and (b) PRBench's
 /// PQ10-style traceability query, where the paper saw 4 ms vs 22.66 s.
-/// Also runs the greedy-vs-exhaustive and late-fusing ablations.
+/// Also runs the greedy-vs-exhaustive and late-fusing ablations, and a
+/// UNION-width sweep timing DataFlowGraph::Build and GreedyFlowTree on
+/// PQ28-shaped queries of 1 to 1000 branches (paper §3.1.1's "500 triples
+/// in 100 OR patterns").
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 #include "benchdata/prbench.h"
+#include "opt/cost_model.h"
+#include "opt/data_flow_graph.h"
+#include "opt/flow_tree.h"
+#include "opt/statistics.h"
+#include "sparql/parser.h"
 #include "store/rdf_store.h"
 #include "util/random.h"
 
@@ -55,6 +65,71 @@ double TimeWith(store::RdfStore* store, const std::string& q,
     });
   }
   return total / rounds;
+}
+
+/// PRBench PQ28's shape with \p branches UNION branches of six triples:
+/// four constant-object triples and a title on ?cr, and a join to ?r.
+std::string WideUnionQuery(int branches) {
+  static const char* kComponents[] = {"ui", "core", "db", "net", "build",
+                                      "docs"};
+  static const char* kStatuses[] = {"open", "in_progress", "resolved",
+                                    "closed"};
+  static const char* kSeverities[] = {"blocker", "major", "minor",
+                                      "trivial"};
+  std::string q =
+      "PREFIX : <http://pr/> SELECT ?cr ?t WHERE { ";
+  for (int i = 0; i < branches; ++i) {
+    if (i) q += " UNION ";
+    q += std::string("{ ?cr :component \"") + kComponents[i % 6] +
+         "\" . ?cr :status \"" + kStatuses[(i / 6) % 4] +
+         "\" . ?cr :severity \"" + kSeverities[(i / 24) % 4] +
+         "\" . ?cr :title ?t . ?cr :tracksRequirement ?r . "
+         "?r :priority \"1\" }";
+  }
+  q += " }";
+  return q;
+}
+
+double MedianMs(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// The optimizer's front half on ever wider UNIONs: build and greedy times
+/// should grow roughly linearly with the branch count.
+void UnionWidthSweep(double s) {
+  std::printf("\n== UNION-width sweep: optimizer front half (PQ28 shape) "
+              "==\n");
+  auto w = benchdata::MakePrbench(static_cast<uint64_t>(25 * s), 3);
+  opt::Statistics stats = opt::Statistics::FromGraph(w.graph);
+  opt::CostModel cost(&stats, &w.graph.dictionary());
+  const std::vector<int> widths = {8, 7, 6, 12, 10};
+  PrintRow({"branches", "triples", "edges", "dfg ms", "greedy ms"}, widths);
+  for (int branches : {1, 10, 100, 250, 500, 1000}) {
+    auto q = sparql::ParseQuery(WideUnionQuery(branches));
+    if (!q.ok()) {
+      std::printf("  (error: %s)\n", q.status().ToString().c_str());
+      return;
+    }
+    const int reps = branches >= 250 ? 3 : 11;
+    std::vector<double> build_ms, greedy_ms;
+    size_t edges = 0;
+    for (int r = 0; r < reps; ++r) {
+      opt::DataFlowGraph g;
+      build_ms.push_back(TimeOnceMs([&] {
+        g = opt::DataFlowGraph::Build(*q, cost);
+      }));
+      edges = g.edges().size();
+      greedy_ms.push_back(TimeOnceMs([&] {
+        opt::FlowTree flow = opt::GreedyFlowTree(g);
+        (void)flow;
+      }));
+    }
+    PrintRow({std::to_string(branches), std::to_string(6 * branches),
+              std::to_string(edges), Ms(MedianMs(build_ms)),
+              Ms(MedianMs(greedy_ms))},
+             widths);
+  }
 }
 
 }  // namespace
@@ -134,5 +209,6 @@ int main() {
       "the micro query\n(13 ms vs 65 ms = 5x in the paper) and by orders "
       "of magnitude on PQ10-style\nqueries; greedy matches exhaustive "
       "here.\n");
+  UnionWidthSweep(s);
   return 0;
 }

@@ -9,7 +9,7 @@
 /// 3.6-3.7. Edges are weighted with the target's TMC.
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,46 +21,73 @@ namespace rdfrel::opt {
 
 /// Index over a Query's pattern tree providing the ancestor helpers of
 /// Definitions 3.4-3.7: LCA, OR-connectedness, OPTIONAL-connectedness.
+///
+/// Pattern nodes are numbered densely in DFS preorder (the root is node 0),
+/// so a node's subtree is the contiguous range [node, SubtreeEnd(node)).
+/// Every guard is an integer walk: Lca is O(depth), OptionalConnected O(1).
 class QueryTreeIndex {
  public:
   explicit QueryTreeIndex(const sparql::Pattern& root);
 
   /// Least common ancestor pattern node of two triples (by triple id).
-  const sparql::Pattern* Lca(int t1, int t2) const;
+  const sparql::Pattern* Lca(int t1, int t2) const {
+    return node_[static_cast<size_t>(LcaNode(t1, t2))];
+  }
+  /// Lca as a node number.
+  int LcaNode(int t1, int t2) const;
 
   /// ∪(t, t'): the triples' LCA is an OR pattern (Definition 3.6).
   bool OrConnected(int t1, int t2) const;
 
   /// ∩(t, t'): t' is guarded by an OPTIONAL with respect to t
   /// (Definition 3.7) — some node on t''s path up to (not including) the
-  /// LCA is an OPTIONAL pattern.
+  /// LCA is an OPTIONAL pattern. Equivalently: t''s nearest OPTIONAL
+  /// ancestor exists and does not enclose t.
   bool OptionalConnected(int t, int t_prime) const;
 
   /// The triple pattern with the given id.
-  const sparql::TriplePattern* Triple(int id) const;
-
-  /// The leaf pattern node holding triple \p id.
-  const sparql::Pattern* LeafOf(int id) const {
-    return leaf_of_triple_.at(id);
+  const sparql::TriplePattern* Triple(int id) const {
+    return triples_[static_cast<size_t>(id - 1)];
   }
-  /// Parent of a pattern node (nullptr for the root).
-  const sparql::Pattern* ParentOf(const sparql::Pattern* node) const {
-    return info_.at(node).parent;
+
+  /// The leaf node holding triple \p id.
+  int LeafNode(int id) const {
+    return leaf_of_triple_[static_cast<size_t>(id)];
+  }
+  const sparql::Pattern* Node(int node) const {
+    return node_[static_cast<size_t>(node)];
+  }
+  sparql::PatternKind Kind(int node) const {
+    return kind_[static_cast<size_t>(node)];
+  }
+  /// Parent node number (-1 for the root).
+  int Parent(int node) const { return parent_[static_cast<size_t>(node)]; }
+  /// One past the last node of \p node's subtree.
+  int SubtreeEnd(int node) const { return end_[static_cast<size_t>(node)]; }
+  /// Nearest proper OPTIONAL ancestor of \p node (-1 when none): the
+  /// OPTIONAL scope the node's bindings must not escape.
+  int OptionalScope(int node) const {
+    return opt_scope_[static_cast<size_t>(node)];
+  }
+  /// Whether \p a is \p node or one of its ancestors.
+  bool Encloses(int a, int node) const {
+    return a <= node && node < SubtreeEnd(a);
   }
 
   int num_triples() const { return static_cast<int>(triples_.size()); }
 
  private:
-  struct NodeInfo {
-    const sparql::Pattern* node;
-    const sparql::Pattern* parent;
-    int depth;
-  };
-  void Walk(const sparql::Pattern* node, const sparql::Pattern* parent,
+  void Walk(const sparql::Pattern* node, int parent, int opt_scope,
             int depth);
 
-  std::map<const sparql::Pattern*, NodeInfo> info_;
-  std::map<int, const sparql::Pattern*> leaf_of_triple_;
+  // Per node, indexed by preorder number.
+  std::vector<const sparql::Pattern*> node_;
+  std::vector<sparql::PatternKind> kind_;
+  std::vector<int> parent_;
+  std::vector<int> depth_;
+  std::vector<int> end_;
+  std::vector<int> opt_scope_;
+  std::vector<int> leaf_of_triple_;                    // by id; [0] unused
   std::vector<const sparql::TriplePattern*> triples_;  // by id-1
 };
 
@@ -83,6 +110,10 @@ struct FlowEdge {
 
 /// The data flow graph (Definition 3.8) with the artificial root node at
 /// index 0.
+///
+/// Nodes are ordered by triple id, then acs, aco, sc. Edges are ordered by
+/// target node, then source node; GreedyFlowTree breaks weight ties by edge
+/// index, so this order is part of the contract.
 class DataFlowGraph {
  public:
   /// Builds the graph for \p query using \p cost for TMC weights.

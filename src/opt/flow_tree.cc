@@ -1,7 +1,9 @@
 #include "opt/flow_tree.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 
 #include "util/logging.h"
 
@@ -69,57 +71,63 @@ FlowTree GreedyFlowTree(const DataFlowGraph& g) {
   const auto& edges = g.edges();
   int num_triples = g.tree().num_triples();
 
-  // Sort edge indexes by weight (SortEdgesByCost in Figure 9).
+  // Sort edge indexes by weight (SortEdgesByCost in Figure 9); an edge's
+  // rank is its position in that order.
   std::vector<int> order(edges.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return edges[U(a)].weight < edges[U(b)].weight;
   });
+  std::vector<int> rank(edges.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    rank[U(order[r])] = static_cast<int>(r);
+  }
 
   FlowTree tree;
   tree.choice_of_triple_.assign(U(num_triples + 1), -1);
   tree.has_consumer_.assign(U(num_triples + 1), false);
-  std::vector<bool> node_in_tree(nodes.size(), false);
-  node_in_tree[0] = true;  // root
   std::vector<bool> triple_covered(U(num_triples + 1), false);
   // Triples on each in-tree node's path from the root (node included).
   std::vector<std::vector<int>> path(nodes.size());
 
+  // Ranks of the edges leaving the tree. An edge is dropped for good when
+  // its target's triple is covered or its path is inadmissible: coverage
+  // only grows and path[from] is fixed once `from` joins, so the first
+  // surviving pop is the cheapest edge a full rescan would pick.
+  std::priority_queue<int, std::vector<int>, std::greater<int>> frontier;
+  auto push_out_edges = [&](int node) {
+    for (int ei : g.OutEdges(node)) frontier.push(rank[U(ei)]);
+  };
+  push_out_edges(0);  // root
+
   while (static_cast<int>(tree.choices_.size()) < num_triples) {
-    bool progressed = false;
-    for (int ei : order) {
-      const FlowEdge& e = edges[U(ei)];
-      if (!node_in_tree[U(e.from)]) continue;
-      const FlowNode& target = nodes[U(e.to)];
-      if (node_in_tree[U(e.to)] || triple_covered[U(target.triple_id)]) {
-        continue;
-      }
-      if (!PathAdmissible(g.tree(), path[U(e.from)], target.triple_id)) {
-        continue;
-      }
-      // Add the node.
-      node_in_tree[U(e.to)] = true;
-      triple_covered[U(target.triple_id)] = true;
-      path[U(e.to)] = path[U(e.from)];
-      path[U(e.to)].push_back(target.triple_id);
-      FlowChoice c;
-      c.triple_id = target.triple_id;
-      c.method = target.method;
-      c.parent_triple = nodes[U(e.from)].triple_id;
-      c.cost = e.weight;
-      c.rank = static_cast<int>(tree.choices_.size());
-      tree.choice_of_triple_[U(c.triple_id)] =
-          static_cast<int>(tree.choices_.size());
-      if (c.parent_triple != 0) {
-        tree.has_consumer_[U(c.parent_triple)] = true;
-      }
-      tree.choices_.push_back(c);
-      progressed = true;
-      break;  // restart from the cheapest edge (tree membership changed)
-    }
     // Every triple has a scan node reachable from root, so progress is
     // guaranteed; the check is a belt-and-braces invariant.
-    RDFREL_CHECK(progressed) << "data flow graph is not root-connected";
+    RDFREL_CHECK(!frontier.empty()) << "data flow graph is not root-connected";
+    const FlowEdge& e = edges[U(order[U(frontier.top())])];
+    frontier.pop();
+    const FlowNode& target = nodes[U(e.to)];
+    if (triple_covered[U(target.triple_id)]) continue;
+    if (!PathAdmissible(g.tree(), path[U(e.from)], target.triple_id)) {
+      continue;
+    }
+    // Add the node.
+    triple_covered[U(target.triple_id)] = true;
+    path[U(e.to)] = path[U(e.from)];
+    path[U(e.to)].push_back(target.triple_id);
+    FlowChoice c;
+    c.triple_id = target.triple_id;
+    c.method = target.method;
+    c.parent_triple = nodes[U(e.from)].triple_id;
+    c.cost = e.weight;
+    c.rank = static_cast<int>(tree.choices_.size());
+    tree.choice_of_triple_[U(c.triple_id)] =
+        static_cast<int>(tree.choices_.size());
+    if (c.parent_triple != 0) {
+      tree.has_consumer_[U(c.parent_triple)] = true;
+    }
+    tree.choices_.push_back(c);
+    push_out_edges(e.to);
   }
   return tree;
 }

@@ -51,7 +51,8 @@ class FlowTree {
 };
 
 /// Figure 9's greedy algorithm: repeatedly add the cheapest edge from the
-/// tree to a node whose triple is not yet covered.
+/// tree to a node whose triple is not yet covered. Weight ties go to the
+/// lower edge index. O(E log E) over a heap of the edges leaving the tree.
 FlowTree GreedyFlowTree(const DataFlowGraph& g);
 
 /// Exhaustive search over all spanning choices (ablation; exponential).

@@ -21,58 +21,48 @@ bool TermOrVarEqual(const sparql::TermOrVar& a, const sparql::TermOrVar& b) {
   return a.is_var ? a.var == b.var : a.term == b.term;
 }
 
-/// All pattern nodes strictly between triple \p t's leaf and \p lca.
-std::vector<const sparql::Pattern*> Intermediates(
-    const QueryTreeIndex& tree, int t, const sparql::Pattern* lca) {
-  std::vector<const sparql::Pattern*> out;
-  const sparql::Pattern* n = tree.ParentOf(tree.LeafOf(t));
-  while (n != nullptr && n != lca) {
-    out.push_back(n);
-    n = tree.ParentOf(n);
+/// Whether every pattern node strictly between triple \p t's leaf and the
+/// node \p lca has kind \p kind.
+bool PathAllAre(const QueryTreeIndex& tree, int t, int lca,
+                sparql::PatternKind kind) {
+  for (int n = tree.Parent(tree.LeafNode(t)); n >= 0 && n != lca;
+       n = tree.Parent(n)) {
+    if (tree.Kind(n) != kind) return false;
   }
-  return out;
-}
-
-bool AllAre(const std::vector<const sparql::Pattern*>& nodes,
-            sparql::PatternKind kind) {
-  return std::all_of(nodes.begin(), nodes.end(),
-                     [&](const sparql::Pattern* p) {
-                       return p->kind == kind;
-                     });
+  return true;
 }
 
 }  // namespace
 
 bool AndMergeable(const QueryTreeIndex& tree, int t1, int t2) {
-  const sparql::Pattern* lca = tree.Lca(t1, t2);
-  if (lca->kind != sparql::PatternKind::kAnd) return false;
-  return AllAre(Intermediates(tree, t1, lca), sparql::PatternKind::kAnd) &&
-         AllAre(Intermediates(tree, t2, lca), sparql::PatternKind::kAnd);
+  const int lca = tree.LcaNode(t1, t2);
+  if (tree.Kind(lca) != sparql::PatternKind::kAnd) return false;
+  return PathAllAre(tree, t1, lca, sparql::PatternKind::kAnd) &&
+         PathAllAre(tree, t2, lca, sparql::PatternKind::kAnd);
 }
 
 bool OrMergeable(const QueryTreeIndex& tree, int t1, int t2) {
-  const sparql::Pattern* lca = tree.Lca(t1, t2);
-  if (lca->kind != sparql::PatternKind::kOr) return false;
-  return AllAre(Intermediates(tree, t1, lca), sparql::PatternKind::kOr) &&
-         AllAre(Intermediates(tree, t2, lca), sparql::PatternKind::kOr);
+  const int lca = tree.LcaNode(t1, t2);
+  if (tree.Kind(lca) != sparql::PatternKind::kOr) return false;
+  return PathAllAre(tree, t1, lca, sparql::PatternKind::kOr) &&
+         PathAllAre(tree, t2, lca, sparql::PatternKind::kOr);
 }
 
 bool OptMergeable(const QueryTreeIndex& tree, int t_main, int t_opt) {
-  const sparql::Pattern* lca = tree.Lca(t_main, t_opt);
-  if (lca->kind != sparql::PatternKind::kAnd) return false;
-  if (!AllAre(Intermediates(tree, t_main, lca),
-              sparql::PatternKind::kAnd)) {
+  const int lca = tree.LcaNode(t_main, t_opt);
+  if (tree.Kind(lca) != sparql::PatternKind::kAnd) return false;
+  if (!PathAllAre(tree, t_main, lca, sparql::PatternKind::kAnd)) {
     return false;
   }
   // The optional triple's path: all ANDs except its guarding OPTIONAL,
   // which must be its (possibly indirect-through-ANDs) nearest non-AND
   // ancestor — Definition 3.11's "parent of the higher order triple".
-  auto path = Intermediates(tree, t_opt, lca);
   int optionals = 0;
-  for (const sparql::Pattern* p : path) {
-    if (p->kind == sparql::PatternKind::kOptional) {
+  for (int n = tree.Parent(tree.LeafNode(t_opt)); n >= 0 && n != lca;
+       n = tree.Parent(n)) {
+    if (tree.Kind(n) == sparql::PatternKind::kOptional) {
       ++optionals;
-    } else if (p->kind != sparql::PatternKind::kAnd) {
+    } else if (tree.Kind(n) != sparql::PatternKind::kAnd) {
       return false;
     }
   }

@@ -58,6 +58,8 @@ inline void PutString(std::string* out, std::string_view s) {
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
+  /// The reader keeps a view, so a temporary string would dangle.
+  explicit ByteReader(std::string&&) = delete;
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }

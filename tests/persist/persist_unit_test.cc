@@ -56,11 +56,13 @@ TEST(PersistTestCoding, RoundTrip) {
 TEST(PersistTestCoding, TruncationIsDataLoss) {
   std::string buf;
   PutString(&buf, "hello");
-  ByteReader r(buf.substr(0, buf.size() - 1));
+  const std::string short_by_one = buf.substr(0, buf.size() - 1);
+  ByteReader r(short_by_one);
   EXPECT_TRUE(r.ReadString().status().IsDataLoss());
-  ByteReader r2(buf.substr(0, 2));
+  const std::string length_prefix_only = buf.substr(0, 2);
+  ByteReader r2(length_prefix_only);
   EXPECT_TRUE(r2.ReadString().status().IsDataLoss());
-  ByteReader r3("");
+  ByteReader r3(std::string_view{});
   EXPECT_TRUE(r3.ReadU64().status().IsDataLoss());
 }
 
