@@ -142,55 +142,30 @@ void BM_SqlPointLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlPointLookup);
 
-/// Runs \p sql with the engine pinned to \p mode (row fallback vs
-/// vectorized batches); the row/batch benchmark pairs below share one
-/// static database, so deltas isolate the drive mode.
-void RunModeBench(benchmark::State& state, sql::ExecMode mode,
-                  const std::string& sql) {
+/// Runs \p sql against the shared 50k-row join database, counting the
+/// probe-side rows as items processed.
+void RunSqlBench(benchmark::State& state, const std::string& sql) {
   static sql::Database* db = SetupJoinDb(50000);
-  db->set_exec_mode(mode);
   for (auto _ : state) {
     auto res = db->Query(sql);
     if (!res.ok()) std::abort();
     benchmark::DoNotOptimize(res->rows.size());
   }
-  db->set_exec_mode(sql::ExecMode::kBatch);
   state.SetItemsProcessed(state.iterations() * 50000);
 }
 
-void BM_SqlScanFilterRow(benchmark::State& state) {
-  RunModeBench(state, sql::ExecMode::kRow,
-               "SELECT l.a FROM l WHERE l.b > 4986");
-}
-BENCHMARK(BM_SqlScanFilterRow);
-
 void BM_SqlScanFilterBatch(benchmark::State& state) {
-  RunModeBench(state, sql::ExecMode::kBatch,
-               "SELECT l.a FROM l WHERE l.b > 4986");
+  RunSqlBench(state, "SELECT l.a FROM l WHERE l.b > 4986");
 }
 BENCHMARK(BM_SqlScanFilterBatch);
 
-void BM_SqlHashJoinRow(benchmark::State& state) {
-  RunModeBench(state, sql::ExecMode::kRow,
-               "SELECT l.a FROM l, r WHERE l.b = r.c AND l.a < 5000");
-}
-BENCHMARK(BM_SqlHashJoinRow);
-
 void BM_SqlHashJoinBatch(benchmark::State& state) {
-  RunModeBench(state, sql::ExecMode::kBatch,
-               "SELECT l.a FROM l, r WHERE l.b = r.c AND l.a < 5000");
+  RunSqlBench(state, "SELECT l.a FROM l, r WHERE l.b = r.c AND l.a < 5000");
 }
 BENCHMARK(BM_SqlHashJoinBatch);
 
-void BM_SqlIndexNLJoinRow(benchmark::State& state) {
-  RunModeBench(state, sql::ExecMode::kRow,
-               "SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND l.b = 13");
-}
-BENCHMARK(BM_SqlIndexNLJoinRow);
-
 void BM_SqlIndexNLJoinBatch(benchmark::State& state) {
-  RunModeBench(state, sql::ExecMode::kBatch,
-               "SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND l.b = 13");
+  RunSqlBench(state, "SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND l.b = 13");
 }
 BENCHMARK(BM_SqlIndexNLJoinBatch);
 

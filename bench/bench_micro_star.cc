@@ -25,35 +25,27 @@ using namespace rdfrel::bench; // NOLINT
 
 namespace {
 
-/// Times \p run once per mode per round (interleaved so background load
-/// drifts hit both modes alike) and keeps the best round for each — the
-/// standard way to compare two code paths on a noisy machine.
+/// Runs \p run once to warm up and count result rows, then keeps the best
+/// of \p rounds timed runs — the standard way to time a code path on a
+/// noisy machine.
 template <typename Fn>
-ModeComparison CompareModesWith(sql::Database* db, const std::string& id,
-                                int64_t input_rows, const Fn& run,
-                                int rounds = 7) {
-  ModeComparison c;
-  c.id = id;
-  c.items = input_rows;
-  db->set_exec_mode(sql::ExecMode::kRow);
-  c.rows = run();  // warm-up + result count
-  db->set_exec_mode(sql::ExecMode::kBatch);
-  run();
-  c.row_ms = 1e18;
-  c.batch_ms = 1e18;
+SqlBenchEntry TimeBest(const std::string& id, int64_t input_rows,
+                       const Fn& run, int rounds = 7) {
+  SqlBenchEntry e;
+  e.id = id;
+  e.items = input_rows;
+  e.rows = run();
+  e.ms = 1e18;
   for (int r = 0; r < rounds; ++r) {
-    db->set_exec_mode(sql::ExecMode::kRow);
-    c.row_ms = std::min(c.row_ms, TimeOnceMs([&] { run(); }));
-    db->set_exec_mode(sql::ExecMode::kBatch);
-    c.batch_ms = std::min(c.batch_ms, TimeOnceMs([&] { run(); }));
+    e.ms = std::min(e.ms, TimeOnceMs([&] { run(); }));
   }
-  return c;
+  return e;
 }
 
-/// Times \p sql in both drive modes; leaves the db in batch mode.
-ModeComparison CompareModes(sql::Database* db, const std::string& id,
-                            const std::string& sql, int64_t input_rows) {
-  return CompareModesWith(db, id, input_rows, [&]() -> int64_t {
+/// Times \p sql on the embedded engine.
+SqlBenchEntry TimeSql(sql::Database* db, const std::string& id,
+                      const std::string& sql, int64_t input_rows) {
+  return TimeBest(id, input_rows, [&]() -> int64_t {
     auto res = db->Query(sql);
     if (!res.ok()) std::abort();
     return static_cast<int64_t>(res->rows.size());
@@ -122,11 +114,10 @@ int main() {
               unmerged_run.ok() ? "ok" : unmerged_run.status().ToString()
                                              .c_str());
 
-  // == Vectorized vs row-at-a-time execution (BENCH_sql.json) ==
+  // == Vectorized SQL engine (BENCH_sql.json) ==
   // Scan/filter/join-heavy SQL microqueries on a self-contained database,
-  // plus star queries through the DB2RDF store, each timed under both
-  // engine drive modes in the same binary.
-  std::printf("\n== Vectorized vs row-at-a-time execution ==\n");
+  // plus star queries through the DB2RDF store.
+  std::printf("\n== Vectorized SQL engine ==\n");
   const int64_t n = static_cast<int64_t>(100000 * ScaleFactor());
   sql::Database sdb;
   {
@@ -146,51 +137,49 @@ int main() {
       check(dim->Insert({sql::Value::Int(g), sql::Value::Int(g * 10)}));
     }
   }
-  std::vector<ModeComparison> comparisons;
-  comparisons.push_back(CompareModes(
+  std::vector<SqlBenchEntry> entries;
+  entries.push_back(TimeSql(
       &sdb, "scan_filter", "SELECT id FROM scan_t WHERE v > 900", n));
-  comparisons.push_back(CompareModes(
+  entries.push_back(TimeSql(
       &sdb, "scan_filter_dense", "SELECT id FROM scan_t WHERE v > 500", n));
-  comparisons.push_back(CompareModes(
+  entries.push_back(TimeSql(
       &sdb, "scan_filter_project",
       "SELECT id + grp, v * 2 FROM scan_t WHERE v > 250 AND v < 750", n));
-  comparisons.push_back(CompareModes(
+  entries.push_back(TimeSql(
       &sdb, "scan_filter_agg",
       "SELECT COUNT(*), SUM(v) FROM scan_t WHERE v > 900", n));
-  comparisons.push_back(CompareModes(
+  entries.push_back(TimeSql(
       &sdb, "scan_aggregate",
       "SELECT grp, COUNT(*), SUM(v) FROM scan_t GROUP BY grp", n));
-  comparisons.push_back(CompareModes(
+  entries.push_back(TimeSql(
       &sdb, "hash_join",
       "SELECT scan_t.id, dim.label FROM scan_t, dim "
       "WHERE scan_t.grp = dim.grp AND scan_t.v > 900",
       n));
 
-  // Star queries through the full SPARQL stack (plan cache keeps the
-  // translation constant; only the execution mode differs).
+  // Star queries through the full SPARQL stack (the plan cache keeps the
+  // translation out of the timed runs).
   for (const char* star : {"Q1", "Q6"}) {
     const auto& sq = w.queries[star == std::string("Q1") ? 0 : 5];
-    comparisons.push_back(CompareModesWith(
-        &entity->database(), "star_" + sq.id,
-        static_cast<int64_t>(w.graph.size()), [&]() -> int64_t {
+    entries.push_back(TimeBest(
+        "star_" + sq.id, static_cast<int64_t>(w.graph.size()),
+        [&]() -> int64_t {
           auto res = entity->Query(sq.sparql);
           if (!res.ok()) std::abort();
           return static_cast<int64_t>(res->size());
         }));
   }
 
-  std::vector<int> vw = {22, 12, 12, 9, 8};
-  PrintRow({"query", "row", "batch", "speedup", "rows"}, vw);
-  PrintRow({"-----", "---", "-----", "-------", "----"}, vw);
-  for (const auto& c : comparisons) {
-    char sp[32];
-    std::snprintf(sp, sizeof(sp), "%.2fx", c.speedup());
-    PrintRow({c.id, Ms(c.row_ms) + " ms", Ms(c.batch_ms) + " ms", sp,
-              std::to_string(c.rows)},
-             vw);
+  std::vector<int> vw = {22, 12, 14, 8};
+  PrintRow({"query", "time", "input rows/s", "rows"}, vw);
+  PrintRow({"-----", "----", "------------", "----"}, vw);
+  for (const auto& e : entries) {
+    char rps[32];
+    std::snprintf(rps, sizeof(rps), "%.3g", e.RowsPerSec());
+    PrintRow({e.id, Ms(e.ms) + " ms", rps, std::to_string(e.rows)}, vw);
   }
   const char* json_path = "BENCH_sql.json";
-  if (WriteSqlBenchJson(json_path, comparisons)) {
+  if (WriteSqlBenchJson(json_path, entries)) {
     std::printf("\nwrote %s\n", json_path);
   } else {
     std::printf("\nfailed to write %s\n", json_path);

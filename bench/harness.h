@@ -124,44 +124,36 @@ inline double TimeOnceMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-/// One query measured under both engine drive modes (row-at-a-time vs
-/// vectorized batches). `items` is the number of rows the query scans, the
-/// denominator for throughput.
-struct ModeComparison {
+/// One SQL-engine measurement. `items` is the number of rows the query
+/// scans, the denominator for throughput.
+struct SqlBenchEntry {
   std::string id;
-  int64_t rows = 0;      ///< result rows
-  int64_t items = 0;     ///< input rows scanned per execution
-  double row_ms = 0;     ///< mean ms/query, row-at-a-time
-  double batch_ms = 0;   ///< mean ms/query, vectorized
+  int64_t rows = 0;   ///< result rows
+  int64_t items = 0;  ///< input rows scanned per execution
+  double ms = 0;      ///< best ms/query
 
-  double speedup() const { return batch_ms > 0 ? row_ms / batch_ms : 0; }
-  static double RowsPerSec(int64_t items, double ms) {
+  double RowsPerSec() const {
     return ms > 0 ? static_cast<double>(items) / (ms / 1000.0) : 0;
   }
 };
 
-/// Writes the row-vs-batch comparison as machine-readable JSON
-/// (ns/query and rows/s per mode, plus the speedup ratio per entry).
+/// Writes the SQL-engine timings as machine-readable JSON (result and
+/// input rows, ns/query and input rows/s per entry).
 inline bool WriteSqlBenchJson(const std::string& path,
-                              const std::vector<ModeComparison>& entries) {
+                              const std::vector<SqlBenchEntry>& entries) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"bench\": \"sql_vectorized\",\n");
   std::fprintf(f, "  \"scale\": %.2f,\n  \"entries\": [\n", ScaleFactor());
   for (size_t i = 0; i < entries.size(); ++i) {
-    const ModeComparison& e = entries[i];
-    std::fprintf(
-        f,
-        "    {\"query\": \"%s\", \"result_rows\": %lld, "
-        "\"input_rows\": %lld,\n"
-        "     \"row\": {\"ns_per_query\": %.0f, \"rows_per_sec\": %.0f},\n"
-        "     \"batch\": {\"ns_per_query\": %.0f, \"rows_per_sec\": %.0f},\n"
-        "     \"speedup\": %.2f}%s\n",
-        e.id.c_str(), static_cast<long long>(e.rows),
-        static_cast<long long>(e.items), e.row_ms * 1e6,
-        ModeComparison::RowsPerSec(e.items, e.row_ms), e.batch_ms * 1e6,
-        ModeComparison::RowsPerSec(e.items, e.batch_ms), e.speedup(),
-        i + 1 < entries.size() ? "," : "");
+    const SqlBenchEntry& e = entries[i];
+    std::fprintf(f,
+                 "    {\"query\": \"%s\", \"result_rows\": %lld, "
+                 "\"input_rows\": %lld, \"ns_per_query\": %.0f, "
+                 "\"rows_per_sec\": %.0f}%s\n",
+                 e.id.c_str(), static_cast<long long>(e.rows),
+                 static_cast<long long>(e.items), e.ms * 1e6, e.RowsPerSec(),
+                 i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -1,5 +1,6 @@
 #include "sparql/parser.h"
 
+#include <charconv>
 #include <map>
 
 #include "sparql/lexer.h"
@@ -98,19 +99,11 @@ class Parser {
     }
     if (PeekKeyword("LIMIT")) {
       Advance();
-      if (Peek().kind != TokenKind::kInteger) {
-        return Error("expected LIMIT count");
-      }
-      q.limit = std::stoll(Peek().text);
-      Advance();
+      RDFREL_ASSIGN_OR_RETURN(q.limit, ParseCount("LIMIT"));
     }
     if (PeekKeyword("OFFSET")) {
       Advance();
-      if (Peek().kind != TokenKind::kInteger) {
-        return Error("expected OFFSET count");
-      }
-      q.offset = std::stoll(Peek().text);
-      Advance();
+      RDFREL_ASSIGN_OR_RETURN(q.offset, ParseCount("OFFSET"));
     }
     if (Peek().kind != TokenKind::kEnd) {
       return Error("unexpected trailing input");
@@ -156,6 +149,25 @@ class Parser {
     }
     return Status::OK();
   }
+
+  /// Consumes the non-negative integer after LIMIT/OFFSET. Hostile input
+  /// (out of range, negative) is a parse error, never an exception.
+  Result<int64_t> ParseCount(const char* clause) {
+    const Token& t = Peek();
+    int64_t v = -1;
+    if (t.kind == TokenKind::kInteger) {
+      auto [end, ec] =
+          std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+      if (ec != std::errc() || end != t.text.data() + t.text.size()) v = -1;
+    }
+    if (v < 0) {
+      return Error(std::string("expected a non-negative ") + clause +
+                   " count that fits in 64 bits");
+    }
+    Advance();
+    return v;
+  }
+
   Status Error(std::string msg) const {
     return Status::ParseError(msg + " at offset " +
                               std::to_string(Peek().offset) + " (near '" +

@@ -54,47 +54,25 @@ Status Database::QueryStreaming(
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
   RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
-                          PlanSelect(catalog_, *stmt, &env, exec_mode_,
-                                     control));
-  op->SetExecMode(exec_mode_);
+                          PlanSelect(catalog_, *stmt, &env, control));
   if (control != nullptr) op->SetControl(control);
   RDFREL_RETURN_NOT_OK(op->Open());
   if (columns != nullptr) *columns = op->scope().Names();
   RowBatch batch;
-  if (exec_mode_ == ExecMode::kBatch) {
-    while (true) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
-      if (!has) break;
-      if (batch.ActiveSize() == 0) continue;
-      RDFREL_RETURN_NOT_OK(on_batch(batch));
-    }
-    return Status::OK();
-  }
-  // Row mode: drive the Volcano surface and regroup into batches so the
-  // row-vs-batch differential tests cover the streaming path too.
   while (true) {
-    batch.Reset();
-    while (!batch.Full()) {
-      Row* slot = batch.AddRow();
-      RDFREL_ASSIGN_OR_RETURN(bool has, op->Next(slot));
-      if (!has) {
-        batch.PopRow();
-        break;
-      }
-    }
-    if (batch.size() == 0) break;
-    const bool last = !batch.Full();
+    RDFREL_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
+    if (!has) return Status::OK();
+    if (batch.ActiveSize() == 0) continue;
     RDFREL_RETURN_NOT_OK(on_batch(batch));
-    if (last) break;
   }
-  return Status::OK();
 }
 
 Result<QueryResult> Database::QueryAst(const ast::SelectStmt& stmt) {
-  RDFREL_ASSIGN_OR_RETURN(auto mat, RunSelect(catalog_, stmt, exec_mode_));
+  CteEnv env;
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op, PlanSelect(catalog_, stmt, &env));
   QueryResult qr;
-  qr.columns = mat->scope.Names();
-  qr.rows = std::move(mat->rows);
+  qr.columns = op->scope().Names();
+  RDFREL_ASSIGN_OR_RETURN(qr.rows, CollectRows(op.get()));
   return qr;
 }
 
@@ -102,12 +80,9 @@ Result<QueryResult> Database::QueryProfiled(std::string_view sql,
                                             std::string* profile_out) {
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
-  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
-                          PlanSelect(catalog_, *stmt, &env, exec_mode_));
-  op->SetExecMode(exec_mode_);
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op, PlanSelect(catalog_, *stmt, &env));
   op->EnableTiming(true);
-  RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                          CollectRows(op.get(), exec_mode_));
+  RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(op.get()));
   QueryResult qr;
   qr.columns = op->scope().Names();
   qr.rows = std::move(rows);

@@ -49,8 +49,6 @@ class Database {
   /// returned verbatim. \p control (optional, borrowed) is checked at every
   /// batch boundary — including inside blocking operators and CTE/subquery
   /// materialization — and surfaces kDeadlineExceeded / kCancelled.
-  /// In ExecMode::kRow the tree is still driven row-at-a-time; rows are
-  /// regrouped into batches at the top so callers see one surface.
   Status QueryStreaming(std::string_view sql, const ExecControl* control,
                         std::vector<std::string>* columns,
                         const std::function<Status(const RowBatch&)>& on_batch);
@@ -63,11 +61,8 @@ class Database {
   Result<QueryResult> QueryProfiled(std::string_view sql,
                                     std::string* profile_out);
 
-  /// Drive mode for all SELECTs on this instance. Batch-at-a-time is the
-  /// default; kRow forces the Volcano fallback (differential tests and
-  /// before/after benchmarks).
-  ExecMode exec_mode() const { return exec_mode_; }
-  void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
+  /// Inert (see ExecMode): always kBatch, kept for the perfbench harness.
+  ExecMode exec_mode() const { return ExecMode::kBatch; }
 
   /// Decoded-page cache counters summed over the catalog's tables.
   util::CacheStats page_cache_stats() const {
@@ -80,7 +75,6 @@ class Database {
   Status ExecInsert(const ast::InsertStmt& ins);
 
   Catalog catalog_;
-  ExecMode exec_mode_ = ExecMode::kBatch;
 };
 
 }  // namespace rdfrel::sql

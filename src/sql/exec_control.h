@@ -4,11 +4,11 @@
 /// \file exec_control.h
 /// Cooperative cancellation for query execution. An ExecControl carries an
 /// optional deadline and an optional external cancel flag; the executor
-/// checks it at every batch boundary (and periodically on the row path), so
-/// a long scan stops within one batch of the deadline instead of running to
-/// completion. The two conditions surface as distinct status codes:
-/// kCancelled (somebody asked us to stop) vs kDeadlineExceeded (we ran out
-/// of time) — callers route them differently (a shed HTTP request vs a 504).
+/// checks it at every batch boundary, so a long scan stops within one batch
+/// of the deadline instead of running to completion. The two conditions
+/// surface as distinct status codes: kCancelled (somebody asked us to stop)
+/// vs kDeadlineExceeded (we ran out of time) — callers route them
+/// differently (a shed HTTP request vs a 504).
 
 #include <atomic>
 #include <chrono>

@@ -55,23 +55,6 @@ uint64_t NowNs() {
 
 // --------------------------------------------------------------- Operator
 
-Result<bool> Operator::Next(Row* out) {
-  if (control_ != nullptr && ++rows_since_check_ >= kControlCheckRows) {
-    rows_since_check_ = 0;
-    RDFREL_RETURN_NOT_OK(control_->Check());
-  }
-  if (!timing_) {
-    RDFREL_ASSIGN_OR_RETURN(bool has, NextImpl(out));
-    if (has) ++stats_.rows;
-    return has;
-  }
-  uint64_t start = NowNs();
-  Result<bool> has = NextImpl(out);
-  stats_.ns += NowNs() - start;
-  if (has.ok() && *has) ++stats_.rows;
-  return has;
-}
-
 Result<bool> Operator::NextBatch(RowBatch* out) {
   if (control_ != nullptr) {
     RDFREL_RETURN_NOT_OK(control_->Check());
@@ -100,25 +83,6 @@ Result<bool> Operator::NextBatch(RowBatch* out) {
   return has;
 }
 
-Result<bool> Operator::NextBatchImpl(RowBatch* out) {
-  // Row-fallback adapter: any operator without a native batch
-  // implementation still participates in batch pipelines.
-  while (!out->Full()) {
-    Row* slot = out->AddRow();
-    RDFREL_ASSIGN_OR_RETURN(bool has, NextImpl(slot));
-    if (!has) {
-      out->PopRow();
-      break;
-    }
-  }
-  return out->size() > 0;
-}
-
-void Operator::SetExecMode(ExecMode mode) {
-  mode_ = mode;
-  for (Operator* c : children()) c->SetExecMode(mode);
-}
-
 void Operator::EnableTiming(bool on) {
   timing_ = on;
   for (Operator* c : children()) c->EnableTiming(on);
@@ -128,32 +92,19 @@ void Operator::SetControl(const ExecControl* control) {
   // A trivial control can never fire; detach instead of paying the
   // per-batch check.
   control_ = (control != nullptr && control->Trivial()) ? nullptr : control;
-  rows_since_check_ = 0;
   for (Operator* c : children()) c->SetControl(control_);
 }
 
 Status Operator::ForEachChildRow(
     Operator* child, const std::function<Status(const Row&)>& fn) {
-  if (mode_ == ExecMode::kBatch) {
-    RowBatch batch;
-    while (true) {
-      auto has = child->NextBatch(&batch);
-      if (!has.ok()) return has.status();
-      if (!*has) break;
-      for (size_t i = 0; i < batch.ActiveSize(); ++i) {
-        RDFREL_RETURN_NOT_OK(fn(batch.Active(i)));
-      }
-    }
-    return Status::OK();
-  }
-  Row row;
+  RowBatch batch;
   while (true) {
-    auto has = child->Next(&row);
-    if (!has.ok()) return has.status();
-    if (!*has) break;
-    RDFREL_RETURN_NOT_OK(fn(row));
+    RDFREL_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+    if (!has) return Status::OK();
+    for (size_t i = 0; i < batch.ActiveSize(); ++i) {
+      RDFREL_RETURN_NOT_OK(fn(batch.Active(i)));
+    }
   }
-  return Status::OK();
 }
 
 namespace {
@@ -191,24 +142,8 @@ SeqScanOp::SeqScanOp(const Table* table, const std::string& alias)
 
 Status SeqScanOp::Open() {
   page_ = 0;
-  row_ = 0;
   cur_page_.reset();
   return Status::OK();
-}
-
-Result<bool> SeqScanOp::NextImpl(Row* out) {
-  const size_t end_page = table_->storage().heap().num_pages();
-  while (true) {
-    if (cur_page_ != nullptr && row_ < cur_page_->rows.size()) {
-      *out = cur_page_->rows[row_++];
-      return true;
-    }
-    if (page_ >= end_page) return false;
-    RDFREL_ASSIGN_OR_RETURN(cur_page_,
-                            table_->DecodePage(static_cast<uint32_t>(page_)));
-    ++page_;
-    row_ = 0;
-  }
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
@@ -240,12 +175,6 @@ Status IndexScanOp::Open() {
   return Status::OK();
 }
 
-Result<bool> IndexScanOp::NextImpl(Row* out) {
-  if (pos_ >= rids_.size()) return false;
-  RDFREL_RETURN_NOT_OK(FetchRowInto(*table_, rids_[pos_++], out));
-  return true;
-}
-
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
   if (pos_ >= rids_.size()) return false;
   while (pos_ < rids_.size() && !out->Full()) {
@@ -269,12 +198,6 @@ Status MaterializedScanOp::Open() {
   return Status::OK();
 }
 
-Result<bool> MaterializedScanOp::NextImpl(Row* out) {
-  if (pos_ >= mat_->rows.size()) return false;
-  *out = mat_->rows[pos_++];
-  return true;
-}
-
 Result<bool> MaterializedScanOp::NextBatchImpl(RowBatch* out) {
   const size_t end_row = mat_->rows.size();
   if (pos_ >= end_row) return false;
@@ -292,15 +215,6 @@ FilterOp::FilterOp(OperatorPtr child, BoundExprPtr predicate)
 }
 
 Status FilterOp::Open() { return child_->Open(); }
-
-Result<bool> FilterOp::NextImpl(Row* out) {
-  while (true) {
-    RDFREL_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out));
-    if (pass) return true;
-  }
-}
 
 Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
   // The child fills the caller's batch; survivors are marked by a selection
@@ -326,18 +240,6 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<BoundExprPtr> exprs,
 }
 
 Status ProjectOp::Open() { return child_->Open(); }
-
-Result<bool> ProjectOp::NextImpl(Row* out) {
-  RDFREL_ASSIGN_OR_RETURN(bool has, child_->Next(&in_));
-  if (!has) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const auto& e : exprs_) {
-    RDFREL_ASSIGN_OR_RETURN(Value v, e->Evaluate(in_));
-    out->push_back(std::move(v));
-  }
-  return true;
-}
 
 Result<bool> ProjectOp::NextBatchImpl(RowBatch* out) {
   RDFREL_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_batch_));
@@ -401,8 +303,6 @@ Status HashJoinOp::Open() {
     build_[std::move(key)].push_back(row);
     return Status::OK();
   }));
-  left_valid_ = false;
-  matches_ = nullptr;
   probe_.Reset();
   probe_pos_ = 0;
   return Status::OK();
@@ -412,59 +312,6 @@ const std::vector<Row>* HashJoinOp::LookupBuild(
     const std::vector<Value>& key) const {
   auto it = build_.find(key);
   return it == build_.end() ? nullptr : &it->second;
-}
-
-Result<bool> HashJoinOp::NextLeft() {
-  RDFREL_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-  if (!has) {
-    left_valid_ = false;
-    return false;
-  }
-  left_valid_ = true;
-  emitted_for_left_ = false;
-  match_pos_ = 0;
-  matches_ = nullptr;
-  std::vector<Value> key;
-  key.reserve(left_keys_.size());
-  bool null_key = false;
-  for (const auto& k : left_keys_) {
-    RDFREL_ASSIGN_OR_RETURN(Value v, k->Evaluate(left_row_));
-    if (v.is_null()) {
-      null_key = true;
-      break;
-    }
-    key.push_back(std::move(v));
-  }
-  if (!null_key) matches_ = LookupBuild(key);
-  return true;
-}
-
-Result<bool> HashJoinOp::NextImpl(Row* out) {
-  while (true) {
-    if (!left_valid_) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, NextLeft());
-      if (!has) return false;
-    }
-    while (matches_ != nullptr && match_pos_ < matches_->size()) {
-      const Row& rrow = (*matches_)[match_pos_++];
-      *out = left_row_;
-      out->insert(out->end(), rrow.begin(), rrow.end());
-      if (residual_) {
-        RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
-        if (!pass) continue;
-      }
-      emitted_for_left_ = true;
-      return true;
-    }
-    // Exhausted matches for this left row.
-    if (left_outer_ && !emitted_for_left_) {
-      *out = left_row_;
-      out->insert(out->end(), right_width_, Value::Null());
-      left_valid_ = false;
-      return true;
-    }
-    left_valid_ = false;
-  }
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
@@ -544,48 +391,13 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table* inner,
 
 Status IndexNLJoinOp::Open() {
   RDFREL_RETURN_NOT_OK(outer_->Open());
-  outer_valid_ = false;
   outer_batch_.Reset();
   outer_pos_ = 0;
   return Status::OK();
 }
 
-Result<bool> IndexNLJoinOp::NextImpl(Row* out) {
-  const size_t inner_width = inner_->schema().num_columns();
-  while (true) {
-    if (!outer_valid_) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_row_));
-      if (!has) return false;
-      outer_valid_ = true;
-      emitted_for_outer_ = false;
-      rid_pos_ = 0;
-      RDFREL_ASSIGN_OR_RETURN(Value key, outer_key_->Evaluate(outer_row_));
-      rids_ = key.is_null() ? std::vector<RowId>{} : index_->Lookup(key);
-    }
-    while (rid_pos_ < rids_.size()) {
-      RowId rid = rids_[rid_pos_++];
-      RDFREL_RETURN_NOT_OK(FetchRowInto(*inner_, rid, &inner_row_));
-      *out = outer_row_;
-      out->insert(out->end(), inner_row_.begin(), inner_row_.end());
-      if (residual_) {
-        RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
-        if (!pass) continue;
-      }
-      emitted_for_outer_ = true;
-      return true;
-    }
-    if (left_outer_ && !emitted_for_outer_) {
-      *out = outer_row_;
-      out->insert(out->end(), inner_width, Value::Null());
-      outer_valid_ = false;
-      return true;
-    }
-    outer_valid_ = false;
-  }
-}
-
-Result<bool> IndexNLJoinOp::ProbeInto(const Row& outer_row, const Value& key,
-                                      RowBatch* out) {
+Status IndexNLJoinOp::ProbeInto(const Row& outer_row, const Value& key,
+                                RowBatch* out) {
   bool emitted = false;
   if (!key.is_null()) {
     for (RowId rid : index_->Lookup(key)) {
@@ -607,9 +419,8 @@ Result<bool> IndexNLJoinOp::ProbeInto(const Row& outer_row, const Value& key,
     Row* slot = out->AddRow();
     *slot = outer_row;
     slot->insert(slot->end(), inner_->schema().num_columns(), Value::Null());
-    emitted = true;
   }
-  return emitted;
+  return Status::OK();
 }
 
 Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
@@ -626,10 +437,8 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
     }
     for (; outer_pos_ < outer_batch_.ActiveSize() && !out->Full();
          ++outer_pos_) {
-      RDFREL_ASSIGN_OR_RETURN(bool emitted,
-                              ProbeInto(outer_batch_.Active(outer_pos_),
-                                        key_col_[outer_pos_], out));
-      (void)emitted;
+      RDFREL_RETURN_NOT_OK(ProbeInto(outer_batch_.Active(outer_pos_),
+                                     key_col_[outer_pos_], out));
     }
   }
   return out->size() > 0;
@@ -656,38 +465,42 @@ Status NestedLoopJoinOp::Open() {
     right_rows_.push_back(row);
     return Status::OK();
   }));
-  left_valid_ = false;
+  left_batch_.Reset();
+  left_pos_ = 0;
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOp::NextImpl(Row* out) {
-  while (true) {
-    if (!left_valid_) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-      if (!has) return false;
-      left_valid_ = true;
-      emitted_for_left_ = false;
-      right_pos_ = 0;
+Result<bool> NestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
+  while (!out->Full()) {
+    if (left_pos_ >= left_batch_.ActiveSize()) {
+      RDFREL_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&left_batch_));
+      if (!has) return out->size() > 0;
+      left_pos_ = 0;
     }
-    while (right_pos_ < right_rows_.size()) {
-      const Row& rrow = right_rows_[right_pos_++];
-      *out = left_row_;
-      out->insert(out->end(), rrow.begin(), rrow.end());
-      if (residual_) {
-        RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out));
-        if (!pass) continue;
+    for (; left_pos_ < left_batch_.ActiveSize() && !out->Full(); ++left_pos_) {
+      const Row& lrow = left_batch_.Active(left_pos_);
+      bool emitted = false;
+      for (const Row& rrow : right_rows_) {
+        Row* slot = out->AddRow();
+        *slot = lrow;
+        slot->insert(slot->end(), rrow.begin(), rrow.end());
+        if (residual_) {
+          RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *slot));
+          if (!pass) {
+            out->PopRow();
+            continue;
+          }
+        }
+        emitted = true;
       }
-      emitted_for_left_ = true;
-      return true;
+      if (left_outer_ && !emitted) {
+        Row* slot = out->AddRow();
+        *slot = lrow;
+        slot->insert(slot->end(), right_width_, Value::Null());
+      }
     }
-    if (left_outer_ && !emitted_for_left_) {
-      *out = left_row_;
-      out->insert(out->end(), right_width_, Value::Null());
-      left_valid_ = false;
-      return true;
-    }
-    left_valid_ = false;
   }
+  return out->size() > 0;
 }
 
 // ---------------------------------------------------------------- UnnestOp
@@ -700,28 +513,9 @@ UnnestOp::UnnestOp(OperatorPtr child, std::vector<BoundExprPtr> args,
 }
 
 Status UnnestOp::Open() {
-  valid_ = false;
   in_batch_.Reset();
   in_pos_ = 0;
   return child_->Open();
-}
-
-Result<bool> UnnestOp::NextImpl(Row* out) {
-  while (true) {
-    if (!valid_) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, child_->Next(&current_));
-      if (!has) return false;
-      valid_ = true;
-      arg_pos_ = 0;
-    }
-    if (arg_pos_ < args_.size()) {
-      RDFREL_ASSIGN_OR_RETURN(Value v, args_[arg_pos_++]->Evaluate(current_));
-      *out = current_;
-      out->push_back(std::move(v));
-      return true;
-    }
-    valid_ = false;
-  }
 }
 
 Result<bool> UnnestOp::NextBatchImpl(RowBatch* out) {
@@ -767,15 +561,6 @@ std::vector<Operator*> UnionAllOp::children() {
   return out;
 }
 
-Result<bool> UnionAllOp::NextImpl(Row* out) {
-  while (current_ < children_.size()) {
-    RDFREL_ASSIGN_OR_RETURN(bool has, children_[current_]->Next(out));
-    if (has) return true;
-    ++current_;
-  }
-  return false;
-}
-
 Result<bool> UnionAllOp::NextBatchImpl(RowBatch* out) {
   while (current_ < children_.size()) {
     RDFREL_ASSIGN_OR_RETURN(bool has, children_[current_]->NextBatch(out));
@@ -794,14 +579,6 @@ DistinctOp::DistinctOp(OperatorPtr child) : child_(std::move(child)) {
 Status DistinctOp::Open() {
   seen_.clear();
   return child_->Open();
-}
-
-Result<bool> DistinctOp::NextImpl(Row* out) {
-  while (true) {
-    RDFREL_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    if (seen_.insert(*out).second) return true;
-  }
 }
 
 Result<bool> DistinctOp::NextBatchImpl(RowBatch* out) {
@@ -862,12 +639,6 @@ Status SortOp::Open() {
   for (size_t i : order) sorted.push_back(std::move(rows_[i]));
   rows_ = std::move(sorted);
   return Status::OK();
-}
-
-Result<bool> SortOp::NextImpl(Row* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
-  return true;
 }
 
 Result<bool> SortOp::NextBatchImpl(RowBatch* out) {
@@ -934,22 +705,6 @@ Status AggregateOp::Update(const AggSpec& spec, AggState* st,
   return Status::OK();
 }
 
-Status AggregateOp::Accumulate(const Row& in,
-                               std::vector<AggState>* states) {
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec& spec = aggs_[i];
-    Value v;
-    if (spec.input != nullptr) {
-      RDFREL_ASSIGN_OR_RETURN(v, spec.input->Evaluate(in));
-      if (v.is_null()) continue;  // aggregates skip NULL inputs
-    } else {
-      v = Value::Int(1);  // COUNT(*)
-    }
-    RDFREL_RETURN_NOT_OK(Update(spec, &(*states)[i], v));
-  }
-  return Status::OK();
-}
-
 Value AggregateOp::Finalize(const AggSpec& spec, const AggState& st) const {
   switch (spec.func) {
     case ast::AggFunc::kCount:
@@ -980,63 +735,48 @@ Status AggregateOp::Open() {
                      ValueVectorHasher>
       groups;
   std::vector<std::vector<Value>> group_order;
-  if (mode_ == ExecMode::kBatch) {
-    // Batched drain: group keys and aggregate inputs evaluate
-    // column-at-a-time; the key buffer is reused so only new groups copy it.
-    RowBatch batch;
-    std::vector<std::vector<Value>> key_cols(keys_.size());
-    std::vector<std::vector<Value>> agg_cols(aggs_.size());
-    std::vector<Value> key;
-    key.reserve(keys_.size());
-    while (true) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-      if (!has) break;
+  // Group keys and aggregate inputs evaluate column-at-a-time; the key
+  // buffer is reused so only new groups copy it.
+  RowBatch batch;
+  std::vector<std::vector<Value>> key_cols(keys_.size());
+  std::vector<std::vector<Value>> agg_cols(aggs_.size());
+  std::vector<Value> key;
+  key.reserve(keys_.size());
+  while (true) {
+    RDFREL_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
+    if (!has) break;
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      RDFREL_RETURN_NOT_OK(keys_[k]->EvaluateBatch(batch, &key_cols[k]));
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (aggs_[a].input != nullptr) {
+        RDFREL_RETURN_NOT_OK(
+            aggs_[a].input->EvaluateBatch(batch, &agg_cols[a]));
+      }
+    }
+    const size_t n = batch.ActiveSize();
+    for (size_t r = 0; r < n; ++r) {
+      key.clear();
       for (size_t k = 0; k < keys_.size(); ++k) {
-        RDFREL_RETURN_NOT_OK(keys_[k]->EvaluateBatch(batch, &key_cols[k]));
+        key.push_back(key_cols[k][r]);
       }
+      auto it = groups.find(key);
+      if (it == groups.end()) {
+        it = groups.emplace(key, std::vector<AggState>(aggs_.size())).first;
+        group_order.push_back(key);
+      }
+      std::vector<AggState>& states = it->second;
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].input != nullptr) {
-          RDFREL_RETURN_NOT_OK(
-              aggs_[a].input->EvaluateBatch(batch, &agg_cols[a]));
-        }
-      }
-      const size_t n = batch.ActiveSize();
-      for (size_t r = 0; r < n; ++r) {
-        key.clear();
-        for (size_t k = 0; k < keys_.size(); ++k) {
-          key.push_back(key_cols[k][r]);
-        }
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          it = groups.emplace(key, std::vector<AggState>(aggs_.size())).first;
-          group_order.push_back(key);
-        }
-        std::vector<AggState>& states = it->second;
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          const AggSpec& spec = aggs_[a];
-          if (spec.input != nullptr) {
-            const Value& v = agg_cols[a][r];
-            if (v.is_null()) continue;  // aggregates skip NULL inputs
-            RDFREL_RETURN_NOT_OK(Update(spec, &states[a], v));
-          } else {
-            RDFREL_RETURN_NOT_OK(Update(spec, &states[a], Value::Int(1)));
-          }
+        const AggSpec& spec = aggs_[a];
+        if (spec.input != nullptr) {
+          const Value& v = agg_cols[a][r];
+          if (v.is_null()) continue;  // aggregates skip NULL inputs
+          RDFREL_RETURN_NOT_OK(Update(spec, &states[a], v));
+        } else {
+          RDFREL_RETURN_NOT_OK(Update(spec, &states[a], Value::Int(1)));
         }
       }
     }
-  } else {
-    RDFREL_RETURN_NOT_OK(ForEachChildRow(child_.get(), [&](const Row& in) {
-      std::vector<Value> key;
-      key.reserve(keys_.size());
-      for (const auto& k : keys_) {
-        RDFREL_ASSIGN_OR_RETURN(Value v, k->Evaluate(in));
-        key.push_back(std::move(v));
-      }
-      auto [it, inserted] =
-          groups.try_emplace(key, std::vector<AggState>(aggs_.size()));
-      if (inserted) group_order.push_back(key);
-      return Accumulate(in, &it->second);
-    }));
   }
   // SQL global aggregates produce one row over empty input.
   if (keys_.empty() && groups.empty()) {
@@ -1044,21 +784,15 @@ Status AggregateOp::Open() {
                        std::vector<AggState>(aggs_.size()));
     group_order.push_back({});
   }
-  for (const auto& key : group_order) {
-    const auto& states = groups.at(key);
-    Row row = key;
+  for (const auto& group : group_order) {
+    const auto& states = groups.at(group);
+    Row row = group;
     for (size_t i = 0; i < aggs_.size(); ++i) {
       row.push_back(Finalize(aggs_[i], states[i]));
     }
     results_.push_back(std::move(row));
   }
   return Status::OK();
-}
-
-Result<bool> AggregateOp::NextImpl(Row* out) {
-  if (pos_ >= results_.size()) return false;
-  *out = results_[pos_++];
-  return true;
 }
 
 Result<bool> AggregateOp::NextBatchImpl(RowBatch* out) {
@@ -1081,20 +815,6 @@ Status LimitOp::Open() {
   skipped_ = 0;
   emitted_ = 0;
   return child_->Open();
-}
-
-Result<bool> LimitOp::NextImpl(Row* out) {
-  if (limit_.has_value() && emitted_ >= *limit_) return false;
-  while (true) {
-    RDFREL_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    if (offset_.has_value() && skipped_ < *offset_) {
-      ++skipped_;
-      continue;
-    }
-    ++emitted_;
-    return true;
-  }
 }
 
 Result<bool> LimitOp::NextBatchImpl(RowBatch* out) {
@@ -1338,28 +1058,17 @@ Status LimitOp::VerifySelf() const {
 
 // --------------------------------------------------------------- CollectRows
 
-Result<std::vector<Row>> CollectRows(Operator* op, ExecMode mode,
+Result<std::vector<Row>> CollectRows(Operator* op,
                                      const ExecControl* control) {
-  op->SetExecMode(mode);
   if (control != nullptr) op->SetControl(control);
   RDFREL_RETURN_NOT_OK(op->Open());
   std::vector<Row> rows;
-  if (mode == ExecMode::kBatch) {
-    RowBatch batch;
-    while (true) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
-      if (!has) break;
-      batch.FlushTo(&rows);
-    }
-  } else {
-    Row row;
-    while (true) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, op->Next(&row));
-      if (!has) break;
-      rows.push_back(row);
-    }
+  RowBatch batch;
+  while (true) {
+    RDFREL_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
+    if (!has) return rows;
+    batch.FlushTo(&rows);
   }
-  return rows;
 }
 
 }  // namespace rdfrel::sql

@@ -2,22 +2,18 @@
 #define RDFREL_SQL_EXECUTOR_H_
 
 /// \file executor.h
-/// Pull-based physical operators. Two execution surfaces share one operator
-/// tree:
-///  - the classic Volcano row loop (`Next(Row*)`, one virtual call and one
-///    row per tuple) — kept as the compatibility fallback;
-///  - vectorized batches (`NextBatch(RowBatch*)`, ~1024 rows per call) —
-///    the default drive mode. Scans deserialize a whole heap page per call
-///    into reused row storage, filters attach selection vectors instead of
-///    shuffling rows, projections evaluate expressions column-at-a-time,
-///    and hash joins probe a batch per call. Operators without a native
-///    batch implementation fall back to an adapter that loops the row path,
-///    so the two surfaces can mix freely inside one tree.
+/// Pull-based physical operators, driven one vectorized batch at a time
+/// (`NextBatch(RowBatch*)`, ~1024 rows per call). Scans deserialize a whole
+/// heap page per call into reused row storage, filters attach selection
+/// vectors instead of shuffling rows, projections evaluate expressions
+/// column-at-a-time, and joins probe a batch per call, pausing between
+/// input rows once the output batch is full.
 ///
-/// `Next`/`NextBatch` are non-virtual wrappers that maintain per-operator
-/// counters (rows out, batches out, and — when EnableTiming is on —
-/// inclusive nanoseconds); `FormatOperatorStats` renders the profile tree
-/// that the stores surface through Explain.
+/// `NextBatch` is a non-virtual wrapper that checks the query's
+/// ExecControl and maintains per-operator counters (rows out, batches out,
+/// and — when EnableTiming is on — inclusive nanoseconds);
+/// `FormatOperatorStats` renders the profile tree that the stores surface
+/// through Explain.
 
 #include <cstdint>
 #include <functional>
@@ -38,14 +34,10 @@
 
 namespace rdfrel::sql {
 
-/// Which drive surface an execution uses. Blocking operators (sort,
-/// aggregate, join build sides) consult it when materializing their inputs,
-/// so kRow really is row-at-a-time end to end — the differential tests and
-/// the before/after benchmarks depend on that.
-enum class ExecMode {
-  kRow,    ///< Volcano fallback: one Next(Row*) per tuple.
-  kBatch,  ///< vectorized: NextBatch(RowBatch*) per ~1024 tuples (default).
-};
+/// Inert: batches are the only way operators run. The enum,
+/// Database::exec_mode(), Operator::SetExecMode and PlanSelect's mode
+/// parameter remain only for the perfbench harness, which calls them.
+enum class ExecMode { kBatch };
 
 /// A materialized intermediate result (CTE or derived table), shared between
 /// the planner's execution of the CTE and later scans of it.
@@ -69,9 +61,6 @@ class Operator {
   /// Prepares (or re-prepares) the operator for a full scan of its output.
   virtual Status Open() = 0;
 
-  /// Produces the next row into \p out; returns false at end of stream.
-  Result<bool> Next(Row* out);
-
   /// Produces the next batch (>= 1 active row) into \p out; returns false
   /// at end of stream. \p out is reset first; its contents stay valid until
   /// the next call on this operator.
@@ -81,7 +70,7 @@ class Operator {
 
   /// Display name for plan profiles, e.g. "SeqScan(dph)".
   virtual std::string name() const = 0;
-  /// Child operators (profile tree + recursive mode/timing propagation).
+  /// Child operators (profile tree + recursive timing/control propagation).
   virtual std::vector<Operator*> children() { return {}; }
 
   /// Structural self-check for the operator verifier (DESIGN.md §8):
@@ -91,41 +80,30 @@ class Operator {
   /// with the operator's dotted path.
   virtual Status VerifySelf() const { return Status::OK(); }
 
-  ExecMode exec_mode() const { return mode_; }
-  /// Sets the drive mode on this operator and every descendant. Call before
-  /// Open(): blocking operators materialize their inputs during Open.
-  void SetExecMode(ExecMode mode);
-  /// Turns per-call timing on/off for this subtree (off by default: two
-  /// clock reads per row would distort the row path it measures).
+  /// Inert (see ExecMode); kept for the perfbench harness.
+  void SetExecMode(ExecMode /*mode*/) {}
+  /// Turns per-call timing on/off for this subtree (off by default).
   void EnableTiming(bool on);
   /// Attaches a deadline/cancel control to this subtree. Checked in the
-  /// NextBatch wrapper (every batch) and in Next (every
-  /// kControlCheckRows rows), so blocking Open()s that drain a child via
-  /// either surface are interruptible too. \p control is borrowed and must
-  /// outlive execution; nullptr detaches.
+  /// NextBatch wrapper at every batch, so blocking Open()s that drain a
+  /// child are interruptible too. \p control is borrowed and must outlive
+  /// execution; nullptr detaches.
   void SetControl(const ExecControl* control);
 
   const OperatorStats& stats() const { return stats_; }
 
  protected:
-  /// Row-at-a-time implementation (every operator has one).
-  virtual Result<bool> NextImpl(Row* out) = 0;
-  /// Batch implementation; the default adapter fills the batch by looping
-  /// NextImpl, so operators convert incrementally.
-  virtual Result<bool> NextBatchImpl(RowBatch* out);
+  /// Fills \p out (already reset) with the next rows; returns false at end
+  /// of stream.
+  virtual Result<bool> NextBatchImpl(RowBatch* out) = 0;
 
-  /// Runs \p child to exhaustion, invoking \p fn per row, honoring mode_.
-  Status ForEachChildRow(Operator* child,
-                         const std::function<Status(const Row&)>& fn);
-
-  /// Row-path control-check stride (the batch path checks every batch).
-  static constexpr uint64_t kControlCheckRows = 1024;
+  /// Runs \p child to exhaustion, invoking \p fn per active row.
+  static Status ForEachChildRow(Operator* child,
+                                const std::function<Status(const Row&)>& fn);
 
   Scope scope_;
-  ExecMode mode_ = ExecMode::kBatch;
   bool timing_ = false;
   const ExecControl* control_ = nullptr;
-  uint64_t rows_since_check_ = 0;
   OperatorStats stats_;
 };
 
@@ -137,8 +115,7 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// (ms appears only after EnableTiming; times are inclusive of children.)
 std::string FormatOperatorStats(Operator& root);
 
-/// Full-table scan. Batch mode deserializes a whole heap page per call into
-/// reused row storage.
+/// Full-table scan: one whole decoded heap page per call, zero copy.
 class SeqScanOp final : public Operator {
  public:
   SeqScanOp(const Table* table, const std::string& alias);
@@ -147,13 +124,11 @@ class SeqScanOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
   const Table* table_;
   size_t page_ = 0;
-  uint32_t row_ = 0;  ///< next row within cur_page_ (row path)
   /// Decoded rows of the current page; holding the shared_ptr keeps a
   /// Borrow'ed batch valid even if the cache entry is invalidated mid-scan.
   std::shared_ptr<const DecodedPage> cur_page_;
@@ -173,7 +148,6 @@ class IndexScanOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -184,9 +158,8 @@ class IndexScanOp final : public Operator {
   size_t pos_ = 0;
 };
 
-/// Scans a materialized result (CTE / derived table) under a new alias.
-/// Batch mode borrows the cached rows (zero copies); the row path must copy
-/// to satisfy the Next contract.
+/// Scans a materialized result (CTE / derived table) under a new alias,
+/// borrowing the cached rows (zero copies).
 class MaterializedScanOp final : public Operator {
  public:
   MaterializedScanOp(std::shared_ptr<const Materialized> mat,
@@ -196,7 +169,6 @@ class MaterializedScanOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -204,8 +176,8 @@ class MaterializedScanOp final : public Operator {
   size_t pos_ = 0;
 };
 
-/// WHERE filter. Batch mode evaluates the predicate over the whole batch
-/// and narrows it with a selection vector — surviving rows are not moved.
+/// WHERE filter. Evaluates the predicate over the whole batch and narrows
+/// it with a selection vector — surviving rows are not moved.
 class FilterOp final : public Operator {
  public:
   FilterOp(OperatorPtr child, BoundExprPtr predicate);
@@ -215,7 +187,6 @@ class FilterOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -224,8 +195,8 @@ class FilterOp final : public Operator {
   std::vector<uint32_t> sel_;  ///< scratch selection (reused per batch)
 };
 
-/// Projection: computes output expressions, renames scope. Batch mode
-/// evaluates each expression column-at-a-time over the input batch.
+/// Projection: computes output expressions, renames scope. Each computed
+/// expression evaluates column-at-a-time over the input batch.
 class ProjectOp final : public Operator {
  public:
   ProjectOp(OperatorPtr child, std::vector<BoundExprPtr> exprs, Scope out);
@@ -235,22 +206,20 @@ class ProjectOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
   OperatorPtr child_;
   std::vector<BoundExprPtr> exprs_;
   std::vector<int> slots_;  ///< per-expr: source slot if a bare ref, else -1
-  Row in_;                                ///< row-path input buffer (reused)
-  RowBatch in_batch_;                     ///< batch-path input buffer
+  RowBatch in_batch_;                     ///< input buffer (reused)
   std::vector<std::vector<Value>> cols_;  ///< per-expression value columns
 };
 
 /// Hash join: builds on the right child, probes with the left. Inner or
 /// left-outer. Residual predicate (if any) evaluated on the concatenated
-/// row before a match counts. Batch mode probes a whole left batch per
-/// call, with join keys computed column-at-a-time.
+/// row before a match counts. Probes a left batch per call, with join keys
+/// computed column-at-a-time.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
@@ -265,11 +234,9 @@ class HashJoinOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
-  Result<bool> NextLeft();
   /// Build-table probe. Null when no match.
   const std::vector<Row>* LookupBuild(const std::vector<Value>& key) const;
 
@@ -283,21 +250,16 @@ class HashJoinOp final : public Operator {
   std::unordered_map<std::vector<Value>, std::vector<Row>, ValueVectorHasher>
       build_;
   size_t right_width_ = 0;
-  Row left_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  bool left_valid_ = false;
-  bool emitted_for_left_ = false;
 
-  RowBatch probe_;                             ///< batch-path probe buffer
+  RowBatch probe_;                             ///< probe-side input buffer
   std::vector<std::vector<Value>> key_cols_;   ///< per-key probe columns
   size_t probe_pos_ = 0;                       ///< resume cursor into probe_
 };
 
 /// Index nested-loop join: for each outer row, probes the inner table's
 /// index with a key computed from the outer row. Inner or left-outer.
-/// Batch mode probes one outer batch at a time and pauses between outer
-/// rows once the output batch reaches capacity, resuming on the next call.
+/// Probes one outer batch at a time and pauses between outer rows once the
+/// output batch reaches capacity, resuming on the next call.
 class IndexNLJoinOp final : public Operator {
  public:
   IndexNLJoinOp(OperatorPtr outer, const Table* inner,
@@ -312,14 +274,12 @@ class IndexNLJoinOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
-  /// Emits every join result of \p outer_row into \p out; returns whether
-  /// anything (including an outer-padded row) was emitted.
-  Result<bool> ProbeInto(const Row& outer_row, const Value& key,
-                         RowBatch* out);
+  /// Emits every join result of \p outer_row into \p out, or the
+  /// NULL-padded row when a left-outer join finds none.
+  Status ProbeInto(const Row& outer_row, const Value& key, RowBatch* out);
 
   OperatorPtr outer_;
   const Table* inner_;
@@ -328,20 +288,16 @@ class IndexNLJoinOp final : public Operator {
   bool left_outer_;
   BoundExprPtr residual_;  ///< bound against concatenated scope
 
-  Row outer_row_;
-  Row inner_row_;          ///< row-path inner buffer (reused per rid)
-  std::vector<RowId> rids_;
-  size_t rid_pos_ = 0;
-  bool outer_valid_ = false;
-  bool emitted_for_outer_ = false;
-
-  RowBatch outer_batch_;                      ///< batch-path outer buffer
+  Row inner_row_;                             ///< inner fetch buffer
+  RowBatch outer_batch_;                      ///< outer input buffer
   std::vector<Value> key_col_;                ///< batch-evaluated keys
   size_t outer_pos_ = 0;                      ///< resume cursor into batch
 };
 
 /// Cross nested-loop join (inner side materialized), with optional residual
 /// predicate and left-outer support. Fallback when no equi-key exists.
+/// Like the other joins it pauses between left rows once the output batch
+/// is full, resuming on the next call.
 class NestedLoopJoinOp final : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, bool left_outer,
@@ -354,7 +310,7 @@ class NestedLoopJoinOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
+  Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
   OperatorPtr left_;
@@ -364,10 +320,8 @@ class NestedLoopJoinOp final : public Operator {
 
   std::vector<Row> right_rows_;
   size_t right_width_ = 0;
-  Row left_row_;
-  size_t right_pos_ = 0;
-  bool left_valid_ = false;
-  bool emitted_for_left_ = false;
+  RowBatch left_batch_;                       ///< left input buffer
+  size_t left_pos_ = 0;                       ///< resume cursor into batch
 };
 
 /// UNNEST(e1, ..., en) AS a(c): lateral operator emitting, per input row,
@@ -383,16 +337,12 @@ class UnnestOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
   OperatorPtr child_;
   std::vector<BoundExprPtr> args_;
-  Row current_;
-  size_t arg_pos_ = 0;
-  bool valid_ = false;
-  RowBatch in_batch_;                     ///< batch-path input buffer
+  RowBatch in_batch_;                     ///< input buffer (reused)
   std::vector<std::vector<Value>> arg_cols_;
   size_t in_pos_ = 0;                     ///< resume cursor into in_batch_
 };
@@ -408,7 +358,6 @@ class UnionAllOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -416,8 +365,8 @@ class UnionAllOp final : public Operator {
   size_t current_ = 0;
 };
 
-/// Hash-based duplicate elimination. Batch mode marks first occurrences in
-/// a selection vector.
+/// Hash-based duplicate elimination. Marks first occurrences in a
+/// selection vector.
 class DistinctOp final : public Operator {
  public:
   explicit DistinctOp(OperatorPtr child);
@@ -427,7 +376,6 @@ class DistinctOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -448,7 +396,6 @@ class SortOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -479,7 +426,6 @@ class AggregateOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -494,8 +440,7 @@ class AggregateOp final : public Operator {
     std::unordered_set<Value, ValueHasher> seen;  // DISTINCT inputs
   };
 
-  Status Accumulate(const Row& in, std::vector<AggState>* states);
-  /// Folds one non-null input value into \p st (shared by both drains).
+  /// Folds one non-null input value into \p st.
   Status Update(const AggSpec& spec, AggState* st, const Value& v);
   Value Finalize(const AggSpec& spec, const AggState& st) const;
 
@@ -506,7 +451,7 @@ class AggregateOp final : public Operator {
   size_t pos_ = 0;
 };
 
-/// LIMIT/OFFSET. Batch mode trims child batches with a selection vector.
+/// LIMIT/OFFSET. Trims child batches with a selection vector.
 class LimitOp final : public Operator {
  public:
   LimitOp(OperatorPtr child, std::optional<int64_t> limit,
@@ -517,7 +462,6 @@ class LimitOp final : public Operator {
   Status VerifySelf() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
@@ -529,10 +473,9 @@ class LimitOp final : public Operator {
   std::vector<uint32_t> sel_;
 };
 
-/// Runs \p op to completion, collecting rows. Sets \p mode (and, when
-/// non-null, \p control) on the tree before Open().
+/// Runs \p op to completion, collecting rows. Attaches \p control (when
+/// non-null) to the tree before Open().
 Result<std::vector<Row>> CollectRows(Operator* op,
-                                     ExecMode mode = ExecMode::kBatch,
                                      const ExecControl* control = nullptr);
 
 }  // namespace rdfrel::sql

@@ -161,7 +161,7 @@ class BinaryExpr final : public BoundExpr {
   /// Vectorized for everything but AND/OR: children evaluate over the whole
   /// batch, then the operator combines the flat value vectors. AND/OR keep
   /// the per-row default so the Kleene shortcut (right side unevaluated when
-  /// the left decides) behaves identically to the row path.
+  /// the left decides) behaves identically to per-row Evaluate.
   Status EvaluateBatch(const RowBatch& batch,
                        std::vector<Value>* out) const override {
     using ast::BinaryOp;

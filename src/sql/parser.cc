@@ -95,6 +95,23 @@ class Parser {
     if (ConsumeSymbol(sym)) return Status::OK();
     return Error(std::string("expected '") + std::string(sym) + "'");
   }
+  /// Consumes the integer after LIMIT/OFFSET. Out-of-range input is a parse
+  /// error, never an exception.
+  Result<int64_t> ParseCount(const char* clause) {
+    const Token& t = Peek();
+    int64_t v = 0;
+    if (t.kind != TokenKind::kInteger) {
+      return Error(std::string("expected ") + clause + " count");
+    }
+    auto [p, ec] =
+        std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+    if (ec != std::errc()) {
+      return Error(std::string(clause) + " count out of range");
+    }
+    Advance();
+    return v;
+  }
+
   Status Error(std::string msg) const {
     const Token& t = Peek();
     return Status::ParseError(msg + " at offset " + std::to_string(t.offset) +
@@ -230,8 +247,12 @@ class Parser {
         return MakeLiteral(Value::Int(v));
       }
       case TokenKind::kFloat: {
+        double v = 0;
+        auto [p, ec] =
+            std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+        if (ec != std::errc()) return Error("bad float literal");
         Advance();
-        return MakeLiteral(Value::Real(std::stod(t.text)));
+        return MakeLiteral(Value::Real(v));
       }
       case TokenKind::kString: {
         std::string s = t.text;
@@ -341,16 +362,10 @@ class Parser {
       } while (ConsumeSymbol(","));
     }
     if (ConsumeKeyword("LIMIT")) {
-      const Token& t = Peek();
-      if (t.kind != TokenKind::kInteger) return Error("expected LIMIT count");
-      stmt->limit = std::stoll(t.text);
-      Advance();
+      RDFREL_ASSIGN_OR_RETURN(stmt->limit, ParseCount("LIMIT"));
     }
     if (ConsumeKeyword("OFFSET")) {
-      const Token& t = Peek();
-      if (t.kind != TokenKind::kInteger) return Error("expected OFFSET count");
-      stmt->offset = std::stoll(t.text);
-      Advance();
+      RDFREL_ASSIGN_OR_RETURN(stmt->offset, ParseCount("OFFSET"));
     }
     return stmt;
   }

@@ -42,9 +42,8 @@ struct PendingSource {
 
 class CorePlanner {
  public:
-  CorePlanner(const Catalog& catalog, CteEnv* env, ExecMode mode,
-              const ExecControl* control)
-      : catalog_(catalog), env_(env), mode_(mode), control_(control) {}
+  CorePlanner(const Catalog& catalog, CteEnv* env, const ExecControl* control)
+      : catalog_(catalog), env_(env), control_(control) {}
 
   /// Plans one core. When \p order_by is non-null the sort is planted inside
   /// this core (below the final projection trim), so sort keys may reference
@@ -339,9 +338,9 @@ class CorePlanner {
     if (item.kind == FromKind::kSubquery) {
       RDFREL_ASSIGN_OR_RETURN(OperatorPtr sub,
                               PlanSelect(catalog_, *item.subquery, env_,
-                                         mode_, control_));
+                                         control_));
       RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                              CollectRows(sub.get(), mode_, control_));
+                              CollectRows(sub.get(), control_));
       auto mat = std::make_shared<Materialized>();
       mat->scope = sub->scope();
       mat->rows = std::move(rows);
@@ -651,7 +650,6 @@ class CorePlanner {
 
   const Catalog& catalog_;
   CteEnv* env_;
-  ExecMode mode_;  ///< drive mode for subquery/CTE materialization
   const ExecControl* control_;  ///< cancellation for those materializations
   std::vector<ast::ExprPtr> owned_;
 };
@@ -690,14 +688,13 @@ BoundExprPtr CorePlanner::MakeAndExpr(BoundExprPtr a, BoundExprPtr b) {
 
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
-                               ExecMode mode, const ExecControl* control,
-                               const ExecOptions* /*exec*/) {
+                               const ExecControl* control) {
   // Materialize CTEs in order.
   for (const auto& cte : stmt.ctes) {
     RDFREL_ASSIGN_OR_RETURN(
-        OperatorPtr op, PlanSelect(catalog, *cte.query, env, mode, control));
+        OperatorPtr op, PlanSelect(catalog, *cte.query, env, control));
     RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                            CollectRows(op.get(), mode, control));
+                            CollectRows(op.get(), control));
     auto mat = std::make_shared<Materialized>();
     mat->scope = op->scope();
     mat->rows = std::move(rows);
@@ -709,7 +706,7 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
   std::vector<OperatorPtr> cores;
   const bool single_core = stmt.cores.size() == 1;
   for (const auto& core : stmt.cores) {
-    CorePlanner planner(catalog, env, mode, control);
+    CorePlanner planner(catalog, env, control);
     RDFREL_ASSIGN_OR_RETURN(
         OperatorPtr op,
         planner.PlanCore(core, single_core && !stmt.order_by.empty()
@@ -754,21 +751,6 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
     RDFREL_RETURN_NOT_OK(VerifyOperatorTree(*root));
   }
   return root;
-}
-
-Result<std::shared_ptr<Materialized>> RunSelect(const Catalog& catalog,
-                                                const ast::SelectStmt& stmt,
-                                                ExecMode mode,
-                                                const ExecControl* control) {
-  CteEnv env;
-  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
-                          PlanSelect(catalog, stmt, &env, mode, control));
-  RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                          CollectRows(op.get(), mode, control));
-  auto mat = std::make_shared<Materialized>();
-  mat->scope = op->scope();
-  mat->rows = std::move(rows);
-  return mat;
 }
 
 }  // namespace rdfrel::sql

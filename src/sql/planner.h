@@ -25,22 +25,24 @@ using CteEnv = std::map<std::string, std::shared_ptr<const Materialized>>;
 /// Plans and materializes every CTE of \p stmt into \p env (in order; later
 /// CTEs may reference earlier ones), then returns the root operator for the
 /// statement body. The returned operator tree borrows \p catalog and the
-/// materialized results in \p env; both must outlive it. \p mode drives the
-/// materialization of CTEs and subqueries during planning; \p control (when
-/// non-null) makes those materializations — which run *during planning* —
-/// honor the query's deadline/cancel token, and must outlive execution.
-/// \p exec is accepted for existing callers and not read: its only field,
-/// control, is passed as \p control.
+/// materialized results in \p env; both must outlive it. \p control (when
+/// non-null) makes the CTE and subquery materializations — which run
+/// *during planning* — honor the query's deadline/cancel token, and must
+/// outlive execution.
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
-                               ExecMode mode = ExecMode::kBatch,
-                               const ExecControl* control = nullptr,
-                               const ExecOptions* exec = nullptr);
+                               const ExecControl* control = nullptr);
 
-/// Executes a planned SELECT to completion in the given drive mode.
-Result<std::shared_ptr<Materialized>> RunSelect(
-    const Catalog& catalog, const ast::SelectStmt& stmt,
-    ExecMode mode = ExecMode::kBatch, const ExecControl* control = nullptr);
+/// The signature the perfbench harness calls: \p mode and \p exec are
+/// inert (batches are the only execution surface, and exec's only field,
+/// control, is passed as \p control).
+inline Result<OperatorPtr> PlanSelect(const Catalog& catalog,
+                                      const ast::SelectStmt& stmt,
+                                      CteEnv* env, ExecMode /*mode*/,
+                                      const ExecControl* control = nullptr,
+                                      const ExecOptions* /*exec*/ = nullptr) {
+  return PlanSelect(catalog, stmt, env, control);
+}
 
 }  // namespace rdfrel::sql
 

@@ -1,5 +1,6 @@
 #include "store/backend_util.h"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -167,8 +168,9 @@ Status ExecuteDecodedSqlStreaming(
     const QueryOptions& opts, RowSink& sink) {
   const sql::ExecControl control = ControlFromOptions(opts);
   // The SQL row may be wider than the projection: post_filter_vars are
-  // extra trailing columns the post-filters need (sql_base.h). They are
-  // decoded, filtered over, and trimmed before rows reach the sink.
+  // extra trailing columns the post-filters and ORDER BY need
+  // (sql_base.h). They are decoded, filtered over, sorted on, and trimmed
+  // before rows reach the sink.
   std::vector<std::string> visible = query.EffectiveSelectVars();
   const size_t visible_width = visible.size();
   std::vector<std::string> vars = visible;
@@ -176,16 +178,58 @@ Status ExecuteDecodedSqlStreaming(
   const std::vector<sparql::AggKind> kinds = ColumnAggKinds(query,
                                                             vars.size());
   // The modifiers the SQL builder left out run here, after the
-  // post-filters (same rule as the builder: translate::PlaceModifiers).
+  // post-filters and ORDER BY (same rule as the builder:
+  // translate::PlaceModifiers).
   RDFREL_ASSIGN_OR_RETURN(
       const translate::ModifierPlacement place,
       translate::PlaceModifiers(query, !post_filters.empty(),
                                 !post_filter_vars.empty()));
   const bool distinct_here = query.distinct && !place.distinct_in_sql;
   const bool slice_here = !place.slice_in_sql;
+  // ORDER BY sorts whole decoded rows (extra columns included) before the
+  // trim, DISTINCT and slice, so it buffers every row until the SQL ends.
+  std::vector<std::pair<size_t, bool>> order_keys;  // column, descending
+  for (const auto& oc : query.order_by) {
+    auto it = std::find(vars.begin(), vars.end(), oc.var);
+    if (it != vars.end()) {
+      order_keys.emplace_back(static_cast<size_t>(it - vars.begin()),
+                              oc.descending);
+    }
+  }
+  const bool order_here = !query.order_by.empty();
+  std::vector<Binding> ordered;
   std::set<std::string> seen;
   int64_t skip = slice_here && query.offset.has_value() ? *query.offset : 0;
   int64_t budget = slice_here && query.limit.has_value() ? *query.limit : -1;
+  auto emit = [&](std::vector<Binding> block) -> Status {
+    // Also drops the placeholder column of a query that projects nothing.
+    for (auto& row : block) {
+      if (row.size() > visible_width) row.resize(visible_width);
+    }
+    if (distinct_here || slice_here) {
+      std::vector<Binding> kept;
+      kept.reserve(block.size());
+      for (auto& row : block) {
+        if (distinct_here) {
+          std::string sig;
+          for (const auto& c : row) {
+            sig += c.has_value() ? c->ToNTriples() : std::string("\x01");
+            sig += '\x1f';
+          }
+          if (!seen.insert(std::move(sig)).second) continue;
+        }
+        if (skip > 0) {
+          --skip;
+          continue;
+        }
+        if (budget == 0) break;
+        if (budget > 0) --budget;
+        kept.push_back(std::move(row));
+      }
+      block = std::move(kept);
+    }
+    return sink.OnRows(std::move(block));
+  };
   RDFREL_RETURN_NOT_OK(sink.Begin(visible));
   RDFREL_RETURN_NOT_OK(db->QueryStreaming(
       sql, &control, nullptr, [&](const sql::RowBatch& batch) -> Status {
@@ -210,33 +254,22 @@ Status ExecuteDecodedSqlStreaming(
         }
         RDFREL_RETURN_NOT_OK(
             ApplyPostFiltersToRows(post_filters, vars, &block));
-        if (visible_width < vars.size()) {
-          for (auto& row : block) row.resize(visible_width);
-        }
-        if (distinct_here || slice_here) {
-          std::vector<Binding> kept;
-          kept.reserve(block.size());
-          for (auto& row : block) {
-            if (distinct_here) {
-              std::string sig;
-              for (const auto& c : row) {
-                sig += c.has_value() ? c->ToNTriples() : std::string("\x01");
-                sig += '\x1f';
-              }
-              if (!seen.insert(std::move(sig)).second) continue;
-            }
-            if (skip > 0) {
-              --skip;
-              continue;
-            }
-            if (budget == 0) break;
-            if (budget > 0) --budget;
-            kept.push_back(std::move(row));
-          }
-          block = std::move(kept);
-        }
-        return sink.OnRows(std::move(block));
+        if (!order_here) return emit(std::move(block));
+        ordered.insert(ordered.end(), std::make_move_iterator(block.begin()),
+                       std::make_move_iterator(block.end()));
+        return Status::OK();
       }));
+  if (order_here) {
+    std::stable_sort(ordered.begin(), ordered.end(),
+                     [&](const Binding& a, const Binding& b) {
+                       for (const auto& [col, desc] : order_keys) {
+                         int c = CompareForOrderBy(a[col], b[col]);
+                         if (c != 0) return desc ? c > 0 : c < 0;
+                       }
+                       return false;
+                     });
+    RDFREL_RETURN_NOT_OK(emit(std::move(ordered)));
+  }
   return sink.End();
 }
 

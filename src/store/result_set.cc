@@ -56,36 +56,46 @@ bool TryNumeric(const rdf::Term& t, double* out) {
   }
 }
 
-}  // namespace
+int OrderRank(const std::optional<rdf::Term>& t, double* num) {
+  if (!t.has_value()) return 0;
+  if (t->is_blank()) return 1;
+  if (t->is_iri()) return 2;
+  return TryNumeric(*t, num) ? 3 : 4;
+}
 
-Result<bool> EvalFilterOnBinding(const FilterExpr& f,
-                                 const std::vector<std::string>& vars,
-                                 const Binding& row) {
+/// Three-valued FILTER result: SPARQL errors (unbound operands, type
+/// mismatches) propagate through !, && and || and count as false at the
+/// top.
+enum class Tri { kFalse, kTrue, kError };
+
+Tri FromBool(bool b) { return b ? Tri::kTrue : Tri::kFalse; }
+
+Result<Tri> Eval(const FilterExpr& f, const std::vector<std::string>& vars,
+                 const Binding& row) {
   switch (f.op) {
-    case FilterOp::kAnd: {
-      RDFREL_ASSIGN_OR_RETURN(bool a, EvalFilterOnBinding(*f.lhs, vars, row));
-      if (!a) return false;
-      return EvalFilterOnBinding(*f.rhs, vars, row);
-    }
+    case FilterOp::kAnd:
     case FilterOp::kOr: {
-      RDFREL_ASSIGN_OR_RETURN(bool a, EvalFilterOnBinding(*f.lhs, vars, row));
-      if (a) return true;
-      return EvalFilterOnBinding(*f.rhs, vars, row);
+      RDFREL_ASSIGN_OR_RETURN(Tri a, Eval(*f.lhs, vars, row));
+      RDFREL_ASSIGN_OR_RETURN(Tri b, Eval(*f.rhs, vars, row));
+      const Tri decisive = f.op == FilterOp::kAnd ? Tri::kFalse : Tri::kTrue;
+      if (a == decisive || b == decisive) return decisive;
+      return a == Tri::kError || b == Tri::kError ? Tri::kError : a;
     }
     case FilterOp::kNot: {
-      RDFREL_ASSIGN_OR_RETURN(bool a, EvalFilterOnBinding(*f.lhs, vars, row));
-      return !a;
+      RDFREL_ASSIGN_OR_RETURN(Tri a, Eval(*f.lhs, vars, row));
+      if (a == Tri::kError) return a;
+      return FromBool(a == Tri::kFalse);
     }
     case FilterOp::kBound: {
       for (size_t i = 0; i < vars.size(); ++i) {
-        if (vars[i] == f.var) return row[i].has_value();
+        if (vars[i] == f.var) return FromBool(row[i].has_value());
       }
-      return false;
+      return Tri::kFalse;
     }
     case FilterOp::kRegex: {
       RDFREL_ASSIGN_OR_RETURN(auto v, OperandValue(*f.lhs, vars, row));
-      if (!v.has_value()) return false;
-      return v->lexical().find(f.pattern) != std::string::npos;
+      if (!v.has_value() || !v->is_literal()) return Tri::kError;
+      return FromBool(v->lexical().find(f.pattern) != std::string::npos);
     }
     case FilterOp::kEq:
     case FilterOp::kNe:
@@ -95,25 +105,30 @@ Result<bool> EvalFilterOnBinding(const FilterExpr& f,
     case FilterOp::kGe: {
       RDFREL_ASSIGN_OR_RETURN(auto a, OperandValue(*f.lhs, vars, row));
       RDFREL_ASSIGN_OR_RETURN(auto b, OperandValue(*f.rhs, vars, row));
-      if (!a.has_value() || !b.has_value()) return false;
+      if (!a.has_value() || !b.has_value()) return Tri::kError;
       double na, nb;
+      const bool a_num = TryNumeric(*a, &na);
+      const bool b_num = TryNumeric(*b, &nb);
       int cmp;
-      bool eq;
-      if (TryNumeric(*a, &na) && TryNumeric(*b, &nb)) {
+      if (a_num && b_num) {
         cmp = na < nb ? -1 : (na > nb ? 1 : 0);
-        eq = na == nb;
-      } else {
-        eq = *a == *b;
+      } else if (f.op == FilterOp::kEq || f.op == FilterOp::kNe) {
+        cmp = *a == *b ? 0 : 1;
+      } else if (a->is_literal() && b->is_literal() && !a_num && !b_num) {
+        // Two non-numeric literals order by lexical form; any other mix
+        // (IRIs, a number against a string) has no order.
         int c = a->lexical().compare(b->lexical());
         cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
+      } else {
+        return Tri::kError;
       }
       switch (f.op) {
-        case FilterOp::kEq: return eq;
-        case FilterOp::kNe: return !eq;
-        case FilterOp::kLt: return cmp < 0;
-        case FilterOp::kLe: return cmp <= 0;
-        case FilterOp::kGt: return cmp > 0;
-        default: return cmp >= 0;
+        case FilterOp::kEq: return FromBool(cmp == 0);
+        case FilterOp::kNe: return FromBool(cmp != 0);
+        case FilterOp::kLt: return FromBool(cmp < 0);
+        case FilterOp::kLe: return FromBool(cmp <= 0);
+        case FilterOp::kGt: return FromBool(cmp > 0);
+        default: return FromBool(cmp >= 0);
       }
     }
     case FilterOp::kVar:
@@ -121,6 +136,29 @@ Result<bool> EvalFilterOnBinding(const FilterExpr& f,
       return Status::Unsupported("bare operand as boolean FILTER");
   }
   return Status::Internal("unhandled filter op");
+}
+
+}  // namespace
+
+int CompareForOrderBy(const std::optional<rdf::Term>& a,
+                      const std::optional<rdf::Term>& b) {
+  double na = 0, nb = 0;
+  const int ra = OrderRank(a, &na);
+  const int rb = OrderRank(b, &nb);
+  if (ra != rb) return ra < rb ? -1 : 1;
+  if (ra == 0) return 0;
+  if (ra == 3) return na < nb ? -1 : (na > nb ? 1 : 0);
+  int c = a->lexical().compare(b->lexical());
+  if (c == 0) c = a->language().compare(b->language());
+  if (c == 0) c = a->datatype().compare(b->datatype());
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
+Result<bool> EvalFilterOnBinding(const FilterExpr& f,
+                                 const std::vector<std::string>& vars,
+                                 const Binding& row) {
+  RDFREL_ASSIGN_OR_RETURN(Tri t, Eval(f, vars, row));
+  return t == Tri::kTrue;
 }
 
 Status ApplyPostFiltersToRows(

@@ -29,12 +29,19 @@ struct ResultSet {
 };
 
 /// Evaluates a FILTER expression against one solution (SPARQL semantics:
-/// errors — unbound operands, type mismatches — yield false). REGEX is
-/// simplified to case-sensitive substring search, which covers the patterns
-/// used by the bundled benchmark workloads.
+/// errors — unbound operands, type mismatches — propagate through !, &&
+/// and || and yield false at the top). REGEX is simplified to
+/// case-sensitive substring search over a literal's lexical form, which
+/// covers the patterns used by the bundled benchmark workloads.
 Result<bool> EvalFilterOnBinding(const sparql::FilterExpr& f,
                                  const std::vector<std::string>& vars,
                                  const Binding& row);
+
+/// ORDER BY's order over solution values (-1, 0, 1): unbound < blank
+/// nodes < IRIs < literals; numeric literals precede other literals and
+/// compare by value, the rest by lexical form, language, then datatype.
+int CompareForOrderBy(const std::optional<rdf::Term>& a,
+                      const std::optional<rdf::Term>& b);
 
 /// Applies \p filters in place, keeping rows on which every filter is true.
 Status ApplyPostFilters(

@@ -21,11 +21,11 @@ Result<ModifierPlacement> PlaceModifiers(const sparql::Query& query,
                                          bool has_post_filters,
                                          bool has_post_filter_vars) {
   ModifierPlacement out;
-  if (!has_post_filters) {
+  if (!has_post_filters && query.order_by.empty()) {
     out.distinct_in_sql = query.distinct;
     return out;
   }
-  if (query.HasAggregates()) {
+  if (has_post_filters && query.HasAggregates()) {
     return Status::Unsupported(
         "aggregate over a FILTER the SQL translation cannot express");
   }
@@ -40,15 +40,20 @@ Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
     return Status::InvalidArgument("plan produced no relation");
   }
   std::vector<std::string> vars = query_.EffectiveSelectVars();
-  // Post-filters (e.g. REGEX) run on decoded rows after the SQL; any
-  // variable they read must survive the projection even when it is not
-  // selected. Extra columns ride at the tail of the SELECT list and the
-  // decode stage drops them once the filters have run.
+  // Post-filters (e.g. REGEX) and ORDER BY run on decoded rows after the
+  // SQL; any variable they read must survive the projection even when it
+  // is not selected. Extra columns ride at the tail of the SELECT list and
+  // the decode stage drops them once it has filtered and sorted.
   std::vector<std::string> extra;
-  if (!post_filters_.empty() && !query_.HasAggregates()) {
+  if (!query_.HasAggregates()) {
     std::set<std::string> have(vars.begin(), vars.end());
     for (const auto* f : post_filters_) {
       CollectExtraFilterVars(*f, &have, &extra);
+    }
+    for (const auto& oc : query_.order_by) {
+      if (bound_.count(oc.var) && have.insert(oc.var).second) {
+        extra.push_back(oc.var);
+      }
     }
   }
   RDFREL_ASSIGN_OR_RETURN(
@@ -85,16 +90,6 @@ Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
   }
   if (vars.empty() && extra.empty()) sql += "1 AS one";
   sql += " FROM " + cur_;
-  }
-  if (!query_.order_by.empty()) {
-    std::string order;
-    for (const auto& oc : query_.order_by) {
-      if (bound_.find(oc.var) == bound_.end()) continue;
-      if (!order.empty()) order += ", ";
-      order += VarColumn(oc.var);
-      if (oc.descending) order += " DESC";
-    }
-    if (!order.empty()) sql += " ORDER BY " + order;
   }
   if (query_.limit.has_value() && place.slice_in_sql) {
     sql += " LIMIT " + std::to_string(*query_.limit);
@@ -520,18 +515,34 @@ Result<std::string> PatternSqlBuilderBase::EqualityToSql(
     var_side = f.rhs.get();
     term_side = f.lhs.get();
   }
-  const char* op = f.op == FilterOp::kEq ? " = " : " <> ";
+  const bool eq = f.op == FilterOp::kEq;
+  const char* op = eq ? " = " : " <> ";
   if (var_side != nullptr) {
-    // Numeric literals compare by value via lex ("5"^^int == "5.0"^^dec).
+    // Numeric literals compare by value via lex ("5"^^int == "5.0"^^dec);
+    // a bound non-numeric term (no lex row) differs from any number.
     auto num = NumericOf(term_side->term);
     if (num.ok() && !lex_table_.empty()) {
       RDFREL_ASSIGN_OR_RETURN(std::string alias,
                               LexAlias(var_side->var, lex));
-      return alias + ".num" + op + std::to_string(*num);
+      const std::string cmp = alias + ".num" + op + std::to_string(*num);
+      if (eq) return cmp;
+      RDFREL_ASSIGN_OR_RETURN(std::string col, OperandToId(*var_side));
+      return "(" + col + " IS NOT NULL AND (" + alias + ".num IS NULL OR " +
+             cmp + "))";
     }
   }
   RDFREL_ASSIGN_OR_RETURN(std::string a, OperandToId(*f.lhs));
   RDFREL_ASSIGN_OR_RETURN(std::string b, OperandToId(*f.rhs));
+  if (f.lhs->op == FilterOp::kVar && f.rhs->op == FilterOp::kVar &&
+      !lex_table_.empty()) {
+    // Two numeric literals are equal when their values are, whatever
+    // their lexical forms.
+    RDFREL_ASSIGN_OR_RETURN(std::string la, LexAlias(f.lhs->var, lex));
+    RDFREL_ASSIGN_OR_RETURN(std::string lb, LexAlias(f.rhs->var, lex));
+    if (eq) return "(" + a + " = " + b + " OR " + la + ".num = " + lb + ".num)";
+    return "(" + a + " <> " + b + " AND (" + la + ".num IS NULL OR " + lb +
+           ".num IS NULL OR " + la + ".num <> " + lb + ".num))";
+  }
   return a + op + b;
 }
 

@@ -27,28 +27,32 @@ namespace rdfrel::translate {
 struct TranslatedQuery {
   std::string sql;
   std::vector<const sparql::FilterExpr*> post_filters;
-  /// Variables the post-filters read that are NOT in the projection: the
-  /// SQL carries them as extra trailing columns so the filters can see
-  /// them, and the decode stage drops them again afterwards. Which of
-  /// DISTINCT and LIMIT/OFFSET then stay in the SQL is PlaceModifiers'.
+  /// Variables the decode stage reads that are NOT in the projection —
+  /// those of the post-filters and the ORDER BY keys: the SQL carries them
+  /// as extra trailing columns, and the decode stage drops them again once
+  /// it has filtered and sorted. Which of DISTINCT and LIMIT/OFFSET then
+  /// stay in the SQL is PlaceModifiers'.
   std::vector<std::string> post_filter_vars;
 };
 
 /// Where DISTINCT and the LIMIT/OFFSET slice run: in the generated SQL, or
-/// in the decode stage after the post-filters. Whatever does not run in
-/// the SQL runs at decode (DISTINCT only if the query asks for it).
+/// in the decode stage after the post-filters and ORDER BY. Whatever does
+/// not run in the SQL runs at decode (DISTINCT only if the query asks for
+/// it). ORDER BY always runs at decode.
 struct ModifierPlacement {
   bool distinct_in_sql = false;
   bool slice_in_sql = true;
 };
 
 /// The one rule for placing solution modifiers, shared by the SQL builder
-/// and the decode stage (store/backend_util.cc). Post-filters drop rows
-/// after the SQL, so any slice in the SQL would cut before them: with
-/// post-filters the slice always defers to decode. DISTINCT stays in the
-/// SQL unless extra filter columns widen the row, where it would keep
-/// duplicate projections. An aggregate computed in the SQL cannot see a
-/// post-filter at all, so that combination is Unsupported.
+/// and the decode stage (store/backend_util.cc). ORDER BY compares RDF
+/// terms, which dictionary ids do not order, so it sorts decoded rows.
+/// Post-filters drop rows after the SQL and ORDER BY reorders them there,
+/// so any slice in the SQL would cut too early: with either, the slice
+/// defers to decode. DISTINCT stays in the SQL unless extra decode columns
+/// widen the row, where it would keep duplicate projections. An aggregate
+/// computed in the SQL cannot see a post-filter at all, so that
+/// combination is Unsupported.
 Result<ModifierPlacement> PlaceModifiers(const sparql::Query& query,
                                          bool has_post_filters,
                                          bool has_post_filter_vars);

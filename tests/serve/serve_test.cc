@@ -293,6 +293,25 @@ TEST_F(ServeTest, ErrorCodes) {
       1u);
 }
 
+TEST_F(ServeTest, HostileNumbersGet400AndServingContinues) {
+  auto server = StartServer(micro_store_);
+  auto client = ClientFor(*server);
+  for (const char* tail :
+       {" LIMIT 99999999999999999999", " OFFSET 99999999999999999999"}) {
+    auto resp = client.Post("/sparql", "application/sparql-query",
+                            std::string(kSmallQuery) + tail);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, 400) << tail;
+  }
+  // The same connection, and the endpoint, keep answering.
+  auto next = client.Get("/sparql?query=" + UrlEncode(kSmallQuery));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->status, 200);
+  auto fresh = ClientFor(*server).Get("/healthz");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->status, 200);
+}
+
 TEST_F(ServeTest, MalformedRequestGets400AndClose) {
   auto server = StartServer(micro_store_);
   auto client = ClientFor(*server);

@@ -1,5 +1,8 @@
 #include "sparql/parser.h"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace rdfrel::sparql {
@@ -114,6 +117,22 @@ TEST(SparqlParserTest, DistinctOrderLimitOffset) {
   EXPECT_FALSE(q->order_by[1].descending);
   EXPECT_EQ(q->limit, 10);
   EXPECT_EQ(q->offset, 20);
+}
+
+TEST(SparqlParserTest, HostileLimitOffsetIsAParseError) {
+  // Out of int64 range, and negative: errors, never an exception.
+  for (const char* tail :
+       {"LIMIT 99999999999999999999", "OFFSET 99999999999999999999",
+        "LIMIT 10 OFFSET 9223372036854775808", "LIMIT -1", "OFFSET -5"}) {
+    auto q = ParseQuery(std::string("SELECT * WHERE { ?s ?p ?o } ") + tail);
+    EXPECT_TRUE(q.status().IsParseError()) << tail << ": "
+                                           << q.status().ToString();
+  }
+  auto max = ParseQuery(
+      "SELECT * WHERE { ?s ?p ?o } LIMIT 9223372036854775807 OFFSET 0");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->limit, INT64_MAX);
+  EXPECT_EQ(max->offset, 0);
 }
 
 TEST(SparqlParserTest, Filters) {

@@ -1,12 +1,16 @@
-/// Vectorized-execution tests: RowBatch semantics, the row-fallback
-/// adapter, and row-vs-batch differential checks for the join operators at
-/// batch-boundary input sizes (0, 1, capacity-1, capacity, capacity+1),
-/// with duplicate build keys and NULL join keys; plus serial end-to-end
-/// checks of cancellation, deadlines during CTE materialization, LIMIT
-/// order and joins against materialized subqueries.
+/// Vectorized-execution tests: RowBatch semantics, the NextBatch wrapper's
+/// counters, and the join operators at batch-boundary input sizes (0, 1,
+/// capacity-1, capacity, capacity+1), with duplicate build keys and NULL
+/// join keys, checked against rows each test computes from its own
+/// generated tuples; plus serial end-to-end checks of cancellation,
+/// deadlines during CTE materialization, LIMIT order and joins against
+/// materialized subqueries.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -84,33 +88,37 @@ TEST(RowBatchTest, FlushToCollectsActiveRows) {
   EXPECT_EQ(out[1][0].AsInt(), 5);
 }
 
-// ------------------------------------------------- row-fallback adapter
+// ------------------------------------------------------ NextBatch wrapper
 
-/// An operator with only a row implementation; NextBatch must come from
-/// the base adapter.
-class RowOnlyOp final : public Operator {
+/// Emits 0..n-1 in batches of at most \p chunk rows.
+class CountingOp final : public Operator {
  public:
-  explicit RowOnlyOp(int n) : n_(n) { scope_.Add("t", "x"); }
+  CountingOp(int n, size_t chunk) : n_(n), chunk_(chunk) {
+    scope_.Add("t", "x");
+  }
   Status Open() override {
     pos_ = 0;
     return Status::OK();
   }
-  std::string name() const override { return "RowOnly"; }
+  std::string name() const override { return "Counting"; }
 
  protected:
-  Result<bool> NextImpl(Row* out) override {
+  Result<bool> NextBatchImpl(RowBatch* out) override {
     if (pos_ >= n_) return false;
-    out->assign({Value::Int(pos_++)});
+    for (size_t i = 0; i < chunk_ && pos_ < n_; ++i) {
+      out->AddRow()->assign({Value::Int(pos_++)});
+    }
     return true;
   }
 
  private:
   int n_;
+  size_t chunk_;
   int pos_ = 0;
 };
 
-TEST(BatchAdapterTest, AdapterChunksRowStreamIntoFullBatches) {
-  RowOnlyOp op(2500);
+TEST(NextBatchTest, CountsActiveRowsAndBatches) {
+  CountingOp op(2500, RowBatch::kDefaultCapacity);
   ASSERT_TRUE(op.Open().ok());
   RowBatch batch;
   int64_t total = 0;
@@ -120,7 +128,6 @@ TEST(BatchAdapterTest, AdapterChunksRowStreamIntoFullBatches) {
     ASSERT_TRUE(has.ok());
     if (!*has) break;
     ++batches;
-    EXPECT_LE(batch.ActiveSize(), RowBatch::kDefaultCapacity);
     for (size_t i = 0; i < batch.ActiveSize(); ++i) {
       EXPECT_EQ(batch.Active(i)[0].AsInt(), total++);
     }
@@ -131,43 +138,58 @@ TEST(BatchAdapterTest, AdapterChunksRowStreamIntoFullBatches) {
   EXPECT_EQ(op.stats().batches, 3u);
 }
 
-TEST(BatchAdapterTest, EmptyStreamYieldsNoBatch) {
-  RowOnlyOp op(0);
+TEST(NextBatchTest, EmptyStreamYieldsNoBatch) {
+  CountingOp op(0, 8);
   ASSERT_TRUE(op.Open().ok());
   RowBatch batch;
   auto has = op.NextBatch(&batch);
   ASSERT_TRUE(has.ok());
   EXPECT_FALSE(*has);
+  EXPECT_EQ(op.stats().batches, 0u);
 }
 
-// ------------------------------------ join edge cases, row vs batch diff
+// -------------------------------- join edge cases against expected rows
 
-std::multiset<std::string> Sig(const QueryResult& qr) {
-  std::multiset<std::string> out;
-  for (const auto& row : qr.rows) {
-    std::string s;
-    for (const auto& v : row) {
-      s += v.ToString();
-      s += "\x1f";
-    }
-    out.insert(s);
+using Expected = std::vector<Row>;
+
+std::string RowSig(const Row& row) {
+  std::string s;
+  for (const auto& v : row) {
+    s += v.ToString();
+    s += "\x1f";
   }
+  return s;
+}
+
+std::multiset<std::string> Sig(const std::vector<Row>& rows) {
+  std::multiset<std::string> out;
+  for (const auto& row : rows) out.insert(RowSig(row));
   return out;
 }
 
-/// Runs \p q in both modes and asserts identical (order-insensitive)
-/// results; returns the row count.
-size_t ExpectModesAgree(Database& db, const std::string& q) {
-  db.set_exec_mode(ExecMode::kRow);
-  auto row_res = db.Query(q);
-  db.set_exec_mode(ExecMode::kBatch);
-  auto batch_res = db.Query(q);
-  EXPECT_EQ(row_res.ok(), batch_res.ok()) << q;
-  if (!row_res.ok() || !batch_res.ok()) return 0;
-  EXPECT_EQ(Sig(*row_res), Sig(*batch_res))
-      << q << "\nrow path: " << row_res->rows.size()
-      << " rows, batch path: " << batch_res->rows.size() << " rows";
-  return row_res->rows.size();
+/// Runs \p q with profiling and asserts that the plan contains \p op (when
+/// non-empty) and that the answer equals \p expected — as a multiset, or in
+/// order when \p ordered. Returns the row count.
+size_t ExpectRows(Database& db, const std::string& q, const Expected& expected,
+                  const std::string& op = "", bool ordered = false) {
+  std::string profile;
+  auto res = db.QueryProfiled(q, &profile);
+  EXPECT_TRUE(res.ok()) << q << "\n" << res.status().ToString();
+  if (!res.ok()) return 0;
+  if (!op.empty()) {
+    EXPECT_NE(profile.find(op), std::string::npos) << q << "\n" << profile;
+  }
+  if (ordered) {
+    std::vector<std::string> got, want;
+    for (const auto& r : res->rows) got.push_back(RowSig(r));
+    for (const auto& r : expected) want.push_back(RowSig(r));
+    EXPECT_EQ(got, want) << q;
+  } else {
+    EXPECT_EQ(Sig(res->rows), Sig(expected))
+        << q << "\nengine: " << res->rows.size()
+        << " rows, expected: " << expected.size() << " rows";
+  }
+  return res->rows.size();
 }
 
 /// Bulk insert in chunks (multi-row VALUES).
@@ -184,115 +206,260 @@ void InsertRows(Database& db, const std::string& table,
   }
 }
 
-/// Builds the probe table `l(a,b)` with \p n rows: key cycles over 0..12
-/// (hitting duplicated and absent build keys), every 10th key is NULL.
-void BuildProbeSide(Database& db, size_t n) {
-  ASSERT_TRUE(db.Execute("CREATE TABLE l (a INTEGER, b INTEGER)").ok());
+Value IntOrNull(std::optional<int64_t> v) {
+  return v.has_value() ? Value::Int(*v) : Value::Null();
+}
+
+/// The probe table `l(a,b)` with \p n rows: key cycles over 0..12 (hitting
+/// duplicated and absent build keys), every 10th key is NULL; b = row index.
+struct ProbeRow {
+  std::optional<int64_t> a;
+  int64_t b;
+};
+std::vector<ProbeRow> BuildProbeSide(Database& db, size_t n) {
+  EXPECT_TRUE(db.Execute("CREATE TABLE l (a INTEGER, b INTEGER)").ok());
+  std::vector<ProbeRow> rows;
   std::vector<std::string> tuples;
-  tuples.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    std::string key =
-        (i % 10 == 9) ? "NULL" : std::to_string(i % 13);
-    tuples.push_back("(" + key + ", " + std::to_string(i) + ")");
+    ProbeRow r{std::nullopt, static_cast<int64_t>(i)};
+    if (i % 10 != 9) r.a = static_cast<int64_t>(i % 13);
+    rows.push_back(r);
+    tuples.push_back("(" + (r.a ? std::to_string(*r.a) : "NULL") + ", " +
+                     std::to_string(i) + ")");
   }
   InsertRows(db, "l", tuples);
+  return rows;
 }
 
-/// Builds the build-side table `r(a,c)`: keys 0..6 each duplicated 3x,
-/// plus two NULL-key rows (which must never join).
-void BuildBuildSide(Database& db, bool with_index) {
-  ASSERT_TRUE(db.Execute("CREATE TABLE r (a INTEGER, c INTEGER)").ok());
-  std::vector<std::string> tuples;
-  for (int dup = 0; dup < 3; ++dup) {
-    for (int k = 0; k < 7; ++k) {
-      tuples.push_back(std::string("(").append(std::to_string(k)) + ", " +
-                       std::to_string(dup * 100 + k) + ")");
-    }
+/// The build-side table `r(a,c)`: keys 0..6 each duplicated 3x with
+/// c = dup * 100 + key, plus two NULL-key rows (which must never join).
+struct BuildRow {
+  std::optional<int64_t> a;
+  int64_t c;
+};
+std::vector<BuildRow> BuildBuildSide(Database& db, bool with_index) {
+  EXPECT_TRUE(db.Execute("CREATE TABLE r (a INTEGER, c INTEGER)").ok());
+  std::vector<BuildRow> rows;
+  for (int64_t dup = 0; dup < 3; ++dup) {
+    for (int64_t k = 0; k < 7; ++k) rows.push_back({k, dup * 100 + k});
   }
-  tuples.push_back("(NULL, 900)");
-  tuples.push_back("(NULL, 901)");
+  rows.push_back({std::nullopt, 900});
+  rows.push_back({std::nullopt, 901});
+  std::vector<std::string> tuples;
+  for (const auto& r : rows) {
+    tuples.push_back("(" + (r.a ? std::to_string(*r.a) : "NULL") + ", " +
+                     std::to_string(r.c) + ")");
+  }
   InsertRows(db, "r", tuples);
   if (with_index) {
-    ASSERT_TRUE(db.Execute("CREATE INDEX idx_r_a ON r (a)").ok());
+    EXPECT_TRUE(db.Execute("CREATE INDEX idx_r_a ON r (a)").ok());
   }
+  return rows;
 }
 
+/// Expected rows of `l JOIN r ON pred` projected as (l.a, l.b, r.a, r.c) —
+/// or, with \p outer_bc, `l LEFT JOIN r ON pred` projected as (l.b, r.c).
+template <typename Pred>
+Expected JoinRows(const std::vector<ProbeRow>& l,
+                  const std::vector<BuildRow>& r, Pred pred,
+                  bool outer_bc = false) {
+  Expected out;
+  for (const auto& lr : l) {
+    bool matched = false;
+    for (const auto& rr : r) {
+      if (!pred(lr, rr)) continue;
+      matched = true;
+      if (outer_bc) {
+        out.push_back({Value::Int(lr.b), Value::Int(rr.c)});
+      } else {
+        out.push_back(
+            {IntOrNull(lr.a), Value::Int(lr.b), IntOrNull(rr.a),
+             Value::Int(rr.c)});
+      }
+    }
+    if (outer_bc && !matched) out.push_back({Value::Int(lr.b), Value::Null()});
+  }
+  return out;
+}
+
+bool EquiKey(const ProbeRow& l, const BuildRow& r) {
+  return l.a && r.a && *l.a == *r.a;
+}
+bool LessKey(const ProbeRow& l, const BuildRow& r) {
+  return l.a && r.a && *l.a < *r.a;
+}
+
+// The test names predate the deletion of the row-at-a-time executor; each
+// now checks the batch engine against rows computed from the tuples.
 class JoinBoundaryTest : public ::testing::TestWithParam<size_t> {};
+
+void ExpectEquiJoins(Database& db, const std::vector<ProbeRow>& l,
+                     const std::vector<BuildRow>& r, const std::string& op) {
+  ExpectRows(db, "SELECT * FROM l, r WHERE l.a = r.a",
+             JoinRows(l, r, EquiKey), op);
+  ExpectRows(db, "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a",
+             JoinRows(l, r, EquiKey, /*outer_bc=*/true), op);
+  // Residual predicate on top of the equi-key.
+  ExpectRows(db, "SELECT * FROM l, r WHERE l.a = r.a AND l.b + r.c > 50",
+             JoinRows(l, r,
+                      [](const ProbeRow& lr, const BuildRow& rr) {
+                        return EquiKey(lr, rr) && lr.b + rr.c > 50;
+                      }),
+             op);
+}
 
 TEST_P(JoinBoundaryTest, HashJoinRowAndBatchAgree) {
   Database db;
-  BuildProbeSide(db, GetParam());
-  BuildBuildSide(db, /*with_index=*/false);  // no index => hash join
-  ExpectModesAgree(db, "SELECT * FROM l, r WHERE l.a = r.a");
-  ExpectModesAgree(db,
-                   "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a");
-  // Residual predicate on top of the equi-key.
-  ExpectModesAgree(
-      db, "SELECT * FROM l, r WHERE l.a = r.a AND l.b + r.c > 50");
+  auto l = BuildProbeSide(db, GetParam());
+  auto r = BuildBuildSide(db, /*with_index=*/false);  // no index => hash join
+  ExpectEquiJoins(db, l, r, "HashJoin");
 }
 
 TEST_P(JoinBoundaryTest, IndexNLJoinRowAndBatchAgree) {
   Database db;
-  BuildProbeSide(db, GetParam());
-  BuildBuildSide(db, /*with_index=*/true);  // index => index NL join
-  ExpectModesAgree(db, "SELECT * FROM l, r WHERE l.a = r.a");
-  ExpectModesAgree(db,
-                   "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a");
-  ExpectModesAgree(
-      db, "SELECT * FROM l, r WHERE l.a = r.a AND l.b + r.c > 50");
+  auto l = BuildProbeSide(db, GetParam());
+  auto r = BuildBuildSide(db, /*with_index=*/true);  // index => index NL join
+  ExpectEquiJoins(db, l, r, "IndexNLJoin");
 }
 
 TEST_P(JoinBoundaryTest, NestedLoopJoinRowAndBatchAgree) {
   Database db;
-  // Cap the cross-product: NLJ sizes use min(n, 64) probe rows.
-  BuildProbeSide(db, std::min<size_t>(GetParam(), 64));
-  BuildBuildSide(db, /*with_index=*/false);
-  // Non-equi predicate forces the nested-loop fallback.
-  ExpectModesAgree(db, "SELECT * FROM l, r WHERE l.a < r.a");
+  auto l = BuildProbeSide(db, GetParam());
+  auto r = BuildBuildSide(db, /*with_index=*/false);
+  // Non-equi predicates force the nested-loop fallback.
+  ExpectRows(db, "SELECT * FROM l, r WHERE l.a < r.a",
+             JoinRows(l, r, LessKey), "NestedLoopJoin");
+  ExpectRows(db, "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a < r.a",
+             JoinRows(l, r, LessKey, /*outer_bc=*/true), "NestedLoopJoin");
+  // Residuals, inner and left-outer.
+  ExpectRows(db, "SELECT * FROM l, r WHERE l.a < r.a AND l.b + r.c > 150",
+             JoinRows(l, r,
+                      [](const ProbeRow& lr, const BuildRow& rr) {
+                        return LessKey(lr, rr) && lr.b + rr.c > 150;
+                      }),
+             "NestedLoopJoin");
+  ExpectRows(db,
+             "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a < r.a AND r.c > 100",
+             JoinRows(l, r,
+                      [](const ProbeRow& lr, const BuildRow& rr) {
+                        return LessKey(lr, rr) && rr.c > 100;
+                      },
+                      /*outer_bc=*/true),
+             "NestedLoopJoin");
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchBoundaries, JoinBoundaryTest,
                          ::testing::Values(0, 1, 1023, 1024, 1025));
 
-// ------------------------------------------- SQL-level mode differential
+// ------------------------------------ SQL-level checks on generated tuples
 
 TEST(ExecModeDifferentialTest, WorkloadAgreesAcrossModes) {
+  // t(id, grp, v, s): grp = id % 7; v = id * 0.5, NULL when id % 17 == 0;
+  // s = 's' + id % 50, NULL when id % 23 == 0.
+  constexpr int kRows = 3000;
   Database db;
   ASSERT_TRUE(
       db.Execute("CREATE TABLE t (id INTEGER, grp INTEGER, v DOUBLE, "
                  "s VARCHAR)")
           .ok());
+  auto v_of = [](int i) -> std::optional<double> {
+    if (i % 17 == 0) return std::nullopt;
+    return i * 0.5;
+  };
+  auto s_of = [](int i) -> std::optional<std::string> {
+    if (i % 23 == 0) return std::nullopt;
+    return "s" + std::to_string(i % 50);
+  };
+  auto tuple = [&](int i) -> Row {
+    return {Value::Int(i), Value::Int(i % 7),
+            v_of(i) ? Value::Real(*v_of(i)) : Value::Null(),
+            s_of(i) ? Value::Str(*s_of(i)) : Value::Null()};
+  };
   std::vector<std::string> tuples;
-  for (int i = 0; i < 3000; ++i) {
-    std::string v = (i % 17 == 0) ? "NULL" : std::to_string(i * 0.5);
-    std::string s = (i % 23 == 0) ? "NULL" : "'s" + std::to_string(i % 50) + "'";
+  for (int i = 0; i < kRows; ++i) {
+    std::string v = v_of(i) ? std::to_string(*v_of(i)) : "NULL";
+    std::string s = s_of(i) ? "'" + *s_of(i) + "'" : "NULL";
     tuples.push_back(std::string("(").append(std::to_string(i)) + ", " +
                      std::to_string(i % 7) + ", " + v + ", " + s + ")");
   }
   InsertRows(db, "t", tuples);
 
-  const std::string queries[] = {
-      "SELECT * FROM t",
-      "SELECT * FROM t WHERE v > 100",
-      "SELECT * FROM t WHERE v IS NULL",
-      "SELECT id + grp, v * 2 FROM t WHERE grp <= 2",
-      "SELECT DISTINCT grp FROM t",
-      "SELECT grp, COUNT(*), SUM(v), MIN(s) FROM t GROUP BY grp",
-      "SELECT * FROM t ORDER BY grp, id DESC LIMIT 10",
-      "SELECT * FROM t ORDER BY id LIMIT 100 OFFSET 2995",
-      "SELECT * FROM t WHERE id < 5 UNION ALL SELECT * FROM t "
-      "WHERE id >= 2995",
-      "WITH big AS (SELECT id, v FROM t WHERE v > 500) "
-      "SELECT COUNT(*) FROM big",
-      "SELECT a.id FROM t a, t b WHERE a.id = b.id AND a.grp = 0",
-      "SELECT x.m FROM (SELECT grp, MAX(v) AS m FROM t GROUP BY grp) x "
-      "WHERE x.m > 100",
-      "SELECT CASE WHEN grp < 3 THEN 'lo' ELSE 'hi' END, COUNT(*) "
-      "FROM t GROUP BY CASE WHEN grp < 3 THEN 'lo' ELSE 'hi' END",
-  };
-  for (const auto& q : queries) {
-    ExpectModesAgree(db, q);
+  Expected all, v_gt_100, v_null, computed, grp0, low_and_high;
+  std::map<int, Row> per_grp;  // grp -> (grp, COUNT(*), SUM(v), MIN(s))
+  std::map<int, double> max_v;
+  int64_t v_gt_500 = 0, lo = 0;
+  for (int i = 0; i < kRows; ++i) {
+    const Row row = tuple(i);
+    all.push_back(row);
+    const auto v = v_of(i);
+    if (v && *v > 100) v_gt_100.push_back(row);
+    if (v && *v > 500) ++v_gt_500;
+    if (!v) v_null.push_back(row);
+    if (i % 7 <= 2) {
+      computed.push_back({Value::Int(i + i % 7),
+                          v ? Value::Real(*v * 2) : Value::Null()});
+      ++lo;
+    }
+    if (i % 7 == 0) grp0.push_back({Value::Int(i)});
+    if (i < 5 || i >= 2995) low_and_high.push_back(row);
+    Row& g = per_grp.try_emplace(i % 7, Row{Value::Int(i % 7), Value::Int(0),
+                                            Value::Null(), Value::Null()})
+                 .first->second;
+    g[1] = Value::Int(g[1].AsInt() + 1);
+    if (v) {
+      g[2] = Value::Real((g[2].is_null() ? 0.0 : g[2].AsDouble()) + *v);
+      auto [it, fresh] = max_v.try_emplace(i % 7, *v);
+      if (!fresh) it->second = std::max(it->second, *v);
+    }
+    const auto s = s_of(i);
+    if (s && (g[3].is_null() || *s < g[3].AsString())) g[3] = Value::Str(*s);
   }
+  Expected distinct_grp, grouped, max_over_100;
+  for (const auto& [grp, row] : per_grp) {
+    distinct_grp.push_back({Value::Int(grp)});
+    grouped.push_back(row);
+  }
+  for (const auto& [grp, m] : max_v) {
+    if (m > 100) max_over_100.push_back({Value::Real(m)});
+  }
+  // ORDER BY grp, id DESC LIMIT 10: grp 0 holds the multiples of 7.
+  Expected top10;
+  for (int i = (kRows - 1) / 7 * 7; top10.size() < 10; i -= 7) {
+    top10.push_back(tuple(i));
+  }
+  Expected tail;
+  for (int i = 2995; i < kRows; ++i) tail.push_back(tuple(i));
+
+  ExpectRows(db, "SELECT * FROM t", all);
+  ExpectRows(db, "SELECT * FROM t WHERE v > 100", v_gt_100);
+  ExpectRows(db, "SELECT * FROM t WHERE v IS NULL", v_null);
+  ExpectRows(db, "SELECT id + grp, v * 2 FROM t WHERE grp <= 2", computed);
+  ExpectRows(db, "SELECT DISTINCT grp FROM t", distinct_grp);
+  ExpectRows(db, "SELECT grp, COUNT(*), SUM(v), MIN(s) FROM t GROUP BY grp",
+             grouped);
+  ExpectRows(db, "SELECT * FROM t ORDER BY grp, id DESC LIMIT 10", top10, "",
+             /*ordered=*/true);
+  ExpectRows(db, "SELECT * FROM t ORDER BY id LIMIT 100 OFFSET 2995", tail,
+             "", /*ordered=*/true);
+  ExpectRows(db,
+             "SELECT * FROM t WHERE id < 5 UNION ALL SELECT * FROM t "
+             "WHERE id >= 2995",
+             low_and_high);
+  ExpectRows(db,
+             "WITH big AS (SELECT id, v FROM t WHERE v > 500) "
+             "SELECT COUNT(*) FROM big",
+             {{Value::Int(v_gt_500)}});
+  ExpectRows(db, "SELECT a.id FROM t a, t b WHERE a.id = b.id AND a.grp = 0",
+             grp0);
+  ExpectRows(db,
+             "SELECT x.m FROM (SELECT grp, MAX(v) AS m FROM t GROUP BY grp) x "
+             "WHERE x.m > 100",
+             max_over_100);
+  ExpectRows(db,
+             "SELECT CASE WHEN grp < 3 THEN 'lo' ELSE 'hi' END, COUNT(*) "
+             "FROM t GROUP BY CASE WHEN grp < 3 THEN 'lo' ELSE 'hi' END",
+             {{Value::Str("lo"), Value::Int(lo)},
+              {Value::Str("hi"), Value::Int(kRows - lo)}});
 }
 
 TEST(ExecModeDifferentialTest, ProfiledQueryReportsOperatorStats) {

@@ -26,9 +26,9 @@ class FixedOp final : public Operator {
   int open_count() const { return open_count_; }
 
  protected:
-  Result<bool> NextImpl(Row* out) override {
+  Result<bool> NextBatchImpl(RowBatch* out) override {
     if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
+    while (pos_ < rows_.size() && !out->Full()) *out->AddRow() = rows_[pos_++];
     return true;
   }
 

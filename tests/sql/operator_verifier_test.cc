@@ -29,9 +29,9 @@ class FixedOp final : public Operator {
   std::string name() const override { return "Fixed"; }
 
  protected:
-  Result<bool> NextImpl(Row* out) override {
+  Result<bool> NextBatchImpl(RowBatch* out) override {
     if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
+    while (pos_ < rows_.size() && !out->Full()) *out->AddRow() = rows_[pos_++];
     return true;
   }
 
@@ -176,7 +176,6 @@ class BadSelectionOp final : public Operator {
   std::string name() const override { return "BadSelection"; }
 
  protected:
-  Result<bool> NextImpl(Row*) override { return false; }
   Result<bool> NextBatchImpl(RowBatch* out) override {
     if (done_) return false;
     done_ = true;

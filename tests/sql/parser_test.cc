@@ -189,6 +189,20 @@ TEST(ParserTest, TrailingGarbageRejected) {
                   .IsParseError());
 }
 
+TEST(ParserTest, OutOfRangeNumbersAreParseErrors) {
+  for (const char* sql :
+       {"SELECT a FROM t WHERE a > 1e999", "SELECT 1.5e-99999 FROM t",
+        "SELECT a FROM t LIMIT 99999999999999999999",
+        "SELECT a FROM t LIMIT 1 OFFSET 99999999999999999999",
+        "SELECT a FROM t WHERE a = 99999999999999999999"}) {
+    EXPECT_TRUE(ParseSelect(sql).status().IsParseError()) << sql;
+  }
+  auto ok = ParseSelect("SELECT a FROM t WHERE a > 1.5e300 LIMIT 5 OFFSET 2");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ((*ok)->limit, 5);
+  EXPECT_EQ((*ok)->offset, 2);
+}
+
 TEST(ParserTest, ErrorsCarryParseErrorCode) {
   auto st = ParseSelect("SELECT FROM").status();
   EXPECT_EQ(st.code(), StatusCode::kParseError);

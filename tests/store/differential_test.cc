@@ -1,14 +1,17 @@
 /// Randomized differential testing: random graphs and random queries must
 /// produce identical answer multisets on the DB2RDF store (in several
 /// configurations, including spill-heavy tiny-k ones) and the triple-store
-/// baseline. This is the strongest correctness net over the optimizer,
-/// merger, translator, and engine together.
+/// baseline, and every answer must match the engine-independent reference
+/// evaluator (tests/reference/). This is the strongest correctness net over
+/// the optimizer, merger, translator, and engine together.
 
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "reference/reference.h"
+#include "sparql/parser.h"
 #include "store/rdf_store.h"
 #include "store/triple_store_backend.h"
 #include "util/random.h"
@@ -178,6 +181,7 @@ TEST_P(DifferentialTest, RandomQueriesAgreeAcrossBackendsAndConfigs) {
   ASSERT_TRUE(db2rdf.ok()) << db2rdf.status().ToString();
   auto triple = TripleStoreBackend::Load(clone(g1));
   ASSERT_TRUE(triple.ok());
+  const reference::Evaluator reference(g1);
 
   int checked = 0;
   for (int i = 0; i < 40; ++i) {
@@ -195,6 +199,13 @@ TEST_P(DifferentialTest, RandomQueriesAgreeAcrossBackendsAndConfigs) {
         << q << "\nDB2RDF rows: " << a->size()
         << ", triple-store rows: " << b->size() << "\nSQL:\n"
         << (*db2rdf)->TranslateToSql(q).ValueOr("<err>");
+    auto parsed = sparql::ParseQuery(q);
+    ASSERT_TRUE(parsed.ok()) << q;
+    auto expected = reference.Evaluate(*parsed, /*slice=*/false);
+    ASSERT_TRUE(expected.ok()) << q << "\n" << expected.status().ToString();
+    ASSERT_EQ(reference::Diff(*parsed, *expected, a->vars, a->rows), "")
+        << "disagreement with the reference on:\n"
+        << q;
     ++checked;
 
     // Also cross-check the ablation pipelines on a subset.
