@@ -362,6 +362,7 @@ Status PatternSqlBuilderBase::EmitOptional(const ExecNode& node) {
     // Bound only when the optional part matched.
     new_bound[v] = BoundVar{bv.column, true};
   }
+  if (select.empty()) select = "1 AS one";
   std::string body = "SELECT " + select + " FROM " + cur0 +
                      " LEFT OUTER JOIN " + opt_cte + " AS o ON " +
                      JoinStrings(on, " AND ");
@@ -471,12 +472,20 @@ Result<std::string> PatternSqlBuilderBase::FilterToSql(
     }
     case FilterOp::kEq:
     case FilterOp::kNe:
-      return EqualityToSql(f, lex);
     case FilterOp::kLt:
     case FilterOp::kLe:
     case FilterOp::kGt:
     case FilterOp::kGe:
-      return OrderedToSql(f, lex);
+      // A comparison with a variable the pattern never binds is a SPARQL
+      // error, which SQL's NULL carries through NOT/AND/OR alike.
+      for (const auto* e : {f.lhs.get(), f.rhs.get()}) {
+        if (e->op == FilterOp::kVar && !bound_.count(e->var)) {
+          return std::string("NULL");
+        }
+      }
+      return f.op == FilterOp::kEq || f.op == FilterOp::kNe
+                 ? EqualityToSql(f, lex)
+                 : OrderedToSql(f, lex);
     case FilterOp::kRegex:
       return Status::Unsupported(
           "REGEX is evaluated as a post-filter, not in SQL");
