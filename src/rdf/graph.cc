@@ -1,5 +1,7 @@
 #include "rdf/graph.h"
 
+#include "util/hash.h"
+
 namespace rdfrel::rdf {
 
 Graph::Graph() = default;
@@ -51,6 +53,22 @@ std::vector<uint64_t> Graph::DistinctObjects() const {
 
 std::vector<uint64_t> Graph::DistinctPredicates() const {
   return DistinctInOrder(triples_, &EncodedTriple::predicate);
+}
+
+std::vector<EncodedTriple> Graph::DistinctTriples() const {
+  struct TripleHash {
+    size_t operator()(const EncodedTriple& t) const {
+      return static_cast<size_t>(
+          HashCombine(HashCombine(Mix64(t.subject), t.predicate), t.object));
+    }
+  };
+  std::vector<EncodedTriple> out;
+  std::unordered_set<EncodedTriple, TripleHash> seen;
+  out.reserve(triples_.size());
+  for (const auto& t : triples_) {
+    if (seen.insert(t).second) out.push_back(t);
+  }
+  return out;
 }
 
 std::vector<std::pair<uint64_t, std::vector<size_t>>> Graph::GroupBySubject()

@@ -44,6 +44,9 @@ class Graph {
   std::vector<uint64_t> DistinctObjects() const;
   /// Distinct predicate ids in insertion order of first occurrence.
   std::vector<uint64_t> DistinctPredicates() const;
+  /// Distinct triples in insertion order of first occurrence, compared on
+  /// the exact (subject, predicate, object) ids.
+  std::vector<EncodedTriple> DistinctTriples() const;
 
   /// Groups triple indices by subject id (order of first occurrence).
   std::vector<std::pair<uint64_t, std::vector<size_t>>> GroupBySubject() const;

@@ -1,12 +1,9 @@
 #include "store/predicate_store_backend.h"
 
-#include "sparql/parser.h"
-#include <unordered_set>
-
 #include "persist/coding.h"
 #include "persist/serializer.h"
+#include "sparql/parser.h"
 #include "store/backend_util.h"
-#include "util/hash.h"
 #include "translate/sql_base.h"
 #include "util/string_util.h"
 
@@ -223,11 +220,7 @@ Result<std::unique_ptr<PredicateStoreBackend>> PredicateStoreBackend::Load(
   store->plan_cache_ = PlanCache(options.plan_cache_capacity);
   // One relation per distinct predicate. Duplicate triples collapse (RDF
   // set semantics, matching the DB2RDF loader).
-  std::unordered_set<uint64_t> seen;
-  for (const auto& t : graph.triples()) {
-    uint64_t key = HashCombine(HashCombine(Mix64(t.subject), t.predicate),
-                               t.object);
-    if (!seen.insert(key).second) continue;
+  for (const auto& t : graph.DistinctTriples()) {
     auto [it, inserted] = store->tables_.try_emplace(
         t.predicate, "p" + std::to_string(t.predicate));
     if (inserted) {

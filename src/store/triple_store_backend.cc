@@ -1,12 +1,9 @@
 #include "store/triple_store_backend.h"
 
-#include "sparql/parser.h"
-#include <unordered_set>
-
 #include "persist/coding.h"
 #include "persist/serializer.h"
+#include "sparql/parser.h"
 #include "store/backend_util.h"
-#include "util/hash.h"
 #include "translate/sql_base.h"
 #include "util/string_util.h"
 
@@ -118,11 +115,7 @@ Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::Load(
                                   {"obj", sql::ValueType::kInt64}})));
   // RDF graphs are sets: duplicate triples collapse (matching the DB2RDF
   // loader's semantics).
-  std::unordered_set<uint64_t> seen;
-  for (const auto& t : graph.triples()) {
-    uint64_t key = HashCombine(HashCombine(Mix64(t.subject), t.predicate),
-                               t.object);
-    if (!seen.insert(key).second) continue;
+  for (const auto& t : graph.DistinctTriples()) {
     RDFREL_RETURN_NOT_OK(
         table
             ->Insert({sql::Value::Int(static_cast<int64_t>(t.subject)),

@@ -126,9 +126,16 @@ Status PatternSqlBuilderBase::Translate(const ExecNode& node, bool is_root) {
 }
 
 std::string PatternSqlBuilderBase::NewCte(const std::string& body) {
-  std::string name = "q" + std::to_string(ctes_.size() + 1);
-  ctes_.emplace_back(name, body);
-  return name;
+  // A body names earlier CTEs only by names returned here, so equal text is
+  // the same relation over the same data: a sub-pattern that several UNION
+  // branches repeat is materialized once. Sharing is transitive, since a
+  // body over a shared CTE repeats its text too.
+  auto [it, inserted] = cte_names_.try_emplace(body);
+  if (inserted) {
+    it->second = "q" + std::to_string(ctes_.size() + 1);
+    ctes_.emplace_back(it->second, body);
+  }
+  return it->second;
 }
 
 int64_t PatternSqlBuilderBase::IdOf(const rdf::Term& term) const {

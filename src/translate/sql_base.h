@@ -3,15 +3,17 @@
 
 /// \file sql_base.h
 /// Backend-agnostic skeleton for SPARQL-to-SQL translation: walks the query
-/// plan tree emitting one CTE per node, maintaining the bound-variable
-/// environment, and handling UNION (UNION ALL), OPTIONAL (LEFT OUTER JOIN),
-/// FILTER (incl. lex-table joins for ordered comparisons), and the final
-/// projection. Backends implement EmitAccess() for their physical layout:
-/// DB2RDF (entity rows), triple-store, and predicate-oriented.
+/// plan tree emitting one CTE per node (a body that repeats an earlier one
+/// reuses its name), maintaining the bound-variable environment, and
+/// handling UNION (UNION ALL), OPTIONAL (LEFT OUTER JOIN), FILTER (incl.
+/// lex-table joins for ordered comparisons), and the final projection.
+/// Backends implement EmitAccess() for their physical layout: DB2RDF
+/// (entity rows), triple-store, and predicate-oriented.
 
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "opt/exec_tree.h"
@@ -94,7 +96,8 @@ class PatternSqlBuilderBase {
   Status EmitFilters(const std::vector<const sparql::FilterExpr*>& filters,
                      bool is_root);
 
-  /// Registers a CTE body, returning its name (q1, q2, ...).
+  /// Registers a CTE body, returning its name (q1, q2, ...). A body equal
+  /// to one already registered is not emitted again: its name is returned.
   std::string NewCte(const std::string& body);
   /// Dictionary id of a term (0 == matches nothing).
   int64_t IdOf(const rdf::Term& term) const;
@@ -141,6 +144,7 @@ class PatternSqlBuilderBase {
   std::string lex_table_;
 
   std::vector<std::pair<std::string, std::string>> ctes_;
+  std::unordered_map<std::string, std::string> cte_names_;  ///< body -> name
   std::map<std::string, BoundVar> bound_;  ///< var -> binding in cur_
   std::string cur_;                        ///< current CTE name
   std::vector<const sparql::FilterExpr*> post_filters_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/hash.h"
+
 namespace rdfrel::rdf {
 namespace {
 
@@ -72,6 +74,25 @@ TEST(GraphTest, DuplicateTriplesKept) {
   g.Add(t);
   EXPECT_EQ(g.size(), 2u);
   EXPECT_EQ(g.dictionary().size(), 3u);
+}
+
+TEST(GraphTest, DistinctTriplesComparesExactIds) {
+  // Two distinct triples of the DBpedia generator's seed-102 graph whose
+  // 64-bit HashCombine key is equal: a dedup on that key dropped one.
+  const EncodedTriple type{22831, 2, 24};
+  const EncodedTriple label{22831, 4, 8218};
+  auto key = [](const EncodedTriple& t) {
+    return HashCombine(HashCombine(Mix64(t.subject), t.predicate), t.object);
+  };
+  ASSERT_EQ(key(type), key(label));
+  Graph g;
+  g.AddEncoded(type);
+  g.AddEncoded(label);
+  g.AddEncoded(type);
+  const std::vector<EncodedTriple> distinct = g.DistinctTriples();
+  ASSERT_EQ(distinct.size(), 2u);
+  EXPECT_EQ(distinct[0], type);
+  EXPECT_EQ(distinct[1], label);
 }
 
 }  // namespace
