@@ -6,9 +6,16 @@
 /// storage layout (DB2RDF vs triple-store vs predicate-oriented) and
 /// optimizer (DB2RDF with the hybrid optimizer vs DB2RDF with the
 /// bottom-up parse-order flow standing in for a system without it).
+///
+/// Writes BENCH_summary.json: cores, scale and build type, then per
+/// dataset the triple count, each system's completed/errored counts and
+/// mean, and per (system, query) the mean time and the row count.
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench/dataset_bench.h"
 #include "benchdata/dbpedia.h"
@@ -64,8 +71,14 @@ class NaiveFlowStore final : public store::SparqlStore {
   store::QueryOptions opts_;
 };
 
+struct DatasetResult {
+  std::string name;
+  uint64_t triples = 0;
+  std::vector<SystemSummary> summaries;
+};
+
 template <typename MakeFn>
-void RunOne(const std::string& name, MakeFn make) {
+DatasetResult RunOne(const std::string& name, MakeFn make) {
   benchdata::Workload w = make();
   auto entity = store::RdfStore::Load(make().graph).value();
   auto naive =
@@ -81,6 +94,46 @@ void RunOne(const std::string& name, MakeFn make) {
           {"Predicate-oriented", pred.get()}},
       /*rounds=*/2);
   PrintSummaries(name, w.graph.size(), w.queries.size(), summaries);
+  return {name, w.graph.size(), std::move(summaries)};
+}
+
+bool WriteSummaryJson(const std::string& path,
+                      const std::vector<DatasetResult>& datasets) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fprintf(f,
+               "{\n  \"bench\": \"summary\",\n  \"cores\": %u,\n"
+               "  \"scale\": %.2f,\n  \"build_type\": \"%s\",\n"
+               "  \"datasets\": [\n",
+               std::thread::hardware_concurrency(), ScaleFactor(),
+               RDFREL_BUILD_TYPE);
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    const DatasetResult& ds = datasets[d];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"triples\": %llu, "
+                 "\"systems\": [\n",
+                 ds.name.c_str(), static_cast<unsigned long long>(ds.triples));
+    for (size_t i = 0; i < ds.summaries.size(); ++i) {
+      const SystemSummary& sys = ds.summaries[i];
+      std::fprintf(f,
+                   "      {\"system\": \"%s\", \"complete\": %d, "
+                   "\"error\": %d, \"mean_ms\": %.4f, \"queries\": [\n",
+                   sys.system.c_str(), sys.complete, sys.error, sys.MeanMs());
+      for (size_t q = 0; q < sys.timings.size(); ++q) {
+        const QueryTiming& t = sys.timings[q];
+        // rows -1 marks a query the system could not run.
+        std::fprintf(f,
+                     "        {\"query\": \"%s\", \"ms\": %.4f, "
+                     "\"rows\": %lld}%s\n",
+                     t.id.c_str(), t.mean_ms, static_cast<long long>(t.rows),
+                     q + 1 < sys.timings.size() ? "," : "");
+      }
+      std::fprintf(f, "      ]}%s\n", i + 1 < ds.summaries.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]}%s\n", d + 1 < datasets.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  return std::fclose(f) == 0;
 }
 
 }  // namespace
@@ -88,22 +141,29 @@ void RunOne(const std::string& name, MakeFn make) {
 int main() {
   double s = ScaleFactor();
   std::printf("== Figure 15: summary across all datasets ==\n");
-  RunOne("LUBM", [&] {
+  std::vector<DatasetResult> datasets;
+  datasets.push_back(RunOne("LUBM", [&] {
     return benchdata::MakeLubm(static_cast<uint64_t>(15 * s), 4);
-  });
-  RunOne("SP2Bench", [&] {
+  }));
+  datasets.push_back(RunOne("SP2Bench", [&] {
     return benchdata::MakeSp2Bench(static_cast<uint64_t>(40 * s), 4);
-  });
-  RunOne("DBpedia", [&] {
+  }));
+  datasets.push_back(RunOne("DBpedia", [&] {
     return benchdata::MakeDbpedia(static_cast<uint64_t>(12000 * s),
                                   static_cast<uint64_t>(1500 * s), 4);
-  });
-  RunOne("PRBench", [&] {
+  }));
+  datasets.push_back(RunOne("PRBench", [&] {
     return benchdata::MakePrbench(static_cast<uint64_t>(20 * s), 4);
-  });
+  }));
   std::printf(
       "\nShape check (paper): DB2RDF completes every query (77/78 in the "
       "paper) and has\nthe best or near-best means; the naive-flow variant "
       "and the baseline layouts\nfall behind on the complex queries.\n");
+  const char* json_path = "BENCH_summary.json";
+  if (!WriteSummaryJson(json_path, datasets)) {
+    std::printf("\nfailed to write %s\n", json_path);
+    return 1;
+  }
+  std::printf("\nwrote %s\n", json_path);
   return 0;
 }

@@ -21,6 +21,7 @@ struct SystemSummary {
   int complete = 0;
   int error = 0;
   double total_ms = 0;
+  std::vector<QueryTiming> timings;  ///< one per query, in workload order
 
   double MeanMs() const { return complete > 0 ? total_ms / complete : 0; }
 };
@@ -34,7 +35,7 @@ inline std::vector<SystemSummary> RunDataset(
     int rounds = 3) {
   std::vector<SystemSummary> summaries;
   for (const auto& [name, s] : stores) {
-    summaries.push_back({name});
+    summaries.emplace_back().system = name;
   }
 
   // Header.
@@ -55,6 +56,7 @@ inline std::vector<SystemSummary> RunDataset(
     int64_t rows = -1;
     for (size_t i = 0; i < stores.size(); ++i) {
       QueryTiming t = TimeQuery(stores[i].second, q.id, q.sparql, rounds);
+      summaries[i].timings.push_back(t);
       if (t.rows >= 0) {
         summaries[i].complete += 1;
         summaries[i].total_ms += t.mean_ms;

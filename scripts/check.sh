@@ -6,8 +6,8 @@
 #       util/mutex.h (skipped with a notice when no clang is installed;
 #       CI always runs it).
 #   1.  Project lint (rdfrel-lint, DESIGN.md §15): fixture harness plus a
-#       full sweep of the compile database enforcing arena-escape,
-#       blocking-under-lock, borrowed-batch, and status-discipline.
+#       full sweep of the compile database enforcing blocking-under-lock,
+#       borrowed-batch, and status-discipline.
 #   2.  ThreadSanitizer build, running the concurrency + plan-cache tests
 #       (the reader/writer stress test is the point of this build) and the
 #       Serve suite, so the endpoint's worker pool races fail it too.
@@ -23,9 +23,10 @@
 #       --smoke) starts a real server, queries it over a socket, and shuts
 #       it down cleanly — under ASan, so leaked fds/threads/buffers in the
 #       serving path fail the gate.
-#   7.  Release bench smoke: bench_micro_star and bench_serve at a reduced
-#       scale must run to completion and emit machine-readable
-#       BENCH_sql.json / BENCH_serve.json.
+#   7.  Release bench smoke: bench_micro_star, bench_serve and
+#       bench_summary at a reduced scale must run to completion and emit
+#       machine-readable BENCH_sql.json / BENCH_serve.json /
+#       BENCH_summary.json.
 #
 # Build trees go to build-tsan/, build-asan/, build-ubsan/ and
 # build-release/ so the default build/ stays untouched.
@@ -95,9 +96,10 @@ cmake --build build-asan -j"${JOBS}" --target serve_demo
 ./build-asan/examples/serve_demo --smoke
 
 echo
-echo "== [7/7] Release bench smoke: BENCH_sql.json + BENCH_serve.json =="
+echo "== [7/7] Release bench smoke: BENCH_sql/serve/summary.json =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build build-release -j"${JOBS}" --target bench_micro_star bench_serve
+cmake --build build-release -j"${JOBS}" \
+  --target bench_micro_star bench_serve bench_summary
 (cd build-release &&
   rm -f BENCH_sql.json &&
   RDFREL_BENCH_SCALE=0.1 ./bench/bench_micro_star &&
@@ -108,6 +110,11 @@ cmake --build build-release -j"${JOBS}" --target bench_micro_star bench_serve
   RDFREL_BENCH_SCALE=0.1 ./bench/bench_serve &&
   test -s BENCH_serve.json &&
   echo "BENCH_serve.json ok")
+(cd build-release &&
+  rm -f BENCH_summary.json &&
+  RDFREL_BENCH_SCALE=0.1 ./bench/bench_summary > /dev/null &&
+  test -s BENCH_summary.json &&
+  echo "BENCH_summary.json ok")
 
 echo
 echo "All checks passed."

@@ -13,7 +13,7 @@
 #      back silent — proving every rule both fires and knows when not to.
 #      Forced to --engine=lite so the assertion is toolchain-independent.
 #   3. Full sweep: every compile_commands.json entry under src/ plus the
-#      headers beneath it, all four rules, suppressions honored. Any
+#      headers beneath it, all three rules, suppressions honored. Any
 #      diagnostic fails the gate.
 #
 # The tool auto-selects its engine for the sweep: the Clang libTooling
@@ -41,8 +41,7 @@ fi
 LINT="${BUILD_DIR}/tools/lint/rdfrel-lint"
 
 echo "== lint fixture harness =="
-for rule in arena_escape blocking_under_lock borrowed_batch \
-            status_discipline; do
+for rule in blocking_under_lock borrowed_batch status_discipline; do
   violation="tests/compilefail/${rule}_violation.cc"
   clean="tests/compilefail/${rule}_clean.cc"
   if "${LINT}" --engine=lite "${violation}" > /dev/null; then

@@ -3,9 +3,11 @@
 
 /// \file cost_model.h
 /// The Triple Method Cost TMC(t, m, S) of Definition 3.1, reproducing the
-/// paper's worked example: an exact-lookup cost when the entry is a known
-/// constant, the average entry fan-out when the entry is a to-be-bound
-/// variable, and the full relation size for a scan.
+/// paper's worked example: an exact-lookup cost when the entry is a tracked
+/// top-k constant, the entry fan-out otherwise, and the full relation size
+/// for a scan. The fan-out is the constant predicate's own
+/// (count(p) / distinct entries of p) when the triple has one, and the
+/// graph-wide average per subject/object when its predicate is a variable.
 
 #include "opt/access_method.h"
 #include "opt/statistics.h"

@@ -3,9 +3,10 @@
 
 /// \file statistics.h
 /// Dataset statistics S for the optimizer (paper §3.1, input 2): total
-/// triples, average triples per subject/object, per-predicate counts, and
-/// exact counts for the top-k most frequent subjects/objects (the paper's
-/// "top-k URIs or literals in terms of number of triples they appear in").
+/// triples, average triples per subject/object, per-predicate counts and
+/// distinct subject/object counts, and exact counts for the top-k most
+/// frequent subjects/objects (the paper's "top-k URIs or literals in terms
+/// of number of triples they appear in").
 
 #include <cstdint>
 #include <unordered_map>
@@ -30,16 +31,24 @@ class Statistics {
   uint64_t distinct_objects() const { return distinct_objects_; }
 
   /// Estimated number of triples with subject \p id: exact when the id is a
-  /// tracked top-k subject, otherwise the average.
-  double EstimateBySubject(uint64_t id) const;
+  /// tracked top-k subject, otherwise \p untracked (the caller's fan-out).
+  double EstimateBySubject(uint64_t id, double untracked) const;
   /// Estimated number of triples with object \p id.
-  double EstimateByObject(uint64_t id) const;
+  double EstimateByObject(uint64_t id, double untracked) const;
   /// Exact triple count for predicate \p id (0 when unseen).
   uint64_t CountByPredicate(uint64_t id) const;
 
+  /// Average triples per distinct subject of predicate \p id:
+  /// count(p) / distinct_subjects(p). Falls back to the graph-wide average
+  /// when \p id was unseen at load or its count has dropped to 0.
+  double SubjectFanout(uint64_t id) const;
+  /// count(p) / distinct_objects(p), with the same fallback.
+  double ObjectFanout(uint64_t id) const;
+
   /// Incremental maintenance on store writes. Totals, per-predicate counts
   /// and *tracked* top-k subject/object counts stay exact; distinct counts
-  /// and averages keep their load-time values (estimates). Callers
+  /// (graph-wide and per predicate) and averages keep their load-time
+  /// values (estimates), so a predicate's fan-out follows its count. Callers
   /// serialize writes (RdfStore holds its writer lock).
   void AddTriple(const rdf::EncodedTriple& t);
   void RemoveTriple(const rdf::EncodedTriple& t);
@@ -54,6 +63,14 @@ class Statistics {
   const std::unordered_map<uint64_t, uint64_t>& predicate_count_map() const {
     return predicate_counts_;
   }
+  const std::unordered_map<uint64_t, uint64_t>&
+  predicate_distinct_subject_map() const {
+    return predicate_distinct_subjects_;
+  }
+  const std::unordered_map<uint64_t, uint64_t>&
+  predicate_distinct_object_map() const {
+    return predicate_distinct_objects_;
+  }
 
   /// Rebuilds a Statistics from snapshot fields (inverse of the accessors).
   static Statistics FromParts(
@@ -61,7 +78,9 @@ class Statistics {
       uint64_t distinct_objects, double avg_per_subject, double avg_per_object,
       std::unordered_map<uint64_t, uint64_t> top_subjects,
       std::unordered_map<uint64_t, uint64_t> top_objects,
-      std::unordered_map<uint64_t, uint64_t> predicate_counts);
+      std::unordered_map<uint64_t, uint64_t> predicate_counts,
+      std::unordered_map<uint64_t, uint64_t> predicate_distinct_subjects,
+      std::unordered_map<uint64_t, uint64_t> predicate_distinct_objects);
 
  private:
   uint64_t total_triples_ = 0;
@@ -72,6 +91,8 @@ class Statistics {
   std::unordered_map<uint64_t, uint64_t> top_subjects_;
   std::unordered_map<uint64_t, uint64_t> top_objects_;
   std::unordered_map<uint64_t, uint64_t> predicate_counts_;
+  std::unordered_map<uint64_t, uint64_t> predicate_distinct_subjects_;
+  std::unordered_map<uint64_t, uint64_t> predicate_distinct_objects_;
 };
 
 }  // namespace rdfrel::opt

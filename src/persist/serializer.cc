@@ -9,6 +9,15 @@ namespace {
 constexpr uint8_t kMappingHash = 0;
 constexpr uint8_t kMappingColoring = 1;
 
+// Smallest encodings, used to reject element counts a payload cannot hold
+// before reserving memory for them.
+constexpr size_t kMinTermBytes = 1 + 3 * 4;   // kind + 3 empty strings
+constexpr size_t kMinColumnBytes = 4 + 1;     // empty name + type
+constexpr size_t kMinIndexBytes = 4 + 4 + 1;  // 2 empty names + kind
+// A hash mapping builds one function object per count; real stores use
+// 1-3, and this cap keeps a corrupt count from allocating gigabytes.
+constexpr uint32_t kMaxHashFunctions = 1u << 16;
+
 void PutCountMap(std::string* out,
                  const std::unordered_map<uint64_t, uint64_t>& m) {
   PutU64(out, m.size());
@@ -118,6 +127,9 @@ std::string EncodeTripleBatch(const std::vector<rdf::Triple>& triples) {
 Result<std::vector<rdf::Triple>> DecodeTripleBatch(std::string_view payload) {
   ByteReader r(payload);
   RDFREL_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
+  if (n > r.remaining() / (3 * kMinTermBytes)) {
+    return Status::DataLoss("triple batch larger than payload");
+  }
   std::vector<rdf::Triple> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -177,6 +189,11 @@ std::string EncodeStatistics(const opt::Statistics& stats) {
   PutCountMap(&out, stats.top_subject_counts());
   PutCountMap(&out, stats.top_object_counts());
   PutCountMap(&out, stats.predicate_count_map());
+  // Tail added after format version 1 shipped: a payload that ends here is
+  // a snapshot written before per-predicate fan-outs, and decodes with
+  // empty maps (the cost model then falls back to the averages).
+  PutCountMap(&out, stats.predicate_distinct_subject_map());
+  PutCountMap(&out, stats.predicate_distinct_object_map());
   return out;
 }
 
@@ -190,12 +207,19 @@ Result<opt::Statistics> DecodeStatistics(std::string_view payload) {
   RDFREL_ASSIGN_OR_RETURN(auto top_s, ReadCountMap(&r));
   RDFREL_ASSIGN_OR_RETURN(auto top_o, ReadCountMap(&r));
   RDFREL_ASSIGN_OR_RETURN(auto preds, ReadCountMap(&r));
+  std::unordered_map<uint64_t, uint64_t> pred_ds;
+  std::unordered_map<uint64_t, uint64_t> pred_do;
+  if (!r.AtEnd()) {
+    RDFREL_ASSIGN_OR_RETURN(pred_ds, ReadCountMap(&r));
+    RDFREL_ASSIGN_OR_RETURN(pred_do, ReadCountMap(&r));
+  }
   if (!r.AtEnd()) {
     return Status::DataLoss("trailing bytes after statistics");
   }
   return opt::Statistics::FromParts(total, ds, dobj, avg_s, avg_o,
                                     std::move(top_s), std::move(top_o),
-                                    std::move(preds));
+                                    std::move(preds), std::move(pred_ds),
+                                    std::move(pred_do));
 }
 
 // --- Predicate mappings ---------------------------------------------------
@@ -238,8 +262,10 @@ Result<std::shared_ptr<const schema::PredicateMapping>> DecodeMapping(
     RDFREL_ASSIGN_OR_RETURN(uint32_t cols, r->ReadU32());
     RDFREL_ASSIGN_OR_RETURN(uint32_t fns, r->ReadU32());
     RDFREL_ASSIGN_OR_RETURN(uint64_t seed, r->ReadU64());
-    if (cols == 0 || fns == 0) {
-      return Status::DataLoss("hash mapping with zero columns or functions");
+    if (cols == 0 || fns == 0 || fns > kMaxHashFunctions) {
+      return Status::DataLoss("hash mapping with " + std::to_string(cols) +
+                              " columns and " + std::to_string(fns) +
+                              " functions");
     }
     return std::shared_ptr<const schema::PredicateMapping>(
         std::make_shared<schema::HashMapping>(cols, fns, seed));
@@ -259,6 +285,11 @@ Result<std::shared_ptr<const schema::PredicateMapping>> DecodeMapping(
     for (uint64_t i = 0; i < n_assign; ++i) {
       RDFREL_ASSIGN_OR_RETURN(uint64_t pred, r->ReadU64());
       RDFREL_ASSIGN_OR_RETURN(uint32_t col, r->ReadU32());
+      if (col >= cols) {
+        return Status::DataLoss("coloring assigns column " +
+                                std::to_string(col) + " of " +
+                                std::to_string(cols));
+      }
       res.assignment[pred] = col;
     }
     RDFREL_ASSIGN_OR_RETURN(uint64_t n_punted, r->ReadU64());
@@ -270,8 +301,12 @@ Result<std::shared_ptr<const schema::PredicateMapping>> DecodeMapping(
       RDFREL_ASSIGN_OR_RETURN(uint64_t pred, r->ReadU64());
       res.punted.insert(pred);
     }
-    if (cols == 0 || fns == 0) {
-      return Status::DataLoss("coloring mapping with zero columns/functions");
+    if (cols == 0 || fns == 0 || fns > kMaxHashFunctions ||
+        res.colors_used > cols) {
+      return Status::DataLoss("coloring mapping with " +
+                              std::to_string(cols) + " columns, " +
+                              std::to_string(fns) + " functions and " +
+                              std::to_string(res.colors_used) + " colors");
     }
     return std::shared_ptr<const schema::PredicateMapping>(
         std::make_shared<schema::ColoringMapping>(std::move(res), cols, fns,
@@ -310,6 +345,9 @@ void EncodeTable(std::string* out, const sql::Table& table) {
 Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
   RDFREL_ASSIGN_OR_RETURN(std::string_view name, r->ReadString());
   RDFREL_ASSIGN_OR_RETURN(uint32_t n_cols, r->ReadU32());
+  if (n_cols > r->remaining() / kMinColumnBytes) {
+    return Status::DataLoss("table schema larger than payload");
+  }
   std::vector<sql::ColumnDef> cols;
   cols.reserve(n_cols);
   for (uint32_t i = 0; i < n_cols; ++i) {
@@ -318,6 +356,11 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
     def.name = std::string(col_name);
     RDFREL_ASSIGN_OR_RETURN(uint8_t type, r->ReadU8());
     def.type = static_cast<sql::ValueType>(type);
+    if (def.type != sql::ValueType::kInt64 &&
+        def.type != sql::ValueType::kDouble &&
+        def.type != sql::ValueType::kString) {
+      return Status::DataLoss("unknown column type " + std::to_string(type));
+    }
     cols.push_back(std::move(def));
   }
 
@@ -327,6 +370,9 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
     sql::IndexKind kind;
   };
   RDFREL_ASSIGN_OR_RETURN(uint32_t n_indexes, r->ReadU32());
+  if (n_indexes > r->remaining() / kMinIndexBytes) {
+    return Status::DataLoss("index list larger than payload");
+  }
   std::vector<IndexSpec> indexes;
   indexes.reserve(n_indexes);
   for (uint32_t i = 0; i < n_indexes; ++i) {
@@ -337,6 +383,10 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
     spec.column = std::string(col_name);
     RDFREL_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
     spec.kind = static_cast<sql::IndexKind>(kind);
+    if (spec.kind != sql::IndexKind::kBTree &&
+        spec.kind != sql::IndexKind::kHash) {
+      return Status::DataLoss("unknown index kind " + std::to_string(kind));
+    }
     indexes.push_back(std::move(spec));
   }
 
@@ -344,6 +394,12 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
                           catalog->CreateTable(std::string(name),
                                                sql::Schema(std::move(cols))));
   RDFREL_ASSIGN_OR_RETURN(uint64_t n_rows, r->ReadU64());
+  // Every value takes at least its tag byte, so a row of n columns takes
+  // at least n bytes; a zero-column table holds no rows.
+  const size_t width = table->schema().num_columns();
+  if (width == 0 ? n_rows > 0 : n_rows > r->remaining() / width) {
+    return Status::DataLoss("table rows larger than payload");
+  }
   for (uint64_t i = 0; i < n_rows; ++i) {
     sql::Row row;
     row.reserve(table->schema().num_columns());

@@ -83,8 +83,8 @@ TEST(StatisticsTest, BasicCounts) {
   uint64_t a = g.dictionary().Lookup(Term::Iri("a"));
   uint64_t x = g.dictionary().Lookup(Term::Iri("x"));
   uint64_t p = g.dictionary().Lookup(Term::Iri("p"));
-  EXPECT_DOUBLE_EQ(s.EstimateBySubject(a), 2.0);
-  EXPECT_DOUBLE_EQ(s.EstimateByObject(x), 2.0);
+  EXPECT_DOUBLE_EQ(s.EstimateBySubject(a, s.avg_triples_per_subject()), 2.0);
+  EXPECT_DOUBLE_EQ(s.EstimateByObject(x, s.avg_triples_per_object()), 2.0);
   EXPECT_EQ(s.CountByPredicate(p), 2u);
 }
 
@@ -100,9 +100,113 @@ TEST(StatisticsTest, TopKFallsBackToAverage) {
   Statistics s = Statistics::FromGraph(g, 1);
   uint64_t hot = g.dictionary().Lookup(Term::Iri("hot"));
   uint64_t cold = g.dictionary().Lookup(Term::Iri("cold3"));
-  EXPECT_DOUBLE_EQ(s.EstimateBySubject(hot), 10.0);  // exact (top-1)
-  EXPECT_DOUBLE_EQ(s.EstimateBySubject(cold),
-                   s.avg_triples_per_subject());  // averaged
+  const double avg = s.avg_triples_per_subject();
+  EXPECT_DOUBLE_EQ(s.EstimateBySubject(hot, avg), 10.0);  // exact (top-1)
+  EXPECT_DOUBLE_EQ(s.EstimateBySubject(cold, avg), avg);  // averaged
+}
+
+/// `:memberOf` shaped: 80 students, each a member of one of 2 departments
+/// (1:1 on the subject side, 1:40 on the object side), next to a `:knows`
+/// predicate whose 1 subject has 20 objects, so the graph-wide averages
+/// differ from both of memberOf's fan-outs.
+rdf::Graph MemberOfGraph() {
+  rdf::Graph g;
+  for (int i = 0; i < 80; ++i) {
+    g.Add({Term::Iri("s" + std::to_string(i)), Term::Iri("memberOf"),
+           Term::Iri("d" + std::to_string(i % 2))});
+  }
+  for (int i = 0; i < 20; ++i) {
+    g.Add({Term::Iri("hub"), Term::Iri("knows"),
+           Term::Iri("k" + std::to_string(i))});
+  }
+  return g;
+}
+
+TEST(StatisticsTest, PerPredicateFanout) {
+  rdf::Graph g = MemberOfGraph();
+  Statistics s = Statistics::FromGraph(g, 0);
+  const uint64_t member_of = g.dictionary().Lookup(Term::Iri("memberOf"));
+  const uint64_t knows = g.dictionary().Lookup(Term::Iri("knows"));
+  EXPECT_DOUBLE_EQ(s.SubjectFanout(member_of), 1.0);
+  EXPECT_DOUBLE_EQ(s.ObjectFanout(member_of), 40.0);
+  EXPECT_DOUBLE_EQ(s.SubjectFanout(knows), 20.0);
+  EXPECT_DOUBLE_EQ(s.ObjectFanout(knows), 1.0);
+  // Graph-wide: 100 triples over 81 subjects and 22 objects.
+  EXPECT_DOUBLE_EQ(s.avg_triples_per_subject(), 100.0 / 81.0);
+  EXPECT_DOUBLE_EQ(s.avg_triples_per_object(), 100.0 / 22.0);
+  EXPECT_EQ(s.predicate_distinct_subject_map().at(member_of), 80u);
+  EXPECT_EQ(s.predicate_distinct_object_map().at(member_of), 2u);
+}
+
+TEST(StatisticsTest, FanoutFollowsWritesAndFallsBack) {
+  rdf::Graph g = MemberOfGraph();
+  Statistics s = Statistics::FromGraph(g, 0);
+  const uint64_t member_of = g.dictionary().Lookup(Term::Iri("memberOf"));
+  const uint64_t knows = g.dictionary().Lookup(Term::Iri("knows"));
+  const uint64_t d0 = g.dictionary().Lookup(Term::Iri("d0"));
+  const uint64_t hub = g.dictionary().Lookup(Term::Iri("hub"));
+  const uint64_t s0 = g.dictionary().Lookup(Term::Iri("s0"));
+  const uint64_t unseen = g.dictionary().Encode(Term::Iri("advisor"));
+  const double avg_s = s.avg_triples_per_subject();
+  const double avg_o = s.avg_triples_per_object();
+
+  // count(p) is exact under writes; the distinct counts keep their
+  // load-time values, so the fan-out follows the count.
+  s.AddTriple({s0, member_of, d0});
+  EXPECT_EQ(s.CountByPredicate(member_of), 81u);
+  EXPECT_DOUBLE_EQ(s.SubjectFanout(member_of), 81.0 / 80.0);
+  EXPECT_DOUBLE_EQ(s.ObjectFanout(member_of), 81.0 / 2.0);
+  s.RemoveTriple({s0, member_of, d0});
+  s.RemoveTriple({s0, member_of, d0});
+  EXPECT_EQ(s.CountByPredicate(member_of), 79u);
+  EXPECT_DOUBLE_EQ(s.SubjectFanout(member_of), 79.0 / 80.0);
+
+  // A predicate unseen at load has no distinct counts: the averages.
+  s.AddTriple({s0, unseen, d0});
+  EXPECT_EQ(s.CountByPredicate(unseen), 1u);
+  EXPECT_DOUBLE_EQ(s.SubjectFanout(unseen), avg_s);
+  EXPECT_DOUBLE_EQ(s.ObjectFanout(unseen), avg_o);
+
+  // A predicate removed to 0 falls back to the averages too.
+  for (int i = 0; i < 20; ++i) {
+    s.RemoveTriple({hub, knows, g.dictionary().Lookup(Term::Iri(
+                                    "k" + std::to_string(i)))});
+  }
+  EXPECT_EQ(s.CountByPredicate(knows), 0u);
+  EXPECT_DOUBLE_EQ(s.SubjectFanout(knows), avg_s);
+  EXPECT_DOUBLE_EQ(s.ObjectFanout(knows), avg_o);
+}
+
+TEST(CostModelTest, ConstantPredicateUsesItsFanout) {
+  rdf::Graph g = MemberOfGraph();
+  // Top-1 tracking: "hub" takes the subject slot, so "s5" is untracked.
+  Statistics s = Statistics::FromGraph(g, 1);
+  CostModel cm(&s, &g.dictionary());
+  auto triple = [](const std::string& text) {
+    auto q = sparql::ParseQuery("SELECT * WHERE { " + text + " }");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    std::vector<const sparql::TriplePattern*> ts;
+    q->where->CollectTriples(&ts);
+    return *ts.at(0);
+  };
+  // Variable entries on a constant predicate: its own fan-outs.
+  sparql::TriplePattern member = triple("?x <memberOf> ?z");
+  EXPECT_DOUBLE_EQ(cm.Tmc(member, AccessMethod::kAcs), 1.0);
+  EXPECT_DOUBLE_EQ(cm.Tmc(member, AccessMethod::kAco), 40.0);
+  // An untracked constant entry: the fan-out, not the graph average.
+  EXPECT_DOUBLE_EQ(cm.Tmc(triple("<s5> <memberOf> ?z"), AccessMethod::kAcs),
+                   1.0);
+  // A tracked constant entry keeps its exact count.
+  EXPECT_DOUBLE_EQ(cm.Tmc(triple("<hub> <knows> ?z"), AccessMethod::kAcs),
+                   20.0);
+  // A variable predicate keeps the graph-wide averages.
+  sparql::TriplePattern any = triple("?x ?p ?z");
+  EXPECT_DOUBLE_EQ(cm.Tmc(any, AccessMethod::kAcs),
+                   s.avg_triples_per_subject());
+  EXPECT_DOUBLE_EQ(cm.Tmc(any, AccessMethod::kAco),
+                   s.avg_triples_per_object());
+  // A constant predicate absent from the dictionary matches nothing.
+  EXPECT_DOUBLE_EQ(cm.Tmc(triple("?x <nope> ?z"), AccessMethod::kAcs), 0.0);
 }
 
 TEST(CostModelTest, PaperExampleOrdering) {
@@ -119,7 +223,7 @@ TEST(CostModelTest, PaperExampleOrdering) {
   EXPECT_DOUBLE_EQ(cm.Tmc(t4, AccessMethod::kAco), 2.0);
   // aco on "Palo Alto" is not (30 residents).
   EXPECT_DOUBLE_EQ(cm.Tmc(t1, AccessMethod::kAco), 30.0);
-  // acs with unbound-var subject costs the average.
+  // acs with unbound-var subject costs the entry fan-out.
   EXPECT_GT(cm.Tmc(t1, AccessMethod::kAcs), 0.0);
   EXPECT_LT(cm.Tmc(t1, AccessMethod::kAcs), 30.0);
 }

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "benchdata/lubm.h"
 #include "persist/env.h"
 #include "persist/fail_fs.h"
 #include "persist/manager.h"
@@ -121,6 +122,31 @@ TEST(PersistTestRecovery, CheckpointTruncatesWalAndReopens) {
   EXPECT_EQ(AllTriples(**reopened), before);
   // Everything came from the checkpoint snapshot; the WAL was empty.
   EXPECT_EQ((*reopened)->persist_stats().replayed_records, 0u);
+}
+
+// The snapshot carries the per-predicate distinct counts, so a reopened
+// store prices triples exactly as the writer did: LQ2's SQL (whose flow
+// turns on undergraduateDegreeFrom's fan-out) is byte-identical.
+TEST(PersistTestRecovery, ReopenedStorePlansLikeTheWriter) {
+  MemEnv env;
+  benchdata::Workload w = benchdata::MakeLubm(15, 4);
+  std::string lq2;
+  for (const auto& nq : w.queries) {
+    if (nq.id == "LQ2") lq2 = nq.sparql;
+  }
+  ASSERT_FALSE(lq2.empty());
+  auto store = RdfStore::Load(w.graph).value();
+  ASSERT_TRUE(store->EnablePersistence("db", SyncEveryRecord(&env)).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  auto before = store->TranslateToSql(lq2);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(store->Close().ok());
+
+  auto reopened = RdfStore::Open("db", SyncEveryRecord(&env));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto after = (*reopened)->TranslateToSql(lq2);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, *before);
 }
 
 /// The tentpole acceptance test: for EVERY byte offset of the WAL, crash

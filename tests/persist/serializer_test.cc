@@ -1,15 +1,18 @@
-/// Serializer round-trips: the dictionary (the ISSUE's focus: empty store,
-/// non-ASCII literals, >64KiB literals, id stability), statistics and the
-/// triple-batch WAL payloads.
+/// Serializer round-trips: the dictionary (empty store, non-ASCII literals,
+/// >64KiB literals, id stability), statistics (with and without the
+/// per-predicate fan-out tail) and the triple-batch WAL payloads.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "opt/cost_model.h"
 #include "persist/coding.h"
 #include "persist/serializer.h"
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
+#include "sparql/parser.h"
 
 namespace rdfrel::persist {
 namespace {
@@ -127,6 +130,56 @@ TEST(PersistTestSerializer, StatisticsRoundTrip) {
   EXPECT_EQ(out->predicate_count_map(), stats.predicate_count_map());
   EXPECT_EQ(out->top_subject_counts(), stats.top_subject_counts());
   EXPECT_EQ(out->top_object_counts(), stats.top_object_counts());
+  EXPECT_EQ(out->predicate_distinct_subject_map(),
+            stats.predicate_distinct_subject_map());
+  EXPECT_EQ(out->predicate_distinct_object_map(),
+            stats.predicate_distinct_object_map());
+}
+
+// Snapshots written before per-predicate fan-outs end after the predicate
+// counts. They still decode (with empty distinct maps), and the cost model
+// then prices variable entries at the graph-wide averages.
+TEST(PersistTestSerializer, StatisticsWithoutFanoutTailDecode) {
+  rdf::Graph g;
+  for (int i = 0; i < 6; ++i) {
+    g.Add({Term::Iri("http://x/s" + std::to_string(i)),
+           Term::Iri("http://x/p"), Term::Iri("http://x/o")});
+  }
+  g.Add({Term::Iri("http://x/s0"), Term::Iri("http://x/q"),
+         Term::Iri("http://x/o1")});
+  opt::Statistics stats = opt::Statistics::FromGraph(g, 10);
+  const std::string full = EncodeStatistics(stats);
+  const size_t tail = 8 + 16 * stats.predicate_distinct_subject_map().size() +
+                      8 + 16 * stats.predicate_distinct_object_map().size();
+  ASSERT_GT(full.size(), tail);
+  const std::string legacy = full.substr(0, full.size() - tail);
+
+  auto out = DecodeStatistics(legacy);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->predicate_count_map(), stats.predicate_count_map());
+  EXPECT_TRUE(out->predicate_distinct_subject_map().empty());
+  EXPECT_TRUE(out->predicate_distinct_object_map().empty());
+
+  auto q = sparql::ParseQuery("SELECT * WHERE { ?s <http://x/p> ?o }");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<const sparql::TriplePattern*> ts;
+  q->where->CollectTriples(&ts);
+  const opt::CostModel legacy_cost(&*out, &g.dictionary());
+  EXPECT_DOUBLE_EQ(legacy_cost.Tmc(*ts[0], opt::AccessMethod::kAcs),
+                   stats.avg_triples_per_subject());
+  EXPECT_DOUBLE_EQ(legacy_cost.Tmc(*ts[0], opt::AccessMethod::kAco),
+                   stats.avg_triples_per_object());
+  // The current payload prices the same triple at p's own fan-outs.
+  const opt::CostModel cost(&stats, &g.dictionary());
+  EXPECT_DOUBLE_EQ(cost.Tmc(*ts[0], opt::AccessMethod::kAcs), 1.0);
+  EXPECT_DOUBLE_EQ(cost.Tmc(*ts[0], opt::AccessMethod::kAco), 6.0);
+
+  // Half a tail (the subject map alone) is truncation, not a legacy payload.
+  const size_t object_map =
+      8 + 16 * stats.predicate_distinct_object_map().size();
+  EXPECT_TRUE(DecodeStatistics(full.substr(0, full.size() - object_map))
+                  .status()
+                  .IsDataLoss());
 }
 
 }  // namespace

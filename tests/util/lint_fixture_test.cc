@@ -114,13 +114,6 @@ void ExpectClean(const std::string& fixture) {
   EXPECT_TRUE(r.stdout_text.empty()) << r.stdout_text;
 }
 
-TEST(LintFixtureTest, ArenaEscapeViolationsExactLines) {
-  ExpectExactDiagnostics("arena_escape_violation.cc");
-}
-TEST(LintFixtureTest, ArenaEscapeCleanTwin) {
-  ExpectClean("arena_escape_clean.cc");
-}
-
 TEST(LintFixtureTest, BlockingUnderLockViolationsExactLines) {
   ExpectExactDiagnostics("blocking_under_lock_violation.cc");
 }
@@ -142,7 +135,7 @@ TEST(LintFixtureTest, StatusDisciplineCleanTwin) {
   ExpectClean("status_discipline_clean.cc");
 }
 
-TEST(LintFixtureTest, ListRulesNamesAllFour) {
+TEST(LintFixtureTest, ListRulesNamesEveryRule) {
   RunResult r = RunLint("--list-rules");
   EXPECT_EQ(r.exit_code, 0);
   std::istringstream in(r.stdout_text);
@@ -151,9 +144,9 @@ TEST(LintFixtureTest, ListRulesNamesAllFour) {
   while (std::getline(in, line)) {
     if (!line.empty()) rules.insert(line);
   }
-  EXPECT_EQ(rules,
-            (std::set<std::string>{"arena-escape", "blocking-under-lock",
-                                   "borrowed-batch", "status-discipline"}));
+  EXPECT_EQ(rules, (std::set<std::string>{"blocking-under-lock",
+                                          "borrowed-batch",
+                                          "status-discipline"}));
 }
 
 TEST(LintFixtureTest, RulesFlagRestrictsDiagnostics) {

@@ -14,16 +14,6 @@ namespace {
 
 // ---------------------------------------------------------------- helpers
 
-bool Contains(const std::string& haystack, const std::string& needle) {
-  return haystack.find(needle) != std::string::npos;
-}
-
-/// True for identifiers that look arena-backed by project convention:
-/// QueryArena, ArenaAllocator, ArenaRows, arena_, query_arena, ...
-bool IsArenaIsh(const std::string& ident) {
-  return Contains(ident, "Arena") || Contains(ident, "arena");
-}
-
 /// Member access by project naming convention: trailing underscore.
 bool IsMemberName(const std::string& ident) {
   return ident.size() >= 2 && ident.back() == '_';
@@ -68,13 +58,8 @@ struct LockRecord {
 class Analyzer {
  public:
   Analyzer(const std::string& path, const LexedFile& lexed,
-           const MarkerIndex& markers, const std::set<std::string>& rules,
-           std::vector<Diagnostic>* out)
-      : path_(path),
-        t_(lexed.tokens),
-        markers_(markers),
-        rules_(rules),
-        out_(out) {}
+           const std::set<std::string>& rules, std::vector<Diagnostic>* out)
+      : path_(path), t_(lexed.tokens), rules_(rules), out_(out) {}
 
   void Run();
 
@@ -121,21 +106,8 @@ class Analyzer {
     return false;
   }
 
-  std::string EnclosingClass() const {
-    if (fn_active_) return fn_class_;
-    if (!class_stack_.empty()) return class_stack_.back().name;
-    return "";
-  }
-  bool EnclosingClassIsQueryScoped() const {
-    const std::string cls = EnclosingClass();
-    return !cls.empty() && markers_.query_scoped_classes.count(cls) > 0;
-  }
-
   // Sub-handlers, each invoked from the main token loop.
-  void HandleOpenBrace();
   void HandleCloseBrace();
-  void HandleClassDecl(size_t k);
-  void HandleMethodQualifier(size_t k);
   void HandleLockDecl(size_t k);
   void HandleLockToggle(size_t k);
   void HandleBlockingCall(size_t k);
@@ -144,9 +116,6 @@ class Analyzer {
   void HandleDeclOrAssign(size_t k);
   void HandleContainerInsert(size_t k);
 
-  /// True when the RHS token range [begin, end) derives from an arena:
-  /// mentions a tainted local or calls Allocate on an arena-ish receiver.
-  bool RhsIsArenaDerived(size_t begin, size_t end) const;
   /// True when [begin, end) captures borrowed RowBatch storage: `&batch`,
   /// `batch.RowAt/Active/ActiveIndex/selection`, or the bare batch name.
   bool RhsCapturesBatch(size_t begin, size_t end,
@@ -154,29 +123,13 @@ class Analyzer {
 
   const std::string& path_;
   const std::vector<Token>& t_;
-  const MarkerIndex& markers_;
   const std::set<std::string>& rules_;
   std::vector<Diagnostic>* out_;
 
   int depth_ = 0;        ///< brace depth
   int paren_depth_ = 0;  ///< open parens
 
-  struct ClassCtx {
-    std::string name;
-    int depth;  ///< depth inside the class body
-  };
-  std::vector<ClassCtx> class_stack_;
-
-  // Out-of-line method tracking: `Foo::Bar(...) ... {` makes Foo the
-  // enclosing class until the body closes.
-  bool fn_candidate_ = false;
-  std::string fn_candidate_class_;
-  bool fn_active_ = false;
-  std::string fn_class_;
-  int fn_entry_depth_ = 0;
-
   std::vector<LockRecord> locks_;
-  std::vector<ScopedName> arena_tainted_;
   std::vector<ScopedName> batch_vars_;
   std::vector<ScopedName> status_vars_;
 };
@@ -228,67 +181,12 @@ size_t Analyzer::StatementEnd(size_t k) const {
   return k;
 }
 
-void Analyzer::HandleOpenBrace() {
-  ++depth_;
-  if (fn_candidate_ && !fn_active_) {
-    fn_active_ = true;
-    fn_class_ = fn_candidate_class_;
-    fn_entry_depth_ = depth_ - 1;
-    fn_candidate_ = false;
-  }
-}
-
 void Analyzer::HandleCloseBrace() {
   --depth_;
   if (depth_ < 0) depth_ = 0;
   Purge(&locks_, depth_);
-  Purge(&arena_tainted_, depth_);
   Purge(&batch_vars_, depth_);
   Purge(&status_vars_, depth_);
-  while (!class_stack_.empty() && class_stack_.back().depth > depth_) {
-    class_stack_.pop_back();
-  }
-  if (fn_active_ && depth_ <= fn_entry_depth_) {
-    fn_active_ = false;
-    fn_class_.clear();
-  }
-}
-
-void Analyzer::HandleClassDecl(size_t k) {
-  // `class [macros...] Name [final] [: bases] {` — pushes a class context.
-  // `enum class` and forward declarations are skipped.
-  if (IsIdent(k - 1, "enum")) return;
-  std::string name;
-  for (size_t j = k + 1; j < t_.size() && j < k + 12; ++j) {
-    if (IsPunct(j, ";")) return;  // forward declaration
-    if (IsPunct(j, "{") || IsPunct(j, ":")) break;
-    if (IsIdent(j) && Tok(j).text != "final" &&
-        Tok(j).text != "RDFREL_QUERY_SCOPED" && Tok(j).text != "alignas") {
-      name = Tok(j).text;
-    }
-  }
-  if (name.empty()) return;
-  // Find the `{` (or give up at `;` — a declaration).
-  for (size_t j = k + 1; j < t_.size(); ++j) {
-    if (IsPunct(j, ";")) return;
-    if (IsPunct(j, "{")) {
-      class_stack_.push_back({name, depth_ + 1});
-      return;
-    }
-  }
-}
-
-void Analyzer::HandleMethodQualifier(size_t k) {
-  // `A::B(` outside any function body: B is a method of A being defined
-  // out of line (constructors included). The last qualifier before the
-  // function name wins: `ns::Class::Method(` -> Class.
-  if (fn_active_ || paren_depth_ > 0) return;
-  if (!(IsIdent(k) && IsPunct(k + 1, "::") && IsIdent(k + 2) &&
-        IsPunct(k + 3, "("))) {
-    return;
-  }
-  fn_candidate_ = true;
-  fn_candidate_class_ = Tok(k).text;
 }
 
 void Analyzer::HandleLockDecl(size_t k) {
@@ -393,21 +291,6 @@ void Analyzer::HandleVoidCast(size_t k) {
   }
 }
 
-bool Analyzer::RhsIsArenaDerived(size_t begin, size_t end) const {
-  for (size_t j = begin; j < end; ++j) {
-    if (!IsIdent(j)) continue;
-    const std::string& id = Tok(j).text;
-    if (IsLiveIn(arena_tainted_, id)) return true;
-    if (IsArenaIsh(id) && (IsPunct(j + 1, ".") || IsPunct(j + 1, "->")) &&
-        IsIdent(j + 2, "Allocate")) {
-      return true;
-    }
-    // ArenaAllocator<T>(&arena) constructions taint whatever they feed.
-    if (id == "ArenaAllocator") return true;
-  }
-  return false;
-}
-
 bool Analyzer::RhsCapturesBatch(size_t begin, size_t end,
                                 std::string* which_batch) const {
   // Copying a Row or an index *value* out of a batch is always safe; the
@@ -474,19 +357,6 @@ void Analyzer::HandleDeclOrAssign(size_t k) {
         status_vars_.push_back({Tok(j).text, DeclDepth(), false});
       }
     }
-    // Arena-typed declarations (`ArenaRows rows{...}`, `QueryArena* a`)
-    // taint the declared name even without `=`.
-    if (IsArenaIsh(id) && id != "RDFREL_QUERY_SCOPED") {
-      size_t j = k + 1;
-      while (IsPunct(j, "*") || IsPunct(j, "&") || IsIdent(j, "const")) ++j;
-      if (IsIdent(j) && !IsPunct(j + 1, "::") && !IsPunct(j + 1, ".") &&
-          !IsPunct(j + 1, "->") &&
-          (IsPunct(j + 1, "{") || IsPunct(j + 1, "=") || IsPunct(j + 1, ";") ||
-           IsPunct(j + 1, "(")) &&
-          RuleOn(kRuleArenaEscape)) {
-        arena_tainted_.push_back({Tok(j).text, DeclDepth(), false});
-      }
-    }
   }
 
   // Assignment statements: `lhs = rhs ;` at paren level 0. `==`, `<=`, etc.
@@ -533,29 +403,8 @@ void Analyzer::HandleDeclOrAssign(size_t k) {
     }
   }
 
-  if (is_decl && !static_store) {
-    // Declaration with an arena-derived initializer taints the new name.
-    if (RuleOn(kRuleArenaEscape) && RhsIsArenaDerived(rhs_begin, rhs_end)) {
-      arena_tainted_.push_back({lhs_name, DeclDepth(), false});
-    }
-    return;
-  }
+  if (is_decl && !static_store) return;
   if (!member_store && !static_store) return;
-
-  if (RuleOn(kRuleArenaEscape) && RhsIsArenaDerived(rhs_begin, rhs_end)) {
-    if (static_store) {
-      Diag(kRuleArenaEscape, Tok(k).line,
-           "arena-backed pointer stored into a static; the QueryArena dies "
-           "with the query but the static outlives it");
-    } else if (!EnclosingClassIsQueryScoped()) {
-      Diag(kRuleArenaEscape, Tok(k).line,
-           "arena-backed pointer stored into member '" + lhs_name +
-               "' of " + (EnclosingClass().empty() ? std::string("a type")
-                                                   : EnclosingClass()) +
-               " which is not marked RDFREL_QUERY_SCOPED; the pointer "
-               "dangles when the QueryArena drops at query end");
-    }
-  }
 
   std::string batch;
   if (RuleOn(kRuleBorrowedBatch) &&
@@ -569,8 +418,8 @@ void Analyzer::HandleDeclOrAssign(size_t k) {
 }
 
 void Analyzer::HandleContainerInsert(size_t k) {
-  // `member_.push_back(tainted)` / `this->member.emplace(..., tainted)` —
-  // moving arena-backed or batch-borrowed state into a member container.
+  // `member_.push_back(&batch)` / `this->member.emplace(..., &batch)` —
+  // moving batch-borrowed state into a member container.
   if (!(IsIdent(k) && IsPunct(k + 1, ".") && IsIdent(k + 2) &&
         IsPunct(k + 3, "(") &&
         ContainerInsertNames().count(Tok(k + 2).text) > 0)) {
@@ -582,15 +431,6 @@ void Analyzer::HandleContainerInsert(size_t k) {
   const size_t args_begin = k + 4;
   const size_t args_end = AfterMatchingParen(k + 3);
 
-  if (RuleOn(kRuleArenaEscape) && !EnclosingClassIsQueryScoped() &&
-      RhsIsArenaDerived(args_begin, args_end)) {
-    Diag(kRuleArenaEscape, Tok(k).line,
-         "arena-backed value inserted into member container '" +
-             Tok(k).text + "' of " +
-             (EnclosingClass().empty() ? std::string("a type")
-                                       : EnclosingClass()) +
-             " which is not marked RDFREL_QUERY_SCOPED");
-  }
   std::string batch;
   if (RuleOn(kRuleBorrowedBatch) &&
       RhsCapturesBatch(args_begin, args_end, &batch)) {
@@ -606,7 +446,7 @@ void Analyzer::Run() {
     const Token& tok = t_[k];
     if (tok.kind == TokenKind::kPunct) {
       if (tok.text == "{") {
-        HandleOpenBrace();
+        ++depth_;
         continue;
       }
       if (tok.text == "}") {
@@ -622,10 +462,6 @@ void Analyzer::Run() {
         if (paren_depth_ > 0) --paren_depth_;
         continue;
       }
-      if (tok.text == ";") {
-        fn_candidate_ = false;  // was a declaration, not a definition
-        continue;
-      }
       if (tok.text == "=") {
         HandleDeclOrAssign(k);
         continue;
@@ -634,11 +470,6 @@ void Analyzer::Run() {
     }
     if (tok.kind != TokenKind::kIdent) continue;
 
-    if (tok.text == "class" || tok.text == "struct") {
-      HandleClassDecl(k);
-      continue;
-    }
-    HandleMethodQualifier(k);
     HandleLockDecl(k);
     HandleLockToggle(k);
     HandleBlockingCall(k);
@@ -650,8 +481,7 @@ void Analyzer::Run() {
 }  // namespace
 
 std::vector<std::string> AllRules() {
-  return {kRuleArenaEscape, kRuleBlockingUnderLock, kRuleBorrowedBatch,
-          kRuleStatusDiscipline};
+  return {kRuleBlockingUnderLock, kRuleBorrowedBatch, kRuleStatusDiscipline};
 }
 
 std::string FormatDiagnostic(const Diagnostic& d) {
@@ -659,39 +489,11 @@ std::string FormatDiagnostic(const Diagnostic& d) {
          "] " + d.message;
 }
 
-void CollectMarkers(const std::string& source, MarkerIndex* index) {
-  LexedFile lexed = Lex(source);
-  const auto& t = lexed.tokens;
-  for (size_t k = 0; k + 2 < t.size(); ++k) {
-    if (t[k].kind != TokenKind::kIdent ||
-        (t[k].text != "class" && t[k].text != "struct")) {
-      continue;
-    }
-    // `class RDFREL_QUERY_SCOPED Name ...` — the marker precedes the name.
-    bool marked = false;
-    std::string name;
-    for (size_t j = k + 1; j < t.size() && j < k + 12; ++j) {
-      if (t[j].kind == TokenKind::kPunct &&
-          (t[j].text == "{" || t[j].text == ";" || t[j].text == ":")) {
-        break;
-      }
-      if (t[j].kind != TokenKind::kIdent) continue;
-      if (t[j].text == "RDFREL_QUERY_SCOPED") {
-        marked = true;
-      } else if (t[j].text != "final" && t[j].text != "alignas") {
-        name = t[j].text;
-      }
-    }
-    if (marked && !name.empty()) index->query_scoped_classes.insert(name);
-  }
-}
-
 void AnalyzeFileLexical(const std::string& path, const std::string& source,
-                        const MarkerIndex& markers,
                         const std::set<std::string>& rules,
                         std::vector<Diagnostic>* out) {
   LexedFile lexed = Lex(source);
-  Analyzer(path, lexed, markers, rules, out).Run();
+  Analyzer(path, lexed, rules, out).Run();
 }
 
 std::map<std::string, std::set<int>> SuppressionLines(

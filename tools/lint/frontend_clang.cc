@@ -4,9 +4,6 @@
 //
 // The AST pass owns the assignment-shaped rules, where semantic facts make
 // the checks exact:
-//   - arena-escape: "derives from QueryArena::Allocate" is a real dataflow
-//     fact, and RDFREL_QUERY_SCOPED is a [[clang::annotate]] attribute on
-//     the record, visible however the class was spelled;
 //   - borrowed-batch: RowBatch-typed decls are found by type, not name;
 //   - status-discipline: the cast's operand type is known, so only genuine
 //     Status/Result drops fire.
@@ -17,7 +14,6 @@
 #include <vector>
 
 #include "clang/AST/ASTConsumer.h"
-#include "clang/AST/Attr.h"
 #include "clang/AST/Decl.h"
 #include "clang/AST/DeclCXX.h"
 #include "clang/AST/Expr.h"
@@ -39,8 +35,6 @@ namespace rdfrel_lint {
 
 namespace {
 
-constexpr const char* kQueryScopedAnnotation = "rdfrel-query-scoped";
-
 struct Context {
   const std::set<std::string>* rules;
   std::vector<Diagnostic>* out;
@@ -57,60 +51,11 @@ std::string DisplayPath(const Context& ctx, llvm::StringRef file) {
   return path;
 }
 
-bool RecordIsQueryScoped(const clang::CXXRecordDecl* rd) {
-  if (rd == nullptr) return false;
-  for (const auto* attr : rd->specific_attrs<clang::AnnotateAttr>()) {
-    if (attr->getAnnotation() == kQueryScopedAnnotation) return true;
-  }
-  return false;
-}
-
 llvm::StringRef RecordName(clang::QualType type) {
   const clang::CXXRecordDecl* rd =
       type.getNonReferenceType()->getAsCXXRecordDecl();
   return rd != nullptr ? rd->getName() : llvm::StringRef();
 }
-
-bool TypeMentionsArena(clang::QualType type) {
-  std::string printed =
-      type.getNonReferenceType().getCanonicalType().getAsString();
-  return printed.find("QueryArena") != std::string::npos ||
-         printed.find("ArenaAllocator") != std::string::npos;
-}
-
-/// Subtree scan: does \p e derive from a QueryArena (an Allocate call, a
-/// tainted variable, or an arena-typed subexpression)?
-class ArenaDerivedFinder
-    : public clang::RecursiveASTVisitor<ArenaDerivedFinder> {
- public:
-  explicit ArenaDerivedFinder(const std::set<const clang::VarDecl*>& tainted)
-      : tainted_(tainted) {}
-
-  bool found() const { return found_; }
-
-  bool VisitCXXMemberCallExpr(clang::CXXMemberCallExpr* call) {
-    const clang::CXXMethodDecl* method = call->getMethodDecl();
-    if (method != nullptr && method->getName() == "Allocate" &&
-        method->getParent() != nullptr &&
-        method->getParent()->getName() == "QueryArena") {
-      found_ = true;
-    }
-    return !found_;
-  }
-
-  bool VisitDeclRefExpr(clang::DeclRefExpr* ref) {
-    const auto* var = llvm::dyn_cast<clang::VarDecl>(ref->getDecl());
-    if (var != nullptr &&
-        (tainted_.count(var) > 0 || TypeMentionsArena(var->getType()))) {
-      found_ = true;
-    }
-    return !found_;
-  }
-
- private:
-  const std::set<const clang::VarDecl*>& tainted_;
-  bool found_ = false;
-};
 
 /// Subtree scan: does \p e capture borrowed RowBatch storage?
 class BatchCaptureFinder
@@ -167,21 +112,6 @@ class Visitor : public clang::RecursiveASTVisitor<Visitor> {
            "(void) discards a " + name.str() +
                "; use rdfrel::IgnoreError(expr, \"reason\") so the "
                "swallowed error stays greppable");
-    }
-    return true;
-  }
-
-  // -------------------------------------------------- taint: arena locals
-  bool VisitVarDecl(clang::VarDecl* var) {
-    if (!var->hasLocalStorage()) return true;
-    if (TypeMentionsArena(var->getType())) {
-      tainted_.insert(var);
-      return true;
-    }
-    if (var->hasInit()) {
-      ArenaDerivedFinder finder(tainted_);
-      finder.TraverseStmt(var->getInit());
-      if (finder.found()) tainted_.insert(var);
     }
     return true;
   }
@@ -247,31 +177,10 @@ class Visitor : public clang::RecursiveASTVisitor<Visitor> {
     }
   }
 
-  /// Shared arena/batch flow check for a value reaching member or static
-  /// storage. \p field null means static storage (never exempt).
+  /// Borrowed-batch flow check for a value reaching member or static
+  /// storage. \p field null means static storage.
   void CheckValueFlow(const clang::FieldDecl* field, clang::Expr* rhs,
                       clang::SourceLocation loc, const std::string& sink) {
-    if (RuleOn(kRuleArenaEscape)) {
-      ArenaDerivedFinder finder(tainted_);
-      finder.TraverseStmt(rhs);
-      if (finder.found()) {
-        const clang::CXXRecordDecl* parent =
-            field != nullptr
-                ? llvm::dyn_cast<clang::CXXRecordDecl>(field->getParent())
-                : nullptr;
-        if (field == nullptr || !RecordIsQueryScoped(parent)) {
-          Diag(kRuleArenaEscape, loc,
-               "arena-backed value " + sink +
-                   (field != nullptr
-                        ? " of " + parent->getNameAsString() +
-                              " which is not marked RDFREL_QUERY_SCOPED; "
-                              "the storage dies with the QueryArena at "
-                              "query end"
-                        : "; the storage dies with the QueryArena at "
-                          "query end"));
-        }
-      }
-    }
     if (RuleOn(kRuleBorrowedBatch)) {
       // Copying a Row or index value out of a batch is safe; the hazard is
       // address-shaped. Flag: (a) taking an address into batch storage,
@@ -340,7 +249,6 @@ class Visitor : public clang::RecursiveASTVisitor<Visitor> {
 
   Context* ctx_;
   clang::ASTContext* ast_;
-  std::set<const clang::VarDecl*> tainted_;
 };
 
 class Consumer : public clang::ASTConsumer {
@@ -385,8 +293,6 @@ bool ClangEngineAvailable() { return true; }
 bool RunClangEngine(const std::vector<std::string>& files,
                     const std::string& build_path,
                     const std::set<std::string>& rules,
-                    const MarkerIndex& /*markers: the AST reads the
-                                          attribute directly*/,
                     std::vector<Diagnostic>* out, std::string* error) {
   std::unique_ptr<clang::tooling::CompilationDatabase> db;
   if (!build_path.empty()) {

@@ -6,7 +6,7 @@
 /// Clang development libraries (RDFREL_LINT_HAVE_CLANG); otherwise a stub
 /// reports the engine unavailable and the driver falls back to the lexical
 /// engine. The libTooling pass re-implements the assignment-shaped rules
-/// (arena-escape, borrowed-batch, status-discipline) on the AST, where
+/// (borrowed-batch, status-discipline) on the AST, where
 /// member resolution and types are exact; blocking-under-lock stays with
 /// the lexical engine in both modes because its release-around-I/O idiom
 /// is a statement-order property the token walk models directly.
@@ -29,7 +29,6 @@ bool ClangEngineAvailable();
 bool RunClangEngine(const std::vector<std::string>& files,
                     const std::string& build_path,
                     const std::set<std::string>& rules,
-                    const MarkerIndex& markers,
                     std::vector<Diagnostic>* out, std::string* error);
 
 }  // namespace rdfrel_lint

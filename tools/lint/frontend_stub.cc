@@ -9,8 +9,8 @@ namespace rdfrel_lint {
 bool ClangEngineAvailable() { return false; }
 
 bool RunClangEngine(const std::vector<std::string>&, const std::string&,
-                    const std::set<std::string>&, const MarkerIndex&,
-                    std::vector<Diagnostic>*, std::string* error) {
+                    const std::set<std::string>&, std::vector<Diagnostic>*,
+                    std::string* error) {
   *error =
       "rdfrel-lint was built without the Clang libTooling engine "
       "(LLVM/Clang development libraries were not found at configure time)";

@@ -4,7 +4,7 @@
 /// \file lexer.h
 /// A minimal C++ surface lexer for the lexical lint engine. It does not
 /// preprocess: macros stay as identifier tokens (which is exactly what the
-/// engine wants — RDFREL_QUERY_SCOPED is matched by name), #include lines
+/// engine wants — RDFREL_REQUIRES is matched by name), #include lines
 /// are skipped, comments and string/char literals are consumed without
 /// producing tokens. Comment text is kept separately, keyed by line, for
 /// suppression lookup.

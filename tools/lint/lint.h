@@ -3,12 +3,8 @@
 
 /// \file lint.h
 /// rdfrel-lint: project-invariant checks that the compiler cannot express
-/// (DESIGN.md §15). Four rules, each a named, suppressible diagnostic:
+/// (DESIGN.md §15). Three rules, each a named, suppressible diagnostic:
 ///
-///   arena-escape        a pointer or container backed by a QueryArena is
-///                       stored into state that outlives the query (a member
-///                       of a type not marked RDFREL_QUERY_SCOPED, or a
-///                       static), so it dangles when the arena drops.
 ///   blocking-under-lock a blocking call (Env I/O, fsync, WritableFile::Sync,
 ///                       ThreadPool::Submit, CondVar::Wait on a foreign
 ///                       mutex) is made while a MutexLock/ReaderLock/
@@ -40,7 +36,6 @@ namespace rdfrel_lint {
 
 /// Stable rule identifiers; these strings are the public contract (they
 /// appear in diagnostics, suppression comments, and fixture expectations).
-inline const char* const kRuleArenaEscape = "arena-escape";
 inline const char* const kRuleBlockingUnderLock = "blocking-under-lock";
 inline const char* const kRuleBorrowedBatch = "borrowed-batch";
 inline const char* const kRuleStatusDiscipline = "status-discipline";
@@ -66,22 +61,9 @@ struct Diagnostic {
 /// `<file>:<line>: error: [<rule>] <message>`.
 std::string FormatDiagnostic(const Diagnostic& d);
 
-/// Project facts shared by every file analysis: which class names carry the
-/// RDFREL_QUERY_SCOPED marker. Collected by a pre-pass over every file in
-/// scope (sources and headers), so a class annotated in a header exempts
-/// member stores in any .cc.
-struct MarkerIndex {
-  std::set<std::string> query_scoped_classes;
-};
-
-/// Scans \p source (file content) for `class/struct RDFREL_QUERY_SCOPED X`
-/// markers and merges them into \p index.
-void CollectMarkers(const std::string& source, MarkerIndex* index);
-
 /// Runs the lexical engine's \p rules over one file's content. Diagnostics
 /// are appended unfiltered; the caller applies suppressions.
 void AnalyzeFileLexical(const std::string& path, const std::string& source,
-                        const MarkerIndex& markers,
                         const std::set<std::string>& rules,
                         std::vector<Diagnostic>* out);
 

@@ -25,7 +25,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using rdfrel_lint::Diagnostic;
-using rdfrel_lint::MarkerIndex;
 
 struct Options {
   std::string build_path;           // -p
@@ -170,7 +169,7 @@ int main(int argc, char** argv) {
     std::sort(db_files.begin(), db_files.end());
     for (const auto& f : db_files) add_file(f);
     // Headers under the scope directories of the database entries: inline
-    // code lives there too, and the marker pre-pass needs them regardless.
+    // code lives there too.
     std::set<std::string> scope_dirs;
     for (const auto& f : db_files) {
       scope_dirs.insert(fs::path(f).begin()->string());
@@ -195,16 +194,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // ------------------------------------------------- load + marker pre-pass
+  // --------------------------------------------------------------- load
   std::vector<std::pair<std::string, std::string>> contents;  // path, text
-  MarkerIndex markers;
   for (const auto& f : files) {
     std::string text;
     if (!ReadFileToString(f, &text)) {
       std::cerr << argv[0] << ": cannot read " << f << "\n";
       return 2;
     }
-    rdfrel_lint::CollectMarkers(text, &markers);
     contents.emplace_back(f, std::move(text));
   }
 
@@ -231,9 +228,8 @@ int main(int argc, char** argv) {
   std::set<std::string> clang_rules;
   std::set<std::string> lexical_rules = opt.rules;
   if (use_clang) {
-    for (const char* rule :
-         {rdfrel_lint::kRuleArenaEscape, rdfrel_lint::kRuleBorrowedBatch,
-          rdfrel_lint::kRuleStatusDiscipline}) {
+    for (const char* rule : {rdfrel_lint::kRuleBorrowedBatch,
+                             rdfrel_lint::kRuleStatusDiscipline}) {
       if (opt.rules.count(rule) > 0) {
         clang_rules.insert(rule);
         lexical_rules.erase(rule);
@@ -243,8 +239,7 @@ int main(int argc, char** argv) {
 
   std::vector<Diagnostic> diags;
   for (const auto& [path, text] : contents) {
-    rdfrel_lint::AnalyzeFileLexical(path, text, markers, lexical_rules,
-                                    &diags);
+    rdfrel_lint::AnalyzeFileLexical(path, text, lexical_rules, &diags);
   }
   if (!clang_rules.empty()) {
     // Headers are analyzed through the TUs that include them; feed the
@@ -257,7 +252,7 @@ int main(int argc, char** argv) {
     }
     std::string error;
     if (!rdfrel_lint::RunClangEngine(tu_files, opt.build_path, clang_rules,
-                                     markers, &diags, &error)) {
+                                     &diags, &error)) {
       std::cerr << argv[0] << ": " << error << "\n";
       return 2;
     }
