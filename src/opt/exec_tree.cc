@@ -20,15 +20,27 @@ const sparql::TermOrVar& ExecNode::Entry() const {
 }
 
 std::string ExecNode::ToString(int indent) const {
-  std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out;
+  if (fold != nullptr) {
+    out = std::string(static_cast<size_t>(indent) * 2, ' ') + "FOLD[" +
+          std::to_string(fold->tuples.size()) + " branches](";
+    for (size_t i = 0; i < fold->positions.size(); ++i) {
+      if (i) out += ", ";
+      const FoldPosition& pos = fold->positions[i];
+      out += "t" + std::to_string(pos.triple->id) +
+             (pos.object ? ".o" : ".s");
+    }
+    out += ")\n";
+    ++indent;
+  }
+  std::string pad(static_cast<size_t>(indent) * 2, ' ');
   switch (kind) {
     case ExecKind::kTriple:
-      out = pad + "(t" + std::to_string(triple->id) + ", " +
+      out += pad + "(t" + std::to_string(triple->id) + ", " +
             AccessMethodToString(method) + ")\n";
       break;
     case ExecKind::kStar: {
-      out = pad + "STAR[" +
+      out += pad + "STAR[" +
             (star_semantics == StarSemantics::kConjunctive ? "AND" : "OR");
       out += ", " + std::string(AccessMethodToString(method)) + "](";
       for (size_t i = 0; i < star_triples.size(); ++i) {
@@ -41,13 +53,13 @@ std::string ExecNode::ToString(int indent) const {
       break;
     }
     case ExecKind::kAnd:
-      out = pad + "AND\n";
+      out += pad + "AND\n";
       break;
     case ExecKind::kOr:
-      out = pad + "OR\n";
+      out += pad + "OR\n";
       break;
     case ExecKind::kOptional:
-      out = pad + "OPTIONAL\n";
+      out += pad + "OPTIONAL\n";
       break;
   }
   for (const auto& c : children) out += c->ToString(indent + 1);

@@ -35,6 +35,32 @@ enum class StarSemantics {
 struct ExecNode;
 using ExecNodePtr = std::unique_ptr<ExecNode>;
 
+/// A constant subject (\p object false) or object of a triple pattern.
+struct FoldPosition {
+  const sparql::TriplePattern* triple = nullptr;
+  bool object = false;
+
+  const sparql::TermOrVar& At() const {
+    return object ? triple->object : triple->subject;
+  }
+};
+
+/// UNION folding (DESIGN.md §1 item 4): a subtree standing for several
+/// UNION branches that are the same plan up to constant subjects/objects.
+/// The subtree is the first branch's; each differing constant position is
+/// translated as a hidden column, and a solution is kept iff the hidden
+/// columns' values equal one of \p tuples. The tuples are pairwise
+/// distinct, so each solution matches exactly one folded branch.
+struct UnionFold {
+  /// The differing positions, in triples of the folded subtree.
+  std::vector<FoldPosition> positions;
+  /// One constant tuple per folded branch (the first included), parallel
+  /// to \p positions. Terms are borrowed from the Query.
+  std::vector<std::vector<const rdf::Term*>> tuples;
+  /// The other folded branches' triples, answered by this subtree.
+  std::vector<const sparql::TriplePattern*> absorbed;
+};
+
 /// A node of the execution / query-plan tree. Triple patterns are borrowed
 /// from the Query, which must outlive the tree.
 struct ExecNode {
@@ -55,6 +81,9 @@ struct ExecNode {
 
   // FILTERs to apply once this node's bindings exist (borrowed).
   std::vector<const sparql::FilterExpr*> filters;
+
+  /// Set when this subtree answers several folded UNION branches.
+  std::unique_ptr<UnionFold> fold;
 
   /// The entry component shared by this node's access (subject for acs,
   /// object for aco); meaningful for kTriple and kStar.

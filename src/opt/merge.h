@@ -30,7 +30,8 @@ bool OptMergeable(const QueryTreeIndex& tree, int t_main, int t_opt);
 
 /// Rewrites the execution tree in place, merging mergeable triple nodes
 /// into kStar nodes. \p has_spill returns true when the triple's predicate
-/// is spill-involved (such triples are never merged).
+/// is spill-involved (such triples are never merged). An OR that no star
+/// absorbs has its same-shape branches folded (UnionFold, exec_tree.h).
 ExecNodePtr MergeExecTree(ExecNodePtr root, const QueryTreeIndex& tree,
                           const SpillCheck& has_spill);
 

@@ -175,6 +175,7 @@ class ExecVerifier {
 
  private:
   Status Visit(const ExecNode& n, const std::string& path) {
+    if (n.fold != nullptr) RDFREL_RETURN_NOT_OK(VisitFold(n, path));
     switch (n.kind) {
       case ExecKind::kTriple:
         return VisitTriple(n, path);
@@ -186,6 +187,79 @@ class ExecVerifier {
         return VisitInner(n, path);
     }
     return Status::InternalPlanError(path + ": unknown node kind");
+  }
+
+  /// A folded subtree answers its absorbed branches' triples too. Its
+  /// positions must be constants of its own triples, its tuples pairwise
+  /// distinct and as wide as the positions, and each absorbed branch as
+  /// large as the subtree.
+  Status VisitFold(const ExecNode& n, const std::string& parent_path) {
+    const std::string path = parent_path + ".fold";
+    const UnionFold& f = *n.fold;
+    if (f.tuples.size() < 2) {
+      return Status::InternalPlanError(path +
+                                       ": fold of fewer than two branches");
+    }
+    if (f.positions.empty()) {
+      return Status::InternalPlanError(path + ": fold without a position");
+    }
+    std::vector<const sparql::TriplePattern*> own;
+    CollectTriples(n, &own);
+    std::set<const sparql::TermOrVar*> unread;
+    CollectSharedEntries(n, &unread);
+    for (const FoldPosition& p : f.positions) {
+      if (std::find(own.begin(), own.end(), p.triple) == own.end() ||
+          p.At().is_var) {
+        return Status::InternalPlanError(
+            path + ": position is not a constant of the folded subtree");
+      }
+      if (unread.count(&p.At()) != 0) {
+        return Status::InternalPlanError(
+            path + ": position is the entry of a star member after the "
+                   "first (t" + std::to_string(p.triple->id) + ")");
+      }
+    }
+    std::set<std::vector<rdf::Term>> seen;
+    for (const auto& tuple : f.tuples) {
+      std::vector<rdf::Term> terms;
+      for (const rdf::Term* t : tuple) {
+        if (t == nullptr) break;
+        terms.push_back(*t);
+      }
+      if (terms.size() != f.positions.size()) {
+        return Status::InternalPlanError(
+            path + ": tuple arity " + std::to_string(terms.size()) +
+            " != position count " + std::to_string(f.positions.size()));
+      }
+      if (!seen.insert(std::move(terms)).second) {
+        return Status::InternalPlanError(path + ": repeated tuple");
+      }
+    }
+    if (f.absorbed.size() != own.size() * (f.tuples.size() - 1)) {
+      return Status::InternalPlanError(
+          path + ": " + std::to_string(f.absorbed.size()) +
+          " absorbed triples for " + std::to_string(f.tuples.size() - 1) +
+          " branches of " + std::to_string(own.size()));
+    }
+    for (const sparql::TriplePattern* t : f.absorbed) covered_.insert(t->id);
+    return Status::OK();
+  }
+
+  /// The entries of star members after the first: a star reads its shared
+  /// entry from its first member only.
+  static void CollectSharedEntries(const ExecNode& n,
+                                   std::set<const sparql::TermOrVar*>* out) {
+    for (size_t i = 1; i < n.star_triples.size(); ++i) {
+      out->insert(&EntryOf(*n.star_triples[i], n.method));
+    }
+    for (const auto& c : n.children) CollectSharedEntries(*c, out);
+  }
+
+  static void CollectTriples(const ExecNode& n,
+                             std::vector<const sparql::TriplePattern*>* out) {
+    if (n.triple != nullptr) out->push_back(n.triple);
+    out->insert(out->end(), n.star_triples.begin(), n.star_triples.end());
+    for (const auto& c : n.children) CollectTriples(*c, out);
   }
 
   Status VisitTriple(const ExecNode& n, const std::string& parent_path) {

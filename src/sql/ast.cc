@@ -57,6 +57,22 @@ std::string Expr::ToString() const {
       out += ")";
       return out;
     }
+    case ExprKind::kIn: {
+      auto row = [](const std::vector<ExprPtr>& es) {
+        std::string out;
+        for (size_t i = 0; i < es.size(); ++i) {
+          if (i) out += ", ";
+          out += es[i]->ToString();
+        }
+        return es.size() == 1 ? out : "(" + out + ")";
+      };
+      std::string out = "(" + row(args) + " IN (";
+      for (size_t i = 0; i < in_rows.size(); ++i) {
+        if (i) out += ", ";
+        out += row(in_rows[i]);
+      }
+      return out + "))";
+    }
   }
   return "?";
 }

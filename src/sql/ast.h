@@ -39,6 +39,7 @@ enum class ExprKind {
   kIsNull,     ///< child IS [NOT] NULL  (negated flag)
   kCase,       ///< CASE WHEN..THEN.. [ELSE..] END (searched form)
   kCoalesce,   ///< COALESCE(e1, e2, ...)
+  kIn,         ///< e IN (c, ...) or (e1, ..., ek) IN ((c1, ..., ck), ...)
 };
 
 struct CaseBranch {
@@ -71,8 +72,11 @@ struct Expr {
   std::vector<CaseBranch> branches;
   ExprPtr else_expr;  // may be null (implicit ELSE NULL)
 
-  // kCoalesce
+  // kCoalesce; kIn: the tested operands (one, or a row value's k)
   std::vector<ExprPtr> args;
+
+  // kIn: the list, one row of args.size() constants per element
+  std::vector<std::vector<ExprPtr>> in_rows;
 
   /// Round-trippable SQL text (used in error messages and plan dumps).
   std::string ToString() const;

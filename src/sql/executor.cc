@@ -164,14 +164,25 @@ Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
 // ------------------------------------------------------------ IndexScanOp
 
 IndexScanOp::IndexScanOp(const Table* table, const std::string& alias,
-                         const IndexInfo* index, Value key)
-    : table_(table), index_(index), key_(std::move(key)) {
+                         const IndexInfo* index, std::vector<Value> keys)
+    : table_(table), index_(index), keys_(std::move(keys)) {
   scope_ = TableScope(table, alias);
 }
 
 Status IndexScanOp::Open() {
-  rids_ = index_->Lookup(key_);
   pos_ = 0;
+  if (keys_.size() == 1) {
+    rids_ = index_->Lookup(keys_[0]);
+    return Status::OK();
+  }
+  rids_.clear();
+  for (const Value& key : keys_) {
+    std::vector<RowId> hits = index_->Lookup(key);
+    rids_.insert(rids_.end(), hits.begin(), hits.end());
+  }
+  // Heap order, and one fetch per row however many keys it matches.
+  std::sort(rids_.begin(), rids_.end());
+  rids_.erase(std::unique(rids_.begin(), rids_.end()), rids_.end());
   return Status::OK();
 }
 
@@ -870,6 +881,12 @@ Status IndexScanOp::VerifySelf() const {
   }
   if (index_ == nullptr) {
     return Status::InternalPlanError("index scan without an index");
+  }
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i].is_null()) {
+      return Status::InternalPlanError("index scan key " + std::to_string(i) +
+                                       " is NULL");
+    }
   }
   return Status::OK();
 }

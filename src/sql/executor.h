@@ -139,8 +139,11 @@ class SeqScanOp final : public Operator {
 /// intermediate Row materialization per rid).
 class IndexScanOp final : public Operator {
  public:
+  /// Rows whose indexed column equals one of \p keys (non-NULL; each row
+  /// is emitted once however many keys it matches; an empty list matches
+  /// nothing).
   IndexScanOp(const Table* table, const std::string& alias,
-              const IndexInfo* index, Value key);
+              const IndexInfo* index, std::vector<Value> keys);
   Status Open() override;
   std::string name() const override {
     return "IndexScan(" + table_->name() + ")";
@@ -153,7 +156,7 @@ class IndexScanOp final : public Operator {
  private:
   const Table* table_;
   const IndexInfo* index_;
-  Value key_;
+  std::vector<Value> keys_;
   std::vector<RowId> rids_;
   size_t pos_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "sql/expression.h"
 
+#include <unordered_set>
+
 #include "util/string_util.h"
 
 namespace rdfrel::sql {
@@ -421,7 +423,121 @@ class CoalesceExpr final : public BoundExpr {
   std::vector<BoundExprPtr> args_;
 };
 
+/// `(e1, ..., ek) IN (constant rows)`: membership in a hash set of the
+/// rows, under SQL's three-valued logic. TRUE when the operands equal a
+/// row; otherwise NULL when a row equals them wherever both sides are
+/// non-NULL and a NULL sits on either side, else FALSE.
+class InListExpr final : public BoundExpr {
+ public:
+  InListExpr(std::vector<BoundExprPtr> operands,
+             std::vector<std::vector<Value>> rows)
+      : operands_(std::move(operands)) {
+    for (auto& r : rows) {
+      bool has_null = false;
+      for (const Value& v : r) has_null = has_null || v.is_null();
+      if (has_null) {
+        null_rows_.push_back(std::move(r));
+      } else {
+        rows_.insert(std::move(r));
+      }
+    }
+  }
+
+  Result<Value> Evaluate(const Row& row) const override {
+    std::vector<Value> probe;
+    probe.reserve(operands_.size());
+    for (const auto& e : operands_) {
+      RDFREL_ASSIGN_OR_RETURN(Value v, e->Evaluate(row));
+      probe.push_back(std::move(v));
+    }
+    bool has_null = false;
+    for (const Value& v : probe) has_null = has_null || v.is_null();
+    if (!has_null && rows_.count(probe) > 0) return Value::Bool(true);
+    auto maybe = [&](const std::vector<Value>& r) {
+      for (size_t i = 0; i < r.size(); ++i) {
+        if (!probe[i].is_null() && !r[i].is_null() &&
+            !probe[i].EqualsNonNull(r[i])) {
+          return false;
+        }
+      }
+      return true;
+    };
+    if (has_null) {
+      for (const auto& r : rows_) {
+        if (maybe(r)) return Value::Null();
+      }
+    }
+    for (const auto& r : null_rows_) {
+      if (maybe(r)) return Value::Null();
+    }
+    return Value::Bool(false);
+  }
+
+  /// Only TRUE passes, so a row passes iff its operands hold no NULL and
+  /// hit the set. Slot operands are read in place; others evaluate once
+  /// per batch.
+  Result<bool> FilterBatch(const RowBatch& batch,
+                           std::vector<uint32_t>* passing) const override {
+    const size_t k = operands_.size();
+    std::vector<int> slots(k);
+    std::vector<std::vector<Value>> cols(k);
+    for (size_t j = 0; j < k; ++j) {
+      slots[j] = operands_[j]->AsSlot();
+      if (slots[j] < 0) {
+        RDFREL_RETURN_NOT_OK(operands_[j]->EvaluateBatch(batch, &cols[j]));
+      }
+    }
+    passing->clear();
+    std::vector<Value> probe(k);
+    for (size_t i = 0; i < batch.ActiveSize(); ++i) {
+      const Row& row = batch.Active(i);
+      bool has_null = false;
+      for (size_t j = 0; j < k && !has_null; ++j) {
+        if (slots[j] >= 0 && static_cast<size_t>(slots[j]) >= row.size()) {
+          return Status::Internal("slot out of range");
+        }
+        const Value& v = slots[j] >= 0 ? row[static_cast<size_t>(slots[j])]
+                                       : cols[j][i];
+        has_null = v.is_null();
+        probe[j] = v;
+      }
+      if (!has_null && rows_.count(probe) > 0) {
+        passing->push_back(batch.ActiveIndex(i));
+      }
+    }
+    return true;
+  }
+
+  void CollectSlots(std::vector<int>* out) const override {
+    for (const auto& e : operands_) e->CollectSlots(out);
+  }
+
+ private:
+  /// SQL equality of NULL-free rows (int k equals double k).
+  struct RowEq {
+    bool operator()(const std::vector<Value>& a,
+                    const std::vector<Value>& b) const {
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (!a[i].EqualsNonNull(b[i])) return false;
+      }
+      return true;
+    }
+  };
+
+  std::vector<BoundExprPtr> operands_;
+  std::unordered_set<std::vector<Value>, ValueVectorHasher, RowEq> rows_;
+  std::vector<std::vector<Value>> null_rows_;  ///< rows holding a NULL
+};
+
 }  // namespace
+
+Result<Value> ConstantValue(const ast::Expr& expr) {
+  auto bound = BindExpr(expr, Scope());
+  if (!bound.ok()) {
+    return Status::InvalidArgument(expr.ToString() + " is not a constant");
+  }
+  return (*bound)->Evaluate(Row());
+}
 
 Result<BoundExprPtr> BindExpr(const ast::Expr& expr, const Scope& scope) {
   using ast::ExprKind;
@@ -475,6 +591,27 @@ Result<BoundExprPtr> BindExpr(const ast::Expr& expr, const Scope& scope) {
         args.push_back(std::move(ba));
       }
       return BoundExprPtr(new CoalesceExpr(std::move(args)));
+    }
+    case ExprKind::kIn: {
+      std::vector<BoundExprPtr> operands;
+      for (const auto& a : expr.args) {
+        RDFREL_ASSIGN_OR_RETURN(BoundExprPtr ba, BindExpr(*a, scope));
+        operands.push_back(std::move(ba));
+      }
+      std::vector<std::vector<Value>> rows;
+      for (const auto& r : expr.in_rows) {
+        if (r.size() != operands.size()) {
+          return Status::InvalidArgument("IN row arity differs from " +
+                                         expr.ToString());
+        }
+        std::vector<Value> values;
+        for (const auto& e : r) {
+          RDFREL_ASSIGN_OR_RETURN(Value v, ConstantValue(*e));
+          values.push_back(std::move(v));
+        }
+        rows.push_back(std::move(values));
+      }
+      return BoundExprPtr(new InListExpr(std::move(operands), std::move(rows)));
     }
   }
   return Status::Internal("unhandled expression kind");
@@ -542,6 +679,16 @@ bool ExprCoveredByScope(const ast::Expr& expr, const Scope& scope) {
     case ExprKind::kCoalesce:
       for (const auto& a : expr.args) {
         if (!ExprCoveredByScope(*a, scope)) return false;
+      }
+      return true;
+    case ExprKind::kIn:
+      for (const auto& a : expr.args) {
+        if (!ExprCoveredByScope(*a, scope)) return false;
+      }
+      for (const auto& r : expr.in_rows) {
+        for (const auto& e : r) {
+          if (!ExprCoveredByScope(*e, scope)) return false;
+        }
       }
       return true;
   }

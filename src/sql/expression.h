@@ -95,6 +95,10 @@ using BoundExprPtr = std::unique_ptr<BoundExpr>;
 /// Binds \p expr against \p scope, resolving all column references.
 Result<BoundExprPtr> BindExpr(const ast::Expr& expr, const Scope& scope);
 
+/// The value of a column-free expression (a literal, -5, 1 + 2);
+/// InvalidArgument when \p expr reads a column.
+Result<Value> ConstantValue(const ast::Expr& expr);
+
 /// A bound expression reading row slot \p slot directly (planner helper for
 /// hidden sort columns and projection trims).
 BoundExprPtr MakeSlotRef(int slot);

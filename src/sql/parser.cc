@@ -127,6 +127,7 @@ class Parser {
         "AS",     "AND",   "OR",     "NOT",   "CASE",     "WHEN",
         "THEN",   "ELSE",  "END",    "IS",    "NULL",     "COALESCE",
         "WITH",   "GROUP", "HAVING", "DISTINCT", "UNNEST", "BY",
+        "IN",
     };
     const Token& t = Peek();
     if (t.kind != TokenKind::kIdentifier) return false;
@@ -176,6 +177,11 @@ class Parser {
 
   Result<ExprPtr> ParseComparison() {
     RDFREL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
+    if (PeekKeyword("IN")) {
+      std::vector<ExprPtr> operands;
+      operands.push_back(std::move(lhs));
+      return ParseInList(std::move(operands));
+    }
     // IS [NOT] NULL
     if (PeekKeyword("IS")) {
       Advance();
@@ -200,6 +206,40 @@ class Parser {
       }
     }
     return lhs;
+  }
+
+  /// `IN (...)` after its operands: one constant per element for a single
+  /// operand, a parenthesized row of as many for a row value. The list is
+  /// never empty.
+  Result<ExprPtr> ParseInList(std::vector<ExprPtr> operands) {
+    RDFREL_RETURN_NOT_OK(ExpectKeyword("IN"));
+    RDFREL_RETURN_NOT_OK(ExpectSymbol("("));
+    if (PeekSymbol(")")) return Error("empty IN list");
+    auto e = std::make_unique<Expr>();
+    e->kind = ExprKind::kIn;
+    e->args = std::move(operands);
+    do {
+      std::vector<ExprPtr> row;
+      if (e->args.size() == 1) {
+        RDFREL_ASSIGN_OR_RETURN(ExprPtr v, ParseAdditive());
+        row.push_back(std::move(v));
+      } else {
+        RDFREL_RETURN_NOT_OK(ExpectSymbol("("));
+        do {
+          RDFREL_ASSIGN_OR_RETURN(ExprPtr v, ParseAdditive());
+          row.push_back(std::move(v));
+        } while (ConsumeSymbol(","));
+        RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
+        if (row.size() != e->args.size()) {
+          return Error("IN row of " + std::to_string(row.size()) +
+                       " values for " + std::to_string(e->args.size()) +
+                       " operands");
+        }
+      }
+      e->in_rows.push_back(std::move(row));
+    } while (ConsumeSymbol(","));
+    RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
+    return ExprPtr(std::move(e));
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -263,6 +303,18 @@ class Parser {
         if (t.text == "(") {
           Advance();
           RDFREL_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+          if (PeekSymbol(",")) {
+            // A row value, which only an IN may test.
+            std::vector<ExprPtr> row;
+            row.push_back(std::move(e));
+            while (ConsumeSymbol(",")) {
+              RDFREL_ASSIGN_OR_RETURN(ExprPtr next, ParseExpr());
+              row.push_back(std::move(next));
+            }
+            RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
+            if (!PeekKeyword("IN")) return Error("row value outside IN");
+            return ParseInList(std::move(row));
+          }
           RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
           return e;
         }

@@ -379,6 +379,12 @@ class CorePlanner {
       for (auto& c : *conjuncts) {
         if (c.consumed) continue;
         const Expr* e = c.expr;
+        if (e->kind == ExprKind::kIn) {
+          OperatorPtr scan = MakeInListScan(src, *e);
+          if (scan == nullptr) continue;
+          c.consumed = true;
+          return scan;
+        }
         if (e->kind != ExprKind::kBinary || e->op != ast::BinaryOp::kEq) {
           continue;
         }
@@ -397,10 +403,33 @@ class CorePlanner {
         const IndexInfo* idx = src.table->FindIndexOn(col->column);
         if (!idx) continue;
         c.consumed = true;
-        return std::make_unique<IndexScanOp>(src.table, src.alias, idx, *lit);
+        return std::make_unique<IndexScanOp>(src.table, src.alias, idx,
+                                             std::vector<Value>{*lit});
       }
     }
     return std::make_unique<SeqScanOp>(src.table, src.alias);
+  }
+
+  /// A multi-key index scan answering `indexed_col IN (constants)` on
+  /// \p src exactly; null when \p in has another shape. NULL keys match
+  /// nothing; a repeated key costs a redundant probe, never a row.
+  static OperatorPtr MakeInListScan(const PendingSource& src,
+                                    const Expr& in) {
+    if (in.args.size() != 1 || in.args[0]->kind != ExprKind::kColumnRef) {
+      return nullptr;
+    }
+    const Expr& col = *in.args[0];
+    if (!src.scope.Resolve(col.qualifier, col.column).ok()) return nullptr;
+    const IndexInfo* idx = src.table->FindIndexOn(col.column);
+    if (idx == nullptr) return nullptr;
+    std::vector<Value> keys;
+    for (const auto& row : in.in_rows) {
+      auto v = ConstantValue(*row[0]);
+      if (!v.ok()) return nullptr;
+      if (!v->is_null()) keys.push_back(std::move(*v));
+    }
+    return std::make_unique<IndexScanOp>(src.table, src.alias, idx,
+                                         std::move(keys));
   }
 
   /// Materializes the deferred base table into `current` (used when no join
@@ -642,6 +671,11 @@ class CorePlanner {
     }
     if (e.else_expr) c->else_expr = CloneExpr(*e.else_expr);
     for (const auto& a : e.args) c->args.push_back(CloneExpr(*a));
+    for (const auto& r : e.in_rows) {
+      std::vector<ast::ExprPtr> row;
+      for (const auto& v : r) row.push_back(CloneExpr(*v));
+      c->in_rows.push_back(std::move(row));
+    }
     return c;
   }
 

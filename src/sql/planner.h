@@ -4,7 +4,8 @@
 /// \file planner.h
 /// Rule-based physical planning. Join order follows the written FROM order
 /// (the SPARQL optimizer already chose it — paper §3); the planner picks
-/// access paths: index scan for `col = constant` on indexed columns, index
+/// access paths: index scan for `col = constant` or `col IN (constants)`
+/// on indexed columns, index
 /// nested-loop joins when an equi-join column is indexed, hash joins
 /// otherwise. CTEs are planned and materialized in sequence.
 

@@ -7,6 +7,7 @@
 #include "opt/cost_model.h"
 #include "opt/data_flow_graph.h"
 #include "opt/flow_tree.h"
+#include "util/string_util.h"
 #include "util/verify.h"
 
 namespace rdfrel::store {
@@ -294,18 +295,15 @@ Status BuildLexTable(sql::Database* db, const rdf::Dictionary& dict,
                               {"num", sql::ValueType::kDouble}})));
   for (uint64_t id = 1; id <= dict.size(); ++id) {
     auto term = dict.Decode(id);
-    if (!term.ok() || !term->is_literal()) continue;
-    try {
-      size_t pos = 0;
-      double num = std::stod(term->lexical(), &pos);
-      if (pos != term->lexical().size()) continue;
-      RDFREL_RETURN_NOT_OK(
-          lex->Insert({sql::Value::Int(static_cast<int64_t>(id)),
-                       sql::Value::Real(num)})
-              .status());
-    } catch (...) {
+    double num;
+    if (!term.ok() || !term->is_literal() ||
+        !ParseDouble(term->lexical(), &num)) {
       continue;
     }
+    RDFREL_RETURN_NOT_OK(
+        lex->Insert({sql::Value::Int(static_cast<int64_t>(id)),
+                     sql::Value::Real(num)})
+            .status());
   }
   return lex->CreateIndex(table + "_id", "id", sql::IndexKind::kHash);
 }

@@ -41,17 +41,6 @@ MappingChoice BuildMapping(const rdf::Graph& graph, bool reverse,
           k};
 }
 
-/// True when the literal parses fully as a double.
-bool NumericLexical(const std::string& s, double* out) {
-  try {
-    size_t pos = 0;
-    *out = std::stod(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
 /// True when \p query contains a transitive property-path triple (those
 /// need materialized closure tables, i.e. the writer lock).
 bool HasPropertyPaths(const sparql::Query& query) {
@@ -89,26 +78,8 @@ Result<std::unique_ptr<RdfStore>> RdfStore::Load(
 
   if (options.build_lex) {
     store->lex_table_ = options.prefix + "lex";
-    RDFREL_ASSIGN_OR_RETURN(
-        sql::Table * lex,
-        store->db_.catalog().CreateTable(
-            store->lex_table_,
-            sql::Schema({{"id", sql::ValueType::kInt64},
-                         {"num", sql::ValueType::kDouble}})));
-    const auto& dict = graph.dictionary();
-    for (uint64_t id = 1; id <= dict.size(); ++id) {
-      auto term = dict.Decode(id);
-      if (!term.ok() || !term->is_literal()) continue;
-      double num;
-      if (!NumericLexical(term->lexical(), &num)) continue;
-      RDFREL_RETURN_NOT_OK(
-          lex->Insert({sql::Value::Int(static_cast<int64_t>(id)),
-                       sql::Value::Real(num)})
-              .status());
-    }
     RDFREL_RETURN_NOT_OK(
-        lex->CreateIndex(store->lex_table_ + "_id", "id",
-                         sql::IndexKind::kHash));
+        BuildLexTable(&store->db_, graph.dictionary(), store->lex_table_));
   }
 
   store->dict_ = std::move(graph.dictionary());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/string_util.h"
+
 namespace rdfrel::store {
 
 std::string ResultSet::ToString(size_t max_rows) const {
@@ -46,14 +48,7 @@ Result<std::optional<rdf::Term>> OperandValue(
 }
 
 bool TryNumeric(const rdf::Term& t, double* out) {
-  if (!t.is_literal()) return false;
-  try {
-    size_t pos = 0;
-    *out = std::stod(t.lexical(), &pos);
-    return pos == t.lexical().size();
-  } catch (...) {
-    return false;
-  }
+  return t.is_literal() && ParseDouble(t.lexical(), out);
 }
 
 int OrderRank(const std::optional<rdf::Term>& t, double* num) {

@@ -10,6 +10,7 @@ using opt::ExecKind;
 using opt::ExecNode;
 
 std::string VarColumn(const std::string& var) {
+  if (!var.empty() && var[0] == '#') return var.substr(1);
   std::string out = "v_";
   for (char c : var) {
     out.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
@@ -105,6 +106,12 @@ Result<TranslatedQuery> PatternSqlBuilderBase::Build(const ExecNode& plan) {
 }
 
 Status PatternSqlBuilderBase::Translate(const ExecNode& node, bool is_root) {
+  if (node.fold != nullptr) return TranslateFolded(node, is_root);
+  return TranslateNode(node, is_root);
+}
+
+Status PatternSqlBuilderBase::TranslateNode(const ExecNode& node,
+                                            bool is_root) {
   switch (node.kind) {
     case ExecKind::kAnd: {
       for (const auto& c : node.children) {
@@ -123,6 +130,82 @@ Status PatternSqlBuilderBase::Translate(const ExecNode& node, bool is_root) {
       return EmitOptional(node);
   }
   return Status::Internal("unhandled exec node kind");
+}
+
+Status PatternSqlBuilderBase::TranslateFolded(const ExecNode& node,
+                                              bool is_root) {
+  if (fold_.fold != nullptr) {
+    return Status::Internal("UNION fold nested in a folded subtree");
+  }
+  fold_.fold = node.fold.get();
+  for (size_t k = 0; k < fold_.fold->positions.size(); ++k) {
+    fold_.hidden.push_back(sparql::TermOrVar::Var("#h" + std::to_string(k)));
+  }
+  Status st = TranslateNode(node, is_root);
+  const bool tested = fold_.tested;
+  fold_ = ActiveFold{};
+  if (st.ok() && !tested) {
+    return Status::Internal("folded positions left untranslated");
+  }
+  return st;
+}
+
+const sparql::TermOrVar& PatternSqlBuilderBase::Resolve(
+    const sparql::TermOrVar& tv) const {
+  if (fold_.fold != nullptr) {
+    const auto& positions = fold_.fold->positions;
+    for (size_t k = 0; k < positions.size(); ++k) {
+      if (&positions[k].At() == &tv) return fold_.hidden[k];
+    }
+  }
+  return tv;
+}
+
+std::string PatternSqlBuilderBase::FoldDomain(const std::string& var,
+                                              const std::string& expr) const {
+  if (fold_.fold == nullptr || fold_.hidden.size() < 2) return "";
+  for (size_t k = 0; k < fold_.hidden.size(); ++k) {
+    if (fold_.hidden[k].var != var) continue;
+    std::set<int64_t> seen;
+    std::vector<std::string> ids;
+    for (const auto& tuple : fold_.fold->tuples) {
+      const int64_t id = IdOf(*tuple[k]);
+      if (seen.insert(id).second) ids.push_back(std::to_string(id));
+    }
+    return expr + " IN (" + JoinStrings(ids, ", ") + ")";
+  }
+  return "";
+}
+
+std::string PatternSqlBuilderBase::TakeFoldTest(
+    std::map<std::string, std::string>* new_vars) {
+  if (fold_.fold == nullptr || fold_.tested) return "";
+  std::vector<std::string> exprs;
+  for (const auto& h : fold_.hidden) {
+    auto it = new_vars->find(h.var);
+    if (it != new_vars->end()) {
+      exprs.push_back(it->second);
+    } else if (IsBound(h.var)) {
+      exprs.push_back(BoundCol(h.var));
+    } else {
+      return "";  // a later CTE binds it
+    }
+  }
+  for (const auto& h : fold_.hidden) {
+    new_vars->erase(h.var);
+    bound_.erase(h.var);
+  }
+  fold_.tested = true;
+  std::vector<std::string> rows;
+  for (const auto& tuple : fold_.fold->tuples) {
+    std::vector<std::string> ids;
+    for (const rdf::Term* t : tuple) ids.push_back(std::to_string(IdOf(*t)));
+    rows.push_back(ids.size() == 1 ? ids[0]
+                                   : "(" + JoinStrings(ids, ", ") + ")");
+  }
+  const std::string lhs =
+      exprs.size() == 1 ? exprs[0] : "(" + JoinStrings(exprs, ", ") + ")";
+  return lhs + " IN (" + JoinStrings(rows, ", ") + ")";
 }
 
 std::string PatternSqlBuilderBase::NewCte(const std::string& body) {
@@ -426,16 +509,11 @@ Result<double> PatternSqlBuilderBase::NumericOf(const rdf::Term& term) {
   if (!term.is_literal()) {
     return Status::Unsupported("ordered comparison with non-literal");
   }
-  try {
-    size_t pos = 0;
-    double d = std::stod(term.lexical(), &pos);
-    if (pos != term.lexical().size()) {
-      return Status::Unsupported("non-numeric literal in comparison");
-    }
-    return d;
-  } catch (...) {
+  double d;
+  if (!ParseDouble(term.lexical(), &d)) {
     return Status::Unsupported("non-numeric literal in comparison");
   }
+  return d;
 }
 
 Result<std::string> PatternSqlBuilderBase::LexAlias(

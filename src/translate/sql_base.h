@@ -59,7 +59,9 @@ Result<ModifierPlacement> PlaceModifiers(const sparql::Query& query,
                                          bool has_post_filters,
                                          bool has_post_filter_vars);
 
-/// SQL identifier for a SPARQL variable ("v_<name>", sanitized).
+/// SQL identifier for a SPARQL variable ("v_<name>", sanitized). A folded
+/// UNION's hidden variable "#h<k>" (no SPARQL name contains '#') maps to
+/// "h<k>", outside the "v_" namespace.
 std::string VarColumn(const std::string& var);
 
 /// One bound variable in the translation environment. `maybe_null` marks
@@ -88,6 +90,10 @@ class PatternSqlBuilderBase {
   virtual Status EmitAccess(const opt::ExecNode& node) = 0;
 
   Status Translate(const opt::ExecNode& node, bool is_root = false);
+  Status TranslateNode(const opt::ExecNode& node, bool is_root);
+  /// Translates a folded subtree (opt::UnionFold): its positions read as
+  /// hidden variables, and one CTE applies the fold's tuple test.
+  Status TranslateFolded(const opt::ExecNode& node, bool is_root);
   /// Final SELECT for SPARQL 1.1 aggregate queries (COUNT over bindings,
   /// numeric aggregates via the lex table, GROUP BY over bound columns).
   Result<std::string> BuildAggregateSelect();
@@ -95,6 +101,21 @@ class PatternSqlBuilderBase {
   Status EmitOptional(const opt::ExecNode& node);
   Status EmitFilters(const std::vector<const sparql::FilterExpr*>& filters,
                      bool is_root);
+
+  /// UNION folding, for EmitAccess. While a folded subtree translates, a
+  /// folded position reads as a hidden variable; any other component as
+  /// itself.
+  const sparql::TermOrVar& Resolve(const sparql::TermOrVar& tv) const;
+  /// `expr IN (...)` over the values \p var takes in the fold's tuples,
+  /// when \p var is hidden and the tuple test needs more columns than it
+  /// (so an index can still serve a folded entry); "" otherwise.
+  std::string FoldDomain(const std::string& var,
+                         const std::string& expr) const;
+  /// Call once a CTE's new bindings \p new_vars (var -> expression) are
+  /// known, before its SELECT list. When the CTE binds the last hidden
+  /// variable, returns the fold's tuple test for its WHERE and drops the
+  /// hidden variables from \p new_vars and bound_; "" otherwise.
+  std::string TakeFoldTest(std::map<std::string, std::string>* new_vars);
 
   /// Registers a CTE body, returning its name (q1, q2, ...). A body equal
   /// to one already registered is not emitted again: its name is returned.
@@ -148,6 +169,14 @@ class PatternSqlBuilderBase {
   std::map<std::string, BoundVar> bound_;  ///< var -> binding in cur_
   std::string cur_;                        ///< current CTE name
   std::vector<const sparql::FilterExpr*> post_filters_;
+
+  /// The folded subtree being translated, if any.
+  struct ActiveFold {
+    const opt::UnionFold* fold = nullptr;
+    std::vector<sparql::TermOrVar> hidden;  ///< parallel to positions
+    bool tested = false;
+  };
+  ActiveFold fold_;
 };
 
 }  // namespace rdfrel::translate

@@ -75,12 +75,16 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
         return Status::Internal("variable predicate inside a merged star");
       }
     }
+    DirectionInfo dir = DirectionFor(method);
     if (disjunctive) {
       // Disjunctive stars binding one shared NEW variable across every
       // member use the Figure 13 UNNEST flip (handled below); any other
-      // shape needs one output row per matching member.
+      // shape needs one output row per matching member. So do stars with
+      // two multi-valued members: the flip's row would carry the product
+      // of their lists.
       std::set<std::string> vvars;
       bool all_var = true;
+      int lists = 0;
       for (const auto* t : triples) {
         const auto& v = ValueOf(*t, method);
         if (v.is_var) {
@@ -88,14 +92,17 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
         } else {
           all_var = false;
         }
+        lists += dir.multivalued->count(store_.dict->Lookup(t->predicate.term))
+                     ? 1
+                     : 0;
       }
-      if (!(all_var && vvars.size() == 1 && triples.size() > 1)) {
+      if (!(all_var && vvars.size() == 1 && triples.size() > 1) ||
+          lists > 1) {
         return EmitDisjunctiveStar(triples, method);
       }
     }
 
-    DirectionInfo dir = DirectionFor(method);
-    const sparql::TermOrVar& entry = EntryOf(*triples[0], method);
+    const sparql::TermOrVar& entry = Resolve(EntryOf(*triples[0], method));
 
     std::string from = dir.primary + " AS T";
     if (!cur_.empty()) from += ", " + cur_;
@@ -122,6 +129,9 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
       } else {
         seen_bound[entry.var] = BoundCol(entry.var);
       }
+    } else {
+      std::string domain = FoldDomain(entry.var, "T.entry");
+      if (!domain.empty()) wheres.push_back(domain);
     }
 
     // Per-triple predicate tests and value expressions (boxes 3-4).
@@ -185,17 +195,9 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
     if (entry.is_var && !IsBound(entry.var)) {
       new_vars[entry.var] = "T.entry";
     }
-    // Disjunctive stars binding one shared variable get the Figure 13
-    // UNNEST flip; other shapes keep per-branch nullable columns.
-    bool flip = false;
-    if (disjunctive) {
-      std::set<std::string> vvars;
-      for (const auto* t : triples) {
-        const auto& v = ValueOf(*t, method);
-        if (v.is_var) vvars.insert(v.var);
-      }
-      flip = vvars.size() == 1 && triples.size() > 1;
-    }
+    // A disjunctive star that reaches here binds one shared variable: it
+    // gets the Figure 13 UNNEST flip.
+    const bool flip = disjunctive;
 
     std::vector<std::string> flip_exprs;
     std::string flip_var;
@@ -209,7 +211,7 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
       if (optional[i] || disjunctive) member_order.push_back(i);
     }
     for (size_t i : member_order) {
-      const sparql::TermOrVar& v = ValueOf(*triples[i], method);
+      const sparql::TermOrVar& v = Resolve(ValueOf(*triples[i], method));
       const Member& m = members[i];
       // An OPTIONAL-merged member must never filter rows: when its value
       // conflicts, the optional part simply does not match. It can only
@@ -259,6 +261,8 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
       }
     }
 
+    std::string fold_test = TakeFoldTest(&new_vars);
+    if (!fold_test.empty()) wheres.push_back(fold_test);
     std::string select = CarryList(cur_, overrides);
     // A new variable may be NULL unless some mandatory member (or the
     // entry itself) binds it.
@@ -268,7 +272,7 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
       new_nullable[entry.var] = false;
     }
     for (size_t i = 0; i < triples.size(); ++i) {
-      const sparql::TermOrVar& v = ValueOf(*triples[i], method);
+      const sparql::TermOrVar& v = Resolve(ValueOf(*triples[i], method));
       if (v.is_var && new_vars.count(v.var) && !optional[i] &&
           !disjunctive) {
         new_nullable[v.var] = false;

@@ -1,6 +1,8 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace rdfrel {
 
@@ -95,6 +97,18 @@ std::string NtEscape(std::string_view s) {
     }
   }
   return out;
+}
+
+bool ParseDouble(const std::string& s, double* out) {
+  const char* begin = s.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || end != begin + s.size() || errno == ERANGE) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace rdfrel

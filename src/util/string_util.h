@@ -39,6 +39,12 @@ std::string SqlQuote(std::string_view s);
 /// Escapes control characters, quotes and backslashes for N-Triples output.
 std::string NtEscape(std::string_view s);
 
+/// Reads the whole of \p s as a double, as std::strtod does (leading
+/// whitespace, hex, "inf" and "nan" included), into \p out. False for an
+/// empty string, trailing input, or a value out of range (ERANGE), so it
+/// accepts exactly what std::stod reads in full, without throwing.
+bool ParseDouble(const std::string& s, double* out);
+
 }  // namespace rdfrel
 
 #endif  // RDFREL_UTIL_STRING_UTIL_H_

@@ -2,12 +2,14 @@
 /// sparql::ParseQuery (every HTTP request) and sql::ParseSelect (the
 /// generated SQL). The corpus is every workload query (micro, LUBM,
 /// SP2Bench, DBpedia, PRBench) plus the SQL the DB2RDF store generates for
-/// it. Each input is mutated with byte flips, token splices and long digit
-/// runs under a fixed seed; the parsers must return — ok or an error —
-/// and never throw or crash. The iteration count is fixed so the suite
-/// stays fast; the sanitizer builds run the same cases under ASan/UBSan.
+/// it, plus hand-written IN-list statements. Each input is mutated with
+/// byte flips, token splices and long digit runs under a fixed seed; the
+/// parsers must return — ok or an error — and never throw or crash. The
+/// iteration count is fixed so the suite stays fast; the sanitizer builds
+/// run the same cases under ASan/UBSan.
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -34,8 +36,24 @@ struct Corpus {
   std::vector<std::string> sql;
 };
 
+/// IN lists: the generated SQL holds one per folded UNION (few, and all
+/// of one shape), so these keep the rest of the IN grammar in the corpus.
+constexpr const char* kInListSeeds[] = {
+    "SELECT T.entry AS v_x FROM rph AS T WHERE T.entry IN (12, -3, 7) AND "
+    "T.pred0 = 2",
+    "WITH q1 AS (SELECT T.entry AS h0 FROM rph AS T WHERE T.entry IN (81, "
+    "94)) SELECT q1.h0 AS v_x FROM dph AS T, q1 WHERE T.entry = q1.h0 AND "
+    "(q1.h0, T.val3, COALESCE(S0.elm, T.val5)) IN ((81, 114, 97), (94, 72, "
+    "NULL))",
+    "SELECT a FROM t WHERE NOT (a IN (1, 'x', 2.5)) OR (a, (b)) IN ((1, "
+    "-2)) AND CASE WHEN c IN ((3)) THEN 1 ELSE 0 END = 1",
+    "SELECT (a, b) IN ((1, 2), (3, 4)) AS hit, a + 1 IN (2, 1 + 1) FROM t "
+    "UNION ALL SELECT c IN (NULL) AS hit, 0 FROM u",
+};
+
 Corpus BuildCorpus() {
   Corpus c;
+  c.sql.assign(std::begin(kInListSeeds), std::end(kInListSeeds));
   for (auto w : {benchdata::MakeMicro(200, 1), benchdata::MakeLubm(1, 1),
                  benchdata::MakeSp2Bench(2, 1),
                  benchdata::MakeDbpedia(200, 100, 1),

@@ -5,6 +5,7 @@
 #include "opt/exec_tree.h"
 #include "opt/flow_tree.h"
 #include "opt/merge.h"
+#include "opt/plan_verifier.h"
 #include "opt/statistics.h"
 #include "sparql/parser.h"
 
@@ -469,6 +470,70 @@ TEST(MergeTest, SameSubjectConjunctsMergeToStar) {
   EXPECT_NE(dump.find("t1"), std::string::npos);
   EXPECT_NE(dump.find("t2"), std::string::npos);
   EXPECT_NE(dump.find("t3"), std::string::npos);
+}
+
+/// An OR of one triple node per UNION branch of \p q (branch i holds
+/// triple i + 1), with the given access methods.
+ExecNodePtr OrOfTriples(const QueryTreeIndex& idx,
+                        const std::vector<AccessMethod>& methods) {
+  auto root = std::make_unique<ExecNode>();
+  root->kind = ExecKind::kOr;
+  for (size_t i = 0; i < methods.size(); ++i) {
+    root->children.push_back(
+        MakeTripleNode(idx.Triple(static_cast<int>(i) + 1), methods[i]));
+  }
+  return root;
+}
+
+TEST(MergeTest, UnionFoldGroupsSameShapeBranches) {
+  auto q = sparql::ParseQuery(
+      "SELECT ?x WHERE { { ?x <p> <a> } UNION { ?x <p> <b> } UNION "
+      "{ ?x <p> <a> } UNION { ?x <p> <c> } }");
+  ASSERT_TRUE(q.ok());
+  QueryTreeIndex idx(*q->where);
+  const AccessMethod aco = AccessMethod::kAco;
+  ExecNodePtr merged =
+      MergeExecTree(OrOfTriples(idx, {aco, aco, aco, aco}), idx, NoSpills());
+  // The repeated <a> branch stays apart, so <a> keeps its two copies.
+  EXPECT_EQ(merged->ToString(),
+            "OR\n  FOLD[3 branches](t1.o)\n    (t1, aco)\n  (t3, aco)\n");
+  ASSERT_NE(merged->children[0]->fold, nullptr);
+  const UnionFold& fold = *merged->children[0]->fold;
+  ASSERT_EQ(fold.tuples.size(), 3u);
+  EXPECT_EQ(fold.tuples[1][0]->lexical(), "b");
+  EXPECT_EQ(fold.tuples[2][0]->lexical(), "c");
+  EXPECT_EQ(fold.absorbed,
+            (std::vector<const sparql::TriplePattern*>{idx.Triple(2),
+                                                       idx.Triple(4)}));
+  EXPECT_TRUE(VerifyExecTree(*merged, *q).ok());
+}
+
+TEST(MergeTest, UnionFoldNeedsEqualAccessMethods) {
+  auto q = sparql::ParseQuery(
+      "SELECT ?x WHERE { { ?x <p> <a> } UNION { ?x <p> <b> } }");
+  ASSERT_TRUE(q.ok());
+  QueryTreeIndex idx(*q->where);
+  ExecNodePtr merged = MergeExecTree(
+      OrOfTriples(idx, {AccessMethod::kAco, AccessMethod::kAcs}), idx,
+      NoSpills());
+  EXPECT_EQ(merged->ToString(), "OR\n  (t1, aco)\n  (t2, acs)\n");
+}
+
+TEST(MergeTest, UnionFoldLeavesFilteredBranchesAlone) {
+  auto q = sparql::ParseQuery(
+      "SELECT ?x WHERE { { ?x <p> <a> } UNION { ?x <p> <b> } UNION "
+      "{ ?x <p> <c> } FILTER (?x != <z>) }");
+  ASSERT_TRUE(q.ok());
+  ASSERT_EQ(q->where->filters.size(), 1u);
+  QueryTreeIndex idx(*q->where);
+  const AccessMethod aco = AccessMethod::kAco;
+  ExecNodePtr root = OrOfTriples(idx, {aco, aco, aco});
+  root->children[0]->filters.push_back(q->where->filters[0].get());
+  ExecNodePtr merged = MergeExecTree(std::move(root), idx, NoSpills());
+  const std::string dump = merged->ToString();
+  EXPECT_NE(dump.find("  (t1, aco)\n    FILTER"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("FOLD[2 branches](t2.o)"), std::string::npos) << dump;
 }
 
 }  // namespace

@@ -277,6 +277,80 @@ TEST(PlanVerifierTest, RejectsOptionalMemberInDisjunctiveStar) {
                   "OPTIONAL member in a disjunctive star");
 }
 
+/// `{ ?x :p :o1 } UNION { ?x :p :o2 }` folded into t1 with t2 absorbed.
+ExecNodePtr FoldedPair(const Ctx& c) {
+  const sparql::TriplePattern* t1 = c.dfg.tree().Triple(1);
+  const sparql::TriplePattern* t2 = c.dfg.tree().Triple(2);
+  auto root = MakeTripleNode(t1, AccessMethod::kAco);
+  root->fold = std::make_unique<UnionFold>();
+  root->fold->positions = {{t1, /*object=*/true}};
+  root->fold->tuples = {{&t1->object.term}, {&t2->object.term}};
+  root->fold->absorbed = {t2};
+  return root;
+}
+
+TEST(PlanVerifierTest, FoldAnswersItsAbsorbedTriples) {
+  Ctx c("{ ?x :p :o1 } UNION { ?x :p :o2 }");
+  EXPECT_TRUE(VerifyExecTree(*FoldedPair(c), c.query).ok());
+}
+
+TEST(PlanVerifierTest, RejectsFoldWithoutItsAbsorbedTriples) {
+  Ctx c("{ ?x :p :o1 } UNION { ?x :p :o2 }");
+  auto root = FoldedPair(c);
+  root->fold->absorbed.clear();
+  Status st = VerifyExecTree(*root, c.query);
+  ExpectPlanError(st, "0 absorbed triples for 1 branches of 1");
+  ExpectPlanError(st, "plan.fold");
+}
+
+TEST(PlanVerifierTest, RejectsFoldWithRepeatedTuple) {
+  Ctx c("{ ?x :p :o1 } UNION { ?x :p :o2 }");
+  auto root = FoldedPair(c);
+  root->fold->tuples[1] = root->fold->tuples[0];
+  ExpectPlanError(VerifyExecTree(*root, c.query), "repeated tuple");
+}
+
+TEST(PlanVerifierTest, RejectsFoldPositionOnAVariable) {
+  Ctx c("{ ?x :p :o1 } UNION { ?x :p :o2 }");
+  auto root = FoldedPair(c);
+  root->fold->positions[0].object = false;  // ?x
+  ExpectPlanError(VerifyExecTree(*root, c.query),
+                  "position is not a constant of the folded subtree");
+}
+
+/// `{ :s1 :p ?x . :s1 :q ?y } UNION { :s2 :p ?x . :s2 :q ?y }` as one acs
+/// star on t1, t2 folded over its shared entry, with t3, t4 absorbed.
+ExecNodePtr FoldedStar(const Ctx& c) {
+  const sparql::TriplePattern* t1 = c.dfg.tree().Triple(1);
+  const sparql::TriplePattern* t3 = c.dfg.tree().Triple(3);
+  auto root = std::make_unique<ExecNode>();
+  root->kind = ExecKind::kStar;
+  root->method = AccessMethod::kAcs;
+  root->star_semantics = StarSemantics::kConjunctive;
+  root->star_triples = {t1, c.dfg.tree().Triple(2)};
+  root->star_optional = {false, false};
+  root->fold = std::make_unique<UnionFold>();
+  root->fold->positions = {{t1, /*object=*/false}};
+  root->fold->tuples = {{&t1->subject.term}, {&t3->subject.term}};
+  root->fold->absorbed = {t3, c.dfg.tree().Triple(4)};
+  return root;
+}
+
+TEST(PlanVerifierTest, FoldedStarReadsItsEntryFromTheFirstMember) {
+  Ctx c("{ :s1 :p ?x . :s1 :q ?y } UNION { :s2 :p ?x . :s2 :q ?y }");
+  EXPECT_TRUE(VerifyExecTree(*FoldedStar(c), c.query).ok());
+  // The second member's entry is the same column, which the star never
+  // reads on its own: a position there would never be bound.
+  auto root = FoldedStar(c);
+  const sparql::TriplePattern* t2 = c.dfg.tree().Triple(2);
+  const sparql::TriplePattern* t4 = c.dfg.tree().Triple(4);
+  root->fold->positions.push_back({t2, /*object=*/false});
+  root->fold->tuples[0].push_back(&t2->subject.term);
+  root->fold->tuples[1].push_back(&t4->subject.term);
+  ExpectPlanError(VerifyExecTree(*root, c.query),
+                  "position is the entry of a star member after the first");
+}
+
 TEST(PlanVerifierTest, RejectsSchemaColumnCountMismatch) {
   Ctx c("?x :p ?y");
   auto root = MakeTripleNode(c.dfg.tree().Triple(1), AccessMethod::kScan);

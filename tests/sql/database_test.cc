@@ -1,6 +1,8 @@
 #include "sql/database.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +57,42 @@ TEST_F(DatabaseTest, IndexScanOnEquality) {
   auto r = Q("SELECT name FROM emp WHERE id = 12");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsString(), "cat");
+}
+
+TEST_F(DatabaseTest, InListOnIndexedColumnProbesEachKeyOnce) {
+  // Repeated (12, and 10 as 10.0), absent (99) and NULL keys: each row
+  // comes out once, and the index scan answers the IN without a filter.
+  std::string profile;
+  auto r = db_.QueryProfiled(
+      "SELECT name FROM emp WHERE id IN (12, 10, 12, 99, 10.0, NULL)",
+      &profile);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<std::string> names;
+  for (const auto& row : r->rows) names.push_back(row[0].AsString());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"ann", "cat"}));
+  EXPECT_NE(profile.find("IndexScan(emp)"), std::string::npos) << profile;
+  EXPECT_EQ(profile.find("Filter"), std::string::npos) << profile;
+  EXPECT_TRUE(Q("SELECT name FROM emp WHERE id IN (98, 99)").rows.empty());
+  EXPECT_TRUE(Q("SELECT name FROM emp WHERE id IN (NULL)").rows.empty());
+}
+
+TEST_F(DatabaseTest, InListOnUnindexedColumnFilters) {
+  auto r = Q("SELECT name FROM emp WHERE salary IN (90, 70.0, 1)");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsString(), "bob");
+  EXPECT_EQ(r.rows[1][0].AsString(), "dan");
+}
+
+TEST_F(DatabaseTest, RowValueInListOverAJoin) {
+  auto r = Q(
+      "SELECT e.name FROM emp AS e, dept AS d WHERE e.dept = d.id AND "
+      "(e.id, d.dname) IN ((10, 'eng'), (12, 'eng'), (11, 'x'))");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsString(), "ann");
+  // A NULL operand never passes a WHERE.
+  EXPECT_TRUE(Q("SELECT name FROM emp WHERE (dept, id) IN ((NULL, 13))")
+                  .rows.empty());
 }
 
 TEST_F(DatabaseTest, FilterNonIndexed) {

@@ -30,6 +30,43 @@ class ExprEval {
   Scope scope_;
 };
 
+/// Evaluates \p predicate over \p rows (columns a, b, c) both per row and
+/// batch-wise, which must pass exactly the rows on which Evaluate is TRUE.
+/// A lone IN takes FilterBatch's fast path; an AND of them does not.
+void ExpectFilterBatchAgrees(const std::string& predicate,
+                             const std::vector<Row>& rows) {
+  auto sel = ParseSelect("SELECT 1 FROM t WHERE " + predicate);
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  Scope scope;
+  scope.Add("t", "a");
+  scope.Add("t", "b");
+  scope.Add("t", "c");
+  auto bound = BindExpr(*(*sel)->cores[0].where, scope);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  RowBatch batch;
+  for (const Row& r : rows) *batch.AddRow() = r;
+  batch.SetSelection({0, 2, 3, 5, 6});  // skip some physical rows
+  std::vector<uint32_t> expected;
+  for (size_t i = 0; i < batch.ActiveSize(); ++i) {
+    auto v = (*bound)->Evaluate(batch.Active(i));
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    if (!v->is_null() && v->NumericValue() != 0) {
+      expected.push_back(batch.ActiveIndex(i));
+    }
+  }
+  std::vector<uint32_t> passing;
+  auto handled = (*bound)->FilterBatch(batch, &passing);
+  ASSERT_TRUE(handled.ok()) << handled.status().ToString();
+  const bool single_in = predicate.find(" AND ") == std::string::npos;
+  EXPECT_EQ(*handled, single_in) << predicate;
+  if (*handled) {
+    EXPECT_EQ(passing, expected) << predicate;
+  }
+  std::vector<uint32_t> generic;
+  ASSERT_TRUE(EvalPredicateBatch(**bound, batch, &generic).ok());
+  EXPECT_EQ(generic, expected) << predicate;
+}
+
 TEST(ScopeTest, ResolveQualifiedAndUnqualified) {
   Scope s;
   s.Add("t", "x");
@@ -152,6 +189,63 @@ TEST(ExprTest, EvalPredicateNullIsFalse) {
   auto pass = EvalPredicate(**bound, {Value::Null()});
   ASSERT_TRUE(pass.ok());
   EXPECT_FALSE(*pass);
+}
+
+TEST(ExprTest, InListThreeValued) {
+  ExprEval e;
+  const Row row = {Value::Int(1), Value::Int(2), Value::Null()};
+  auto is = [&](const std::string& text, const Value& want) {
+    auto v = e.Eval(text, row);
+    ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+    EXPECT_EQ(*v, want) << text;
+  };
+  const Value t = Value::Bool(true), f = Value::Bool(false);
+  is("a IN (3, 1)", t);
+  is("a IN (3, 4)", f);
+  is("a IN (1.0)", t);            // SQL equality across int and double
+  is("a IN ('1')", f);            // a string never equals a number
+  is("a IN (3, NULL)", Value::Null());
+  is("a IN (1, NULL)", t);
+  is("c IN (1, 2)", Value::Null());  // NULL operand
+  is("(a, b) IN ((1, 2))", t);
+  is("(a, b) IN ((2, 1), (1, 3))", f);
+  is("(a, b) IN ((1, NULL))", Value::Null());
+  is("(a, b) IN ((2, NULL))", f);  // decided by the non-NULL column
+  is("(a, c) IN ((1, 5))", Value::Null());
+  is("(a, c) IN ((2, 5))", f);
+  is("(a, b + 1) IN ((1, 3))", t);
+  is("NOT (a IN (3, NULL))", Value::Null());
+  is("a IN (0 - 1, 2 - 1)", t);  // constant expressions fold
+}
+
+TEST(ExprTest, InListRejectsColumnsInTheList) {
+  ExprEval e;
+  const Row row = {Value::Int(1), Value::Int(2), Value::Int(3)};
+  EXPECT_TRUE(e.Eval("a IN (b)", row).status().IsInvalidArgument());
+}
+
+TEST(ExprTest, InListFilterBatchAgreesWithEvaluate) {
+  const std::vector<Row> rows = {
+      {Value::Int(1), Value::Int(2), Value::Int(7)},
+      {Value::Int(1), Value::Int(2), Value::Int(7)},
+      {Value::Null(), Value::Int(2), Value::Int(7)},
+      {Value::Int(4), Value::Null(), Value::Int(8)},
+      {Value::Int(4), Value::Int(5), Value::Real(9.0)},
+      {Value::Int(9), Value::Int(9), Value::Int(9)},
+      {Value::Real(1.0), Value::Int(2), Value::Int(7)},
+  };
+  for (const char* p : {
+           "a IN (1, 4)",
+           "a IN (1, NULL)",
+           "c IN (9, 8)",
+           "(a, b) IN ((1, 2), (4, 5))",
+           "(a, b) IN ((1, NULL), (4, 5))",
+           "(b, a + 0) IN ((2, 1), (5, 4))",  // a computed operand
+           "(a, c) IN ((4, 9), (1, 7))",
+           "a IN (1) AND c IN (7)",            // generic path over AND
+       }) {
+    ExpectFilterBatchAgrees(p, rows);
+  }
 }
 
 TEST(ExprTest, CollectConjunctsFlattensAndOnly) {

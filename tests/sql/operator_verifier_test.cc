@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sql/catalog.h"
+#include "sql/database.h"
 #include "sql/executor.h"
 #include "sql/expression.h"
 #include "sql/row_batch.h"
@@ -110,6 +111,27 @@ TEST(OperatorVerifierTest, AcceptsWellFormedTree) {
                                        Exprs(MakeSlotRef(0)),
                                        std::vector<bool>{false});
   EXPECT_TRUE(VerifyOperatorTree(*sort).ok());
+}
+
+TEST(OperatorVerifierTest, IndexScanKeysAreNonNull) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id BIGINT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX t_id ON t (id)").ok());
+  auto table = db.catalog().GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const IndexInfo* idx = (*table)->FindIndexOn("id");
+  ASSERT_NE(idx, nullptr);
+  auto verify = [&](std::vector<Value> keys) {
+    IndexScanOp scan(*table, "t", idx, std::move(keys));
+    return VerifyOperatorTree(scan);
+  };
+  EXPECT_TRUE(verify({Value::Int(1)}).ok());
+  EXPECT_TRUE(verify({Value::Int(1), Value::Int(2), Value::Str("1")}).ok());
+  EXPECT_TRUE(verify({}).ok());  // an all-NULL IN list matches nothing
+  // Open dedups the rids, so a repeated key only probes twice.
+  EXPECT_TRUE(verify({Value::Int(1), Value::Real(1.0)}).ok());
+  ExpectPlanError(verify({Value::Int(1), Value::Null()}),
+                  "index scan key 1 is NULL");
 }
 
 TEST(OperatorVerifierTest, RejectsFilterSlotOutsideChildArity) {

@@ -219,5 +219,72 @@ TEST(ParserTest, ExprToStringRoundTripParses) {
   EXPECT_TRUE(again.ok()) << again.status().ToString() << "\n" << text;
 }
 
+TEST(ParserTest, SingleColumnInList) {
+  auto r = ParseSelect("SELECT a FROM t WHERE T.entry IN (3, -4, 5.5, 'x')");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ast::Expr& in = *(*r)->cores[0].where;
+  ASSERT_EQ(in.kind, ExprKind::kIn);
+  ASSERT_EQ(in.args.size(), 1u);
+  EXPECT_EQ(in.args[0]->column, "entry");
+  ASSERT_EQ(in.in_rows.size(), 4u);
+  for (const auto& row : in.in_rows) EXPECT_EQ(row.size(), 1u);
+  EXPECT_EQ(in.in_rows[2][0]->literal, Value::Real(5.5));
+  EXPECT_EQ(in.in_rows[3][0]->literal, Value::Str("x"));
+  EXPECT_EQ(in.args[0]->ToString() + " " + in.in_rows[1][0]->ToString(),
+            "T.entry (-4)");
+  // IN binds tighter than AND and looser than arithmetic.
+  auto conj = ParseSelect("SELECT a FROM t WHERE a + 1 IN (2) AND b = 1");
+  ASSERT_TRUE(conj.ok()) << conj.status().ToString();
+  const ast::Expr& w = *(*conj)->cores[0].where;
+  ASSERT_EQ(w.kind, ExprKind::kBinary);
+  EXPECT_EQ(w.lhs->kind, ExprKind::kIn);
+  EXPECT_EQ(w.lhs->args[0]->kind, ExprKind::kBinary);
+}
+
+TEST(ParserTest, RowValueInList) {
+  auto r = ParseSelect(
+      "SELECT a FROM t WHERE (q1.h0, T.val3, COALESCE(S.elm, 2)) IN "
+      "((1, 2, 3), (4, 5, NULL))");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ast::Expr& in = *(*r)->cores[0].where;
+  ASSERT_EQ(in.kind, ExprKind::kIn);
+  ASSERT_EQ(in.args.size(), 3u);
+  EXPECT_EQ(in.args[2]->kind, ExprKind::kCoalesce);
+  ASSERT_EQ(in.in_rows.size(), 2u);
+  EXPECT_EQ(in.in_rows[1].size(), 3u);
+  // The text form parses back to the same text.
+  auto again = ParseSelect("SELECT a FROM t WHERE " + in.ToString());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->cores[0].where->ToString(), in.ToString());
+}
+
+TEST(ParserTest, InListNestsInsideExpressions) {
+  auto r = ParseSelect(
+      "SELECT CASE WHEN (a, b) IN ((1, 2)) THEN 1 ELSE 0 END FROM t "
+      "WHERE NOT (c IN (1, 2)) OR (a, b) IN ((3, 4), (5, 6))");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r)->cores[0].items[0].expr->branches[0].when->kind,
+            ExprKind::kIn);
+}
+
+TEST(ParserTest, MalformedInListsAreParseErrors) {
+  for (const char* sql : {
+           "SELECT a FROM t WHERE a IN ()",            // empty list
+           "SELECT a FROM t WHERE (a, b) IN ()",       // empty row list
+           "SELECT a FROM t WHERE (a, b) IN ((1, 2), (3))",  // arity
+           "SELECT a FROM t WHERE (a, b) IN ((1, 2, 3))",    // arity
+           "SELECT a FROM t WHERE (a, b) IN (1, 2)",   // rows unparenthesized
+           "SELECT a FROM t WHERE a IN ((1, 2))",      // row for one operand
+           "SELECT a FROM t WHERE ((a, b), c) IN ((1, 2, 3))",  // nested row
+           "SELECT a FROM t WHERE (a, b) = (1, 2)",    // row outside IN
+           "SELECT a FROM t WHERE a IN (1, 2",         // unterminated
+           "SELECT a FROM t WHERE a IN 1",             // no parentheses
+       }) {
+    auto r = ParseSelect(sql);
+    EXPECT_TRUE(r.status().IsParseError()) << sql << ": "
+                                           << r.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace rdfrel::sql

@@ -105,13 +105,12 @@ benchdata::Workload MakeAtBenchScale(const std::string& name) {
   return benchdata::MakePrbench(20, 4);
 }
 
-/// DB2RDF's CTE count per query under greedy flow. PQ26-PQ28 repeat one
-/// `?cr :tracksRequirement ?r . ?r :priority "1"` chain per UNION branch
-/// (49, 121 and 289 CTEs unshared), and LQ4/5/7/8/10 repeat their
-/// inference-expanded type lookups (7, 5, 7, 7, 5 unshared). LQ9 probes
-/// `?x :takesCourse ?z` by `acs` from its type lookup (per-predicate subject
-/// fan-out 2.25), not by `aco` after `?y :teacherOf ?z` (graph-wide average
-/// 5.46), so each branch's chain is one CTE shorter.
+/// DB2RDF's CTE count per query under greedy flow. UNION folding (DESIGN.md
+/// §1 item 4) turns each UNION whose branches are one plan up to constants
+/// into one plan: PQ26-PQ28's 24/60/96 star branches (31/67/99 CTEs with
+/// CTE sharing alone, 49/121/289 without), PQ20/PQ21's type or status
+/// alternatives (3/7), SQ5's and DQ20's type alternatives (7/4) and LQ4-LQ10's
+/// inference-expanded type lookups (5, 4, 3, 5, 5, 7, 4 before).
 const std::map<std::string, std::map<std::string, size_t>>& PinnedCounts() {
   static const auto* counts =
       new std::map<std::string, std::map<std::string, size_t>>{
@@ -119,11 +118,11 @@ const std::map<std::string, std::map<std::string, size_t>>& PinnedCounts() {
            {{"Q1", 1}, {"Q2", 1}, {"Q3", 1}, {"Q4", 1}, {"Q5", 1},
             {"Q6", 1}, {"Q7", 1}, {"Q8", 1}, {"Q9", 1}, {"Q10", 1}}},
           {"lubm",
-           {{"LQ1", 2}, {"LQ2", 5}, {"LQ3", 2}, {"LQ4", 5}, {"LQ5", 4},
-            {"LQ6", 3}, {"LQ7", 5}, {"LQ8", 5}, {"LQ9", 7}, {"LQ10", 4},
+           {{"LQ1", 2}, {"LQ2", 5}, {"LQ3", 2}, {"LQ4", 2}, {"LQ5", 2},
+            {"LQ6", 1}, {"LQ7", 3}, {"LQ8", 3}, {"LQ9", 3}, {"LQ10", 2},
             {"LQ13", 1}, {"LQ14", 1}}},
           {"sp2bench",
-           {{"SQ1", 2}, {"SQ2", 2}, {"SQ3", 2}, {"SQ4", 5}, {"SQ5", 7},
+           {{"SQ1", 2}, {"SQ2", 2}, {"SQ3", 2}, {"SQ4", 5}, {"SQ5", 3},
             {"SQ6", 3}, {"SQ7", 2}, {"SQ8", 4}, {"SQ9", 2}, {"SQ10", 1},
             {"SQ11", 2}, {"SQ12", 2}, {"SQ13", 3}, {"SQ14", 1}, {"SQ15", 5},
             {"SQ16", 2}, {"SQ17", 4}}},
@@ -132,14 +131,14 @@ const std::map<std::string, std::map<std::string, size_t>>& PinnedCounts() {
             {"DQ6", 2}, {"DQ7", 3}, {"DQ8", 4}, {"DQ9", 2}, {"DQ10", 2},
             {"DQ11", 1}, {"DQ12", 3}, {"DQ13", 1}, {"DQ14", 2}, {"DQ15", 1},
             {"DQ16", 1}, {"DQ17", 2}, {"DQ18", 2}, {"DQ19", 4},
-            {"DQ20", 4}}},
+            {"DQ20", 1}}},
           {"prbench",
            {{"PQ1", 1},  {"PQ2", 1},  {"PQ3", 2},   {"PQ4", 3},  {"PQ5", 2},
             {"PQ6", 1},  {"PQ7", 2},  {"PQ8", 2},   {"PQ9", 2},  {"PQ10", 5},
             {"PQ11", 4}, {"PQ12", 2}, {"PQ13", 5},  {"PQ14", 2}, {"PQ15", 4},
-            {"PQ16", 3}, {"PQ17", 2}, {"PQ18", 1},  {"PQ19", 1}, {"PQ20", 3},
-            {"PQ21", 7}, {"PQ22", 5}, {"PQ23", 2},  {"PQ24", 3}, {"PQ25", 2},
-            {"PQ26", 31}, {"PQ27", 67}, {"PQ28", 99}, {"PQ29", 6}}},
+            {"PQ16", 3}, {"PQ17", 2}, {"PQ18", 1},  {"PQ19", 1}, {"PQ20", 1},
+            {"PQ21", 2}, {"PQ22", 5}, {"PQ23", 2},  {"PQ24", 3}, {"PQ25", 2},
+            {"PQ26", 2}, {"PQ27", 2}, {"PQ28", 3}, {"PQ29", 6}}},
       };
   return *counts;
 }

@@ -1,5 +1,8 @@
 #include "util/string_util.h"
 
+#include <cmath>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 namespace rdfrel {
@@ -54,6 +57,35 @@ TEST(StringUtilTest, SqlQuoteDoublesQuotes) {
 TEST(StringUtilTest, NtEscape) {
   EXPECT_EQ(NtEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(NtEscape("plain"), "plain");
+}
+
+TEST(StringUtilTest, ParseDoubleAcceptsWhatTheReferenceCallsNumeric) {
+  // The answers the SPARQL reference evaluator's Numeric() (strtod over
+  // the whole lexical form, ERANGE rejected) gives for the same strings.
+  const std::pair<const char*, std::optional<double>> cases[] = {
+      {"", std::nullopt},
+      {" 5", 5.0},
+      {"5 ", std::nullopt},
+      {"0x10", 16.0},
+      {"inf", INFINITY},
+      {"1e999", std::nullopt},
+      {"6.0", 6.0},
+      {"-2.5e3", -2500.0},
+      {"abc", std::nullopt},
+      {" ", std::nullopt},
+  };
+  for (const auto& [text, want] : cases) {
+    double got = -1;
+    const bool ok = ParseDouble(text, &got);
+    EXPECT_EQ(ok, want.has_value()) << '"' << text << '"';
+    if (ok && want.has_value()) {
+      EXPECT_EQ(got, *want) << '"' << text << '"';
+    }
+  }
+  double nan = 0;
+  EXPECT_TRUE(ParseDouble("nan", &nan));
+  EXPECT_TRUE(std::isnan(nan));
+  EXPECT_FALSE(ParseDouble(std::string("5\0", 2), &nan));  // embedded NUL
 }
 
 }  // namespace
