@@ -1,6 +1,6 @@
 /// \file bench_engine.cc
 /// google-benchmark microbenchmarks for the embedded relational engine's
-/// primitives: row serde, B+-tree, hash index, dictionary encoding, and
+/// primitives: B+-tree, hash index, dictionary encoding, and
 /// end-to-end SQL evaluation paths (index scan, hash join, star lookup).
 
 #include <benchmark/benchmark.h>
@@ -13,26 +13,9 @@
 #include "sql/btree.h"
 #include "sql/database.h"
 #include "sql/hash_index.h"
-#include "sql/row.h"
 
 namespace rdfrel {
 namespace {
-
-void BM_RowSerde(benchmark::State& state) {
-  sql::Schema schema({{"a", sql::ValueType::kInt64},
-                      {"b", sql::ValueType::kString},
-                      {"c", sql::ValueType::kDouble},
-                      {"d", sql::ValueType::kInt64}});
-  sql::Row row = {sql::Value::Int(42), sql::Value::Str("hello world"),
-                  sql::Value::Real(3.25), sql::Value::Null()};
-  for (auto _ : state) {
-    std::string bytes;
-    if (!SerializeRow(schema, row, &bytes).ok()) std::abort();
-    auto back = DeserializeRow(schema, bytes);
-    benchmark::DoNotOptimize(back);
-  }
-}
-BENCHMARK(BM_RowSerde);
 
 void BM_BTreeInsert(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -40,7 +23,7 @@ void BM_BTreeInsert(benchmark::State& state) {
     sql::BPlusTree tree;
     for (int64_t i = 0; i < n; ++i) {
       tree.Insert(sql::Value::Int(i * 2654435761 % n),
-                  sql::RowId{0, static_cast<uint32_t>(i)});
+                  static_cast<sql::RowId>(i));
     }
     benchmark::DoNotOptimize(tree.size());
   }
@@ -52,7 +35,7 @@ void BM_BTreeLookup(benchmark::State& state) {
   const int64_t n = state.range(0);
   sql::BPlusTree tree;
   for (int64_t i = 0; i < n; ++i) {
-    tree.Insert(sql::Value::Int(i), sql::RowId{0, static_cast<uint32_t>(i)});
+    tree.Insert(sql::Value::Int(i), static_cast<sql::RowId>(i));
   }
   int64_t k = 0;
   for (auto _ : state) {
@@ -66,7 +49,7 @@ void BM_HashIndexLookup(benchmark::State& state) {
   const int64_t n = state.range(0);
   sql::HashIndex idx;
   for (int64_t i = 0; i < n; ++i) {
-    idx.Insert(sql::Value::Int(i), sql::RowId{0, static_cast<uint32_t>(i)});
+    idx.Insert(sql::Value::Int(i), static_cast<sql::RowId>(i));
   }
   int64_t k = 0;
   for (auto _ : state) {

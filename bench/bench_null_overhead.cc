@@ -3,6 +3,11 @@
 /// is loaded into DPH relations widened with +5/+45/+95 NULL-only
 /// predicate/value column pairs; the paper observed ~10% extra storage for
 /// a 20x width increase, and up to 2x slowdown on the fastest queries.
+///
+/// "DPH bytes" is the size of the live rows under a null-bitmap row
+/// encoding (what a disk-backed engine such as the paper's DB2 stores);
+/// the engine itself holds rows decoded, so the figure measures the
+/// layout, not this process's memory.
 
 #include <cstdio>
 
@@ -28,6 +33,39 @@ rdf::Graph UniformFivePredGraph(uint64_t subjects) {
     }
   }
   return g;
+}
+
+/// Bytes of \p row under a null-bitmap encoding: one bit per column, and
+/// only the non-NULL values materialized (8 bytes per number, a 4-byte
+/// length plus the bytes per string). NULL columns cost one bit each.
+size_t EncodedRowSize(const sql::Schema& schema, const sql::Row& row) {
+  size_t size = (row.size() + 7) / 8;
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].is_null()) continue;
+    switch (schema.column(i).type) {
+      case sql::ValueType::kInt64:
+      case sql::ValueType::kDouble:
+        size += 8;
+        break;
+      case sql::ValueType::kString:
+        size += 4 + row[i].AsString().size();
+        break;
+      case sql::ValueType::kNull:
+        break;
+    }
+  }
+  return size;
+}
+
+/// Encoded bytes of every live row of \p table.
+size_t EncodedTableBytes(const sql::Table& table) {
+  size_t bytes = 0;
+  Status st = table.Scan([&](sql::RowId, const sql::Row& row) {
+    bytes += EncodedRowSize(table.schema(), row);
+    return Status::OK();
+  });
+  if (!st.ok()) std::abort();
+  return bytes;
 }
 
 struct Loaded {
@@ -85,7 +123,7 @@ int main() {
   for (uint32_t extra : {0u, 5u, 45u, 95u}) {
     auto loaded = LoadWidened(g, extra);
     double bytes =
-        static_cast<double>(loaded->schema->dph()->storage().LiveBytes());
+        static_cast<double>(EncodedTableBytes(*loaded->schema->dph()));
     if (extra == 0) base_bytes = bytes;
 
     // Fast query: 2000 point lookups through the entry index.

@@ -332,7 +332,7 @@ void EncodeTable(std::string* out, const sql::Table& table) {
     PutU8(out, static_cast<uint8_t>(idx->kind));
   }
   PutU64(out, table.row_count());
-  // Scan visits live rows in heap order; reload re-inserts in that order.
+  // Scan visits live rows in slot order; reload re-inserts in that order.
   Status scan = table.Scan([out](sql::RowId, const sql::Row& row) {
     for (const auto& v : row) {
       EncodeValue(out, v);

@@ -252,7 +252,7 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
                   .status());
           *dir.secondary_counter += 2;
           row[vs] = Value::Int(lid);
-          RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, row).status());
+          RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, row));
         }
         handled = true;
         break;
@@ -270,7 +270,7 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
         row[ps] = Value::Int(static_cast<int64_t>(pred));
         row[Db2RdfSchema::ValSlot(c)] =
             Value::Int(static_cast<int64_t>(value));
-        RDFREL_RETURN_NOT_OK(dir.primary->Update(rids[i], row).status());
+        RDFREL_RETURN_NOT_OK(dir.primary->Update(rids[i], row));
         if (i > 0) dir.spilled->insert(pred);
         handled = true;
         break;
@@ -298,7 +298,7 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
         if (prev[Db2RdfSchema::kSpillSlot].is_null() ||
             prev[Db2RdfSchema::kSpillSlot].AsInt() == 0) {
           prev[Db2RdfSchema::kSpillSlot] = Value::Int(1);
-          RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, prev).status());
+          RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, prev));
         }
       }
     }
@@ -368,12 +368,12 @@ Status Loader::DeleteTriple(const rdf::Dictionary& dict,
             // Last list element gone: clear the cell too.
             row[ps] = Value::Null();
             row[vs] = Value::Null();
-            RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, row).status());
+            RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, row));
           }
         } else if (stored == static_cast<int64_t>(value)) {
           row[ps] = Value::Null();
           row[vs] = Value::Null();
-          RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, row).status());
+          RDFREL_RETURN_NOT_OK(dir.primary->Update(rid, row));
           removed = true;
         }
         if (removed) break;

@@ -455,7 +455,6 @@ std::string SparqlServer::StatsJson() const {
   out += "\"store\":\"" + JsonEscape(store_->name()) + "\"";
   out += ",\"uptime_s\":" + std::to_string(uptime);
   out += ",\"plan_cache\":" + CacheStatsJson(store_->plan_cache_stats());
-  out += ",\"page_cache\":" + CacheStatsJson(store_->page_cache_stats());
   out += ",\"persist\":" + PersistStatsJson(store_->persist_stats());
   out += ",\"server\":{";
   out += "\"connections_accepted\":" +

@@ -114,7 +114,7 @@ class SparqlServer {
 
   // kServer: the outermost rank — a worker still holds nothing when it
   // dequeues a connection, and query execution below takes the store,
-  // cache, page-cache and WAL locks in hierarchy order.
+  // cache and WAL locks in hierarchy order.
   util::Mutex mu_{"server-queue", util::lock_rank::kServer};
   util::CondVar cv_;
   /// Accepted connections awaiting a worker.

@@ -12,7 +12,7 @@
 #include <optional>
 #include <vector>
 
-#include "sql/page.h"
+#include "sql/row.h"
 #include "sql/value.h"
 #include "util/status.h"
 

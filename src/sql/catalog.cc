@@ -4,8 +4,8 @@
 
 namespace rdfrel::sql {
 
-Table::Table(std::string name, Schema schema, size_t page_size)
-    : name_(std::move(name)), storage_(std::move(schema), page_size) {}
+Table::Table(std::string name, Schema schema)
+    : name_(std::move(name)), schema_(std::move(schema)) {}
 
 Status Table::CreateIndex(const std::string& index_name,
                           const std::string& column_name, IndexKind kind) {
@@ -27,7 +27,7 @@ Status Table::CreateIndex(const std::string& index_name,
   }
   IndexInfo* raw = idx.get();
   // Backfill from existing rows.
-  RDFREL_RETURN_NOT_OK(storage_.Scan([&](RowId rid, const Row& row) {
+  RDFREL_RETURN_NOT_OK(Scan([&](RowId rid, const Row& row) {
     IndexInsert(raw, row, rid);
     return Status::OK();
   }));
@@ -71,101 +71,81 @@ void Table::IndexRemove(IndexInfo* idx, const Row& row, RowId rid) {
   }
 }
 
-Result<RowId> Table::Insert(const Row& row) {
-  RDFREL_ASSIGN_OR_RETURN(RowId rid, storage_.Insert(row));
-  for (auto& idx : indexes_) IndexInsert(idx.get(), row, rid);
-  InvalidateDecodedPage(rid.page);
-  return rid;
+Status Table::NoRow(RowId rid) const {
+  return Status::NotFound("row " + std::to_string(rid) + " of table " +
+                          name_);
 }
 
-Result<Row> Table::Get(RowId rid) const { return storage_.Get(rid); }
-
-Result<RowId> Table::Update(RowId rid, const Row& new_row) {
-  RDFREL_ASSIGN_OR_RETURN(Row old_row, storage_.Get(rid));
-  RDFREL_ASSIGN_OR_RETURN(RowId new_rid, storage_.Update(rid, new_row));
-  for (auto& idx : indexes_) {
-    IndexRemove(idx.get(), old_row, rid);
-    IndexInsert(idx.get(), new_row, new_rid);
+Status Table::Admit(Row* row) const {
+  RDFREL_RETURN_NOT_OK(schema_.ValidateRow(*row));
+  for (size_t i = 0; i < row->size(); ++i) {
+    Value& v = (*row)[i];
+    if (v.is_int() && schema_.column(i).type == ValueType::kDouble) {
+      v = Value::Real(static_cast<double>(v.AsInt()));
+    }
   }
-  InvalidateDecodedPage(rid.page);
-  if (new_rid.page != rid.page) InvalidateDecodedPage(new_rid.page);
-  return new_rid;
-}
-
-Status Table::Delete(RowId rid) {
-  RDFREL_ASSIGN_OR_RETURN(Row old_row, storage_.Get(rid));
-  RDFREL_RETURN_NOT_OK(storage_.Delete(rid));
-  for (auto& idx : indexes_) IndexRemove(idx.get(), old_row, rid);
-  InvalidateDecodedPage(rid.page);
   return Status::OK();
 }
 
-Result<std::shared_ptr<const DecodedPage>> Table::DecodePage(
-    uint32_t page) const {
-  {
-    util::ReaderLock lock(&decoded_mu_);
-    if (page < decoded_pages_.size() && decoded_pages_[page] != nullptr) {
-      decoded_hits_.fetch_add(1, std::memory_order_relaxed);
-      return decoded_pages_[page];
-    }
+Result<RowId> Table::Insert(Row row) {
+  RDFREL_RETURN_NOT_OK(Admit(&row));
+  RowId rid;
+  if (!free_.empty()) {
+    rid = free_.back();
+    free_.pop_back();
+    rows_[rid] = std::move(row);
+    live_[rid] = 1;
+  } else {
+    rid = static_cast<RowId>(rows_.size());
+    rows_.push_back(std::move(row));
+    live_.push_back(1);
   }
-  decoded_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Decode outside the lock; a racing decode of the same page just loses
-  // the store below (keep-first) and its copy dies with the caller.
-  const Page& pg = storage_.heap().page(page);
-  auto dp = std::make_shared<DecodedPage>();
-  dp->slot_index.assign(pg.num_slots(), DecodedPage::kDeadSlot);
-  dp->rows.reserve(pg.num_slots());
-  for (uint32_t s = 0; s < pg.num_slots(); ++s) {
-    if (!pg.IsLive(s)) continue;
-    RDFREL_ASSIGN_OR_RETURN(std::string_view bytes, pg.Get(s));
-    dp->slot_index[s] = static_cast<uint32_t>(dp->rows.size());
-    dp->rows.emplace_back();
-    RDFREL_RETURN_NOT_OK(DeserializeRowInto(schema(), bytes, &dp->rows.back()));
-  }
-  util::WriterLock lock(&decoded_mu_);
-  if (page < decoded_pages_.size() && decoded_pages_[page] != nullptr) {
-    return decoded_pages_[page];
-  }
-  if (decoded_rows_ + dp->rows.size() <= kDecodedRowBudget) {
-    if (decoded_pages_.size() <= page) decoded_pages_.resize(page + 1);
-    decoded_rows_ += dp->rows.size();
-    decoded_pages_[page] = dp;
-  }
-  return std::shared_ptr<const DecodedPage>(std::move(dp));
+  for (auto& idx : indexes_) IndexInsert(idx.get(), rows_[rid], rid);
+  return rid;
 }
 
-void Table::InvalidateDecodedPage(uint32_t page) {
-  util::WriterLock lock(&decoded_mu_);
-  if (page < decoded_pages_.size() && decoded_pages_[page] != nullptr) {
-    decoded_rows_ -= decoded_pages_[page]->rows.size();
-    decoded_pages_[page].reset();
-    decoded_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+Result<Row> Table::Get(RowId rid) const {
+  const Row* row = Find(rid);
+  if (row == nullptr) return NoRow(rid);
+  return *row;
 }
 
-util::CacheStats Table::decoded_page_stats() const {
-  util::CacheStats s;
-  s.hits = decoded_hits_.load(std::memory_order_relaxed);
-  s.misses = decoded_misses_.load(std::memory_order_relaxed);
-  s.evictions = decoded_evictions_.load(std::memory_order_relaxed);
-  util::ReaderLock lock(&decoded_mu_);
-  for (const auto& dp : decoded_pages_) {
-    if (dp != nullptr) ++s.entries;
+Status Table::Update(RowId rid, Row new_row) {
+  if (Find(rid) == nullptr) return NoRow(rid);
+  RDFREL_RETURN_NOT_OK(Admit(&new_row));
+  Row& row = rows_[rid];
+  for (auto& idx : indexes_) {
+    const auto col = static_cast<size_t>(idx->column);
+    if (row[col] == new_row[col]) continue;
+    IndexRemove(idx.get(), row, rid);
+    IndexInsert(idx.get(), new_row, rid);
   }
-  return s;
+  row = std::move(new_row);
+  return Status::OK();
+}
+
+Status Table::Delete(RowId rid) {
+  if (Find(rid) == nullptr) return NoRow(rid);
+  for (auto& idx : indexes_) IndexRemove(idx.get(), rows_[rid], rid);
+  rows_[rid] = Row();
+  live_[rid] = 0;
+  free_.push_back(rid);
+  return Status::OK();
 }
 
 Status Table::Scan(
     const std::function<Status(RowId, const Row&)>& fn) const {
-  return storage_.Scan(fn);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (live_[i]) RDFREL_RETURN_NOT_OK(fn(static_cast<RowId>(i), rows_[i]));
+  }
+  return Status::OK();
 }
 
-Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema,
-                                    size_t page_size) {
+Result<Table*> Catalog::CreateTable(const std::string& name,
+                                    Schema schema) {
   std::string key = ToLowerAscii(name);
   if (tables_.count(key)) return Status::AlreadyExists("table " + name);
-  auto table = std::make_unique<Table>(name, std::move(schema), page_size);
+  auto table = std::make_unique<Table>(name, std::move(schema));
   Table* raw = table.get();
   tables_.emplace(std::move(key), std::move(table));
   return raw;
@@ -193,18 +173,6 @@ std::vector<std::string> Catalog::TableNames() const {
   names.reserve(tables_.size());
   for (const auto& [k, t] : tables_) names.push_back(t->name());
   return names;
-}
-
-util::CacheStats Catalog::page_cache_stats() const {
-  util::CacheStats out;
-  for (const auto& [k, t] : tables_) {
-    util::CacheStats s = t->decoded_page_stats();
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.evictions += s.evictions;
-    out.entries += s.entries;
-  }
-  return out;
 }
 
 }  // namespace rdfrel::sql

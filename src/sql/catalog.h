@@ -2,10 +2,10 @@
 #define RDFREL_SQL_CATALOG_H_
 
 /// \file catalog.h
-/// The catalog: named tables, each owning storage plus secondary indexes
+/// The catalog: named tables, each owning its rows plus secondary indexes
 /// that are kept consistent through the Table mutation API.
 
-#include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,9 +13,8 @@
 
 #include "sql/btree.h"
 #include "sql/hash_index.h"
-#include "sql/table_storage.h"
-#include "util/lru_cache.h"
-#include "util/mutex.h"
+#include "sql/row.h"
+#include "sql/schema.h"
 #include "util/status.h"
 
 namespace rdfrel::sql {
@@ -37,32 +36,22 @@ struct IndexInfo {
   }
 };
 
-/// The live rows of one heap page, deserialized once and shared by readers.
-/// Rows are in slot order; \p slot_index maps a page slot to its position in
-/// \p rows (kDeadSlot for dead slots). Instances are immutable after
-/// construction, so a scan holding the shared_ptr stays valid even if the
-/// table mutates (invalidation only drops the cache's own reference).
-struct DecodedPage {
-  static constexpr uint32_t kDeadSlot = 0xffffffffu;
-  std::vector<Row> rows;
-  std::vector<uint32_t> slot_index;
-};
-
-/// A table with index-maintaining mutations. Use this (not raw
-/// TableStorage) everywhere above the storage layer.
+/// A table: a schema, its rows and the secondary indexes kept consistent
+/// through the mutation API.
+///
+/// Rows are held decoded, one per slot of a vector; a RowId is the slot
+/// number. Deleting a row frees its slot for the next insert, and updates
+/// replace a row in place, so a RowId is stable for the row's lifetime.
+/// The table has no lock of its own: readers may share it only while no
+/// thread mutates it (the stores read under their shared lock and mutate
+/// under the exclusive one).
 class Table {
  public:
-  /// Cap on rows retained across all cached decoded pages of one table;
-  /// beyond it DecodePage still decodes but no longer stores (keeps memory
-  /// bounded on very large tables).
-  static constexpr size_t kDecodedRowBudget = 1u << 22;
-  Table(std::string name, Schema schema,
-        size_t page_size = Page::kDefaultSize);
+  Table(std::string name, Schema schema);
 
   const std::string& name() const { return name_; }
-  const Schema& schema() const { return storage_.schema(); }
-  const TableStorage& storage() const { return storage_; }
-  uint64_t row_count() const { return storage_.row_count(); }
+  const Schema& schema() const { return schema_; }
+  uint64_t row_count() const { return rows_.size() - free_.size(); }
 
   /// Builds an index over existing rows; errors on duplicate name or
   /// unknown column.
@@ -76,42 +65,42 @@ class Table {
     return indexes_;
   }
 
-  Result<RowId> Insert(const Row& row);
+  /// Inserts a row (validated against the schema; an INT value in a DOUBLE
+  /// column is stored widened to a REAL) into a free slot.
+  Result<RowId> Insert(Row row);
+  /// Copy of the live row at \p rid; NotFound for a dead or unknown slot.
   Result<Row> Get(RowId rid) const;
-  Result<RowId> Update(RowId rid, const Row& new_row);
+  /// The live row at \p rid, or nullptr for a dead or unknown slot.
+  const Row* Find(RowId rid) const {
+    return rid < rows_.size() && live_[rid] ? &rows_[rid] : nullptr;
+  }
+  /// Replaces the live row at \p rid in place (validated like Insert).
+  Status Update(RowId rid, Row new_row);
   Status Delete(RowId rid);
+  /// Visits the live rows in slot order.
   Status Scan(const std::function<Status(RowId, const Row&)>& fn) const;
 
-  /// The decoded live rows of heap page \p page, served from a per-table
-  /// cache so repeated scans deserialize each page once. Vectorized scans
-  /// borrow the returned rows in place; mutations invalidate the touched
-  /// pages. Safe for concurrent readers. \p page must be < num_pages().
-  Result<std::shared_ptr<const DecodedPage>> DecodePage(uint32_t page) const;
-
-  /// Hit/miss/invalidation counters of the decoded-page cache (hits serve
-  /// a cached page; invalidations by mutations count as evictions).
-  util::CacheStats decoded_page_stats() const;
+  /// Slot-level access for scans: slots [0, num_slots()) hold the rows,
+  /// dead ones included; a slot is live iff IsLive.
+  size_t num_slots() const { return rows_.size(); }
+  const Row* slots() const { return rows_.data(); }
+  bool IsLive(RowId rid) const { return live_[rid] != 0; }
+  /// True when some slot below num_slots() is dead.
+  bool has_dead_slots() const { return !free_.empty(); }
 
  private:
+  Status NoRow(RowId rid) const;
+  /// Validates \p row and widens its INT values in DOUBLE columns.
+  Status Admit(Row* row) const;
   void IndexInsert(IndexInfo* idx, const Row& row, RowId rid);
   void IndexRemove(IndexInfo* idx, const Row& row, RowId rid);
-  void InvalidateDecodedPage(uint32_t page);
 
   std::string name_;
-  TableStorage storage_;
+  Schema schema_;
+  std::vector<Row> rows_;        ///< by slot; dead slots hold an empty Row
+  std::vector<uint8_t> live_;    ///< by slot: 1 when the slot holds a row
+  std::vector<RowId> free_;      ///< dead slots, reused last-freed first
   std::vector<std::unique_ptr<IndexInfo>> indexes_;
-
-  // Decoded-page cache (mutable: populated lazily from const scans).
-  // kPageCache: taken below the store lock (kStore), above nothing.
-  mutable util::SharedMutex decoded_mu_{"page-cache",
-                                        util::lock_rank::kPageCache};
-  mutable std::vector<std::shared_ptr<const DecodedPage>> decoded_pages_
-      RDFREL_GUARDED_BY(decoded_mu_);
-  mutable size_t decoded_rows_ RDFREL_GUARDED_BY(decoded_mu_) =
-      0;  ///< rows held by decoded_pages_
-  mutable std::atomic<uint64_t> decoded_hits_{0};
-  mutable std::atomic<uint64_t> decoded_misses_{0};
-  mutable std::atomic<uint64_t> decoded_evictions_{0};
 };
 
 /// Named-table registry.
@@ -120,8 +109,7 @@ class Catalog {
   Catalog() = default;
 
   /// Creates a table; AlreadyExists on duplicate (case-insensitive) name.
-  Result<Table*> CreateTable(const std::string& name, Schema schema,
-                             size_t page_size = Page::kDefaultSize);
+  Result<Table*> CreateTable(const std::string& name, Schema schema);
 
   /// Table by name, or NotFound.
   Result<Table*> GetTable(const std::string& name) const;
@@ -129,9 +117,6 @@ class Catalog {
   Status DropTable(const std::string& name);
 
   std::vector<std::string> TableNames() const;
-
-  /// Decoded-page cache counters summed over every table.
-  util::CacheStats page_cache_stats() const;
 
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;  // lower-case name

@@ -130,16 +130,10 @@ Status Database::ExecInsert(const ast::InsertStmt& ins) {
     for (size_t i = 0; i < exprs.size(); ++i) {
       RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b,
                               BindExpr(*exprs[i], empty_scope));
-      RDFREL_ASSIGN_OR_RETURN(Value v, b->Evaluate(no_row));
-      // Widen ints into double columns at the boundary.
-      const auto pos = static_cast<size_t>(positions[i]);
-      if (schema.column(pos).type == ValueType::kDouble &&
-          v.is_int()) {
-        v = Value::Real(static_cast<double>(v.AsInt()));
-      }
-      row[pos] = std::move(v);
+      RDFREL_ASSIGN_OR_RETURN(row[static_cast<size_t>(positions[i])],
+                              b->Evaluate(no_row));
     }
-    RDFREL_RETURN_NOT_OK(t->Insert(row).status());
+    RDFREL_RETURN_NOT_OK(t->Insert(std::move(row)).status());
   }
   return Status::OK();
 }

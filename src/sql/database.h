@@ -64,11 +64,6 @@ class Database {
   /// Inert (see ExecMode): always kBatch, kept for the perfbench harness.
   ExecMode exec_mode() const { return ExecMode::kBatch; }
 
-  /// Decoded-page cache counters summed over the catalog's tables.
-  util::CacheStats page_cache_stats() const {
-    return catalog_.page_cache_stats();
-  }
-
  private:
   Status ExecCreateTable(const ast::CreateTableStmt& ct);
   Status ExecCreateIndex(const ast::CreateIndexStmt& ci);

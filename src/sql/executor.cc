@@ -19,29 +19,14 @@ Scope TableScope(const Table* table, const std::string& alias) {
   return s;
 }
 
-/// Fetches the row at \p rid into \p out, reusing \p out's storage (no
-/// intermediate Row like Table::Get). Tables within the decoded-page budget
-/// are served from the page cache — index probes tend to revisit pages, so
-/// the one-time decode amortizes; larger tables read the heap cell directly
-/// to avoid re-decoding whole pages per probe.
-Status FetchRowInto(const Table& table, RowId rid, Row* out) {
-  const HeapFile& heap = table.storage().heap();
-  if (rid.page >= heap.num_pages()) {
-    return Status::Internal("rid page out of range");
+/// The live row at \p rid; an index entry for a dead slot is an engine bug.
+Result<const Row*> LiveRow(const Table& table, RowId rid) {
+  const Row* row = table.Find(rid);
+  if (row == nullptr) {
+    return Status::Internal("index entry for dead row " + std::to_string(rid) +
+                            " of table " + table.name());
   }
-  if (table.row_count() <= Table::kDecodedRowBudget) {
-    RDFREL_ASSIGN_OR_RETURN(std::shared_ptr<const DecodedPage> dp,
-                            table.DecodePage(rid.page));
-    if (rid.slot >= dp->slot_index.size() ||
-        dp->slot_index[rid.slot] == DecodedPage::kDeadSlot) {
-      return Status::Internal("rid slot not live");
-    }
-    *out = dp->rows[dp->slot_index[rid.slot]];
-    return Status::OK();
-  }
-  RDFREL_ASSIGN_OR_RETURN(std::string_view bytes,
-                          heap.page(rid.page).Get(rid.slot));
-  return DeserializeRowInto(table.schema(), bytes, out);
+  return row;
 }
 
 uint64_t NowNs() {
@@ -141,21 +126,28 @@ SeqScanOp::SeqScanOp(const Table* table, const std::string& alias)
 }
 
 Status SeqScanOp::Open() {
-  page_ = 0;
-  cur_page_.reset();
+  pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
-  const size_t end_page = table_->storage().heap().num_pages();
-  while (page_ < end_page) {
-    RDFREL_ASSIGN_OR_RETURN(cur_page_,
-                            table_->DecodePage(static_cast<uint32_t>(page_)));
-    ++page_;
-    if (cur_page_->rows.empty()) continue;
-    // One whole page per call, zero copy: the batch points straight into
-    // the decoded page, which cur_page_ keeps alive past this call.
-    out->Borrow(cur_page_->rows.data(), cur_page_->rows.size());
+  const size_t end = table_->num_slots();
+  while (pos_ < end) {
+    const size_t begin = pos_;
+    const size_t n = std::min(out->capacity(), end - begin);
+    pos_ += n;
+    // Zero copy: the batch points straight into the table's slots, which
+    // stay put while the store's shared lock keeps writers out.
+    out->Borrow(table_->slots() + begin, n);
+    if (!table_->has_dead_slots()) return true;
+    live_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (table_->IsLive(static_cast<RowId>(begin + i))) {
+        live_.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    if (live_.empty()) continue;
+    if (live_.size() < n) out->SetSelection(live_);
     return true;
   }
   return false;
@@ -180,7 +172,7 @@ Status IndexScanOp::Open() {
     std::vector<RowId> hits = index_->Lookup(key);
     rids_.insert(rids_.end(), hits.begin(), hits.end());
   }
-  // Heap order, and one fetch per row however many keys it matches.
+  // Slot order, and one fetch per row however many keys it matches.
   std::sort(rids_.begin(), rids_.end());
   rids_.erase(std::unique(rids_.begin(), rids_.end()), rids_.end());
   return Status::OK();
@@ -189,7 +181,8 @@ Status IndexScanOp::Open() {
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
   if (pos_ >= rids_.size()) return false;
   while (pos_ < rids_.size() && !out->Full()) {
-    RDFREL_RETURN_NOT_OK(FetchRowInto(*table_, rids_[pos_++], out->AddRow()));
+    RDFREL_ASSIGN_OR_RETURN(const Row* row, LiveRow(*table_, rids_[pos_++]));
+    *out->AddRow() = *row;
   }
   return true;
 }
@@ -412,10 +405,10 @@ Status IndexNLJoinOp::ProbeInto(const Row& outer_row, const Value& key,
   bool emitted = false;
   if (!key.is_null()) {
     for (RowId rid : index_->Lookup(key)) {
-      RDFREL_RETURN_NOT_OK(FetchRowInto(*inner_, rid, &inner_row_));
+      RDFREL_ASSIGN_OR_RETURN(const Row* inner_row, LiveRow(*inner_, rid));
       Row* slot = out->AddRow();
       *slot = outer_row;
-      slot->insert(slot->end(), inner_row_.begin(), inner_row_.end());
+      slot->insert(slot->end(), inner_row->begin(), inner_row->end());
       if (residual_) {
         RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *slot));
         if (!pass) {

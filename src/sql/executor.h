@@ -3,11 +3,11 @@
 
 /// \file executor.h
 /// Pull-based physical operators, driven one vectorized batch at a time
-/// (`NextBatch(RowBatch*)`, ~1024 rows per call). Scans deserialize a whole
-/// heap page per call into reused row storage, filters attach selection
-/// vectors instead of shuffling rows, projections evaluate expressions
-/// column-at-a-time, and joins probe a batch per call, pausing between
-/// input rows once the output batch is full.
+/// (`NextBatch(RowBatch*)`, ~1024 rows per call). Table scans borrow a
+/// window of table slots per call without copying, filters attach
+/// selection vectors instead of shuffling rows, projections evaluate
+/// expressions column-at-a-time, and joins probe a batch per call, pausing
+/// between input rows once the output batch is full.
 ///
 /// `NextBatch` is a non-virtual wrapper that checks the query's
 /// ExecControl and maintains per-operator counters (rows out, batches out,
@@ -115,7 +115,8 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// (ms appears only after EnableTiming; times are inclusive of children.)
 std::string FormatOperatorStats(Operator& root);
 
-/// Full-table scan: one whole decoded heap page per call, zero copy.
+/// Full-table scan: borrows windows of up to capacity() slots, zero copy;
+/// dead slots in a window are masked out by the batch's selection.
 class SeqScanOp final : public Operator {
  public:
   SeqScanOp(const Table* table, const std::string& alias);
@@ -128,15 +129,12 @@ class SeqScanOp final : public Operator {
 
  private:
   const Table* table_;
-  size_t page_ = 0;
-  /// Decoded rows of the current page; holding the shared_ptr keeps a
-  /// Borrow'ed batch valid even if the cache entry is invalidated mid-scan.
-  std::shared_ptr<const DecodedPage> cur_page_;
+  size_t pos_ = 0;              ///< first slot of the next window
+  std::vector<uint32_t> live_;  ///< live offsets in the current window
 };
 
-/// Point index lookup: emits rows whose indexed column equals a constant.
-/// Rows deserialize straight from heap cells into the caller's storage (no
-/// intermediate Row materialization per rid).
+/// Point index lookup: emits rows whose indexed column equals a constant,
+/// copying each matching row from its slot into the batch.
 class IndexScanOp final : public Operator {
  public:
   /// Rows whose indexed column equals one of \p keys (non-NULL; each row
@@ -291,7 +289,6 @@ class IndexNLJoinOp final : public Operator {
   bool left_outer_;
   BoundExprPtr residual_;  ///< bound against concatenated scope
 
-  Row inner_row_;                             ///< inner fetch buffer
   RowBatch outer_batch_;                      ///< outer input buffer
   std::vector<Value> key_col_;                ///< batch-evaluated keys
   size_t outer_pos_ = 0;                      ///< resume cursor into batch

@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sql/page.h"
+#include "sql/row.h"
 #include "sql/value.h"
 
 namespace rdfrel::sql {

@@ -2,38 +2,21 @@
 #define RDFREL_SQL_ROW_H_
 
 /// \file row.h
-/// Row <-> bytes serialization. Rows are stored with a null bitmap and only
-/// materialize non-null values, so NULL-heavy DB2RDF rows stay compact — the
-/// property the paper's §2.3 storage experiment depends on ("increasing by
-/// 20-fold the size of the original relation with NULLs only required 10% of
-/// extra space").
+/// The row type every table, index and operator shares.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "sql/schema.h"
 #include "sql/value.h"
-#include "util/status.h"
 
 namespace rdfrel::sql {
 
 using Row = std::vector<Value>;
 
-/// Serializes \p row (validated against \p schema) into \p out (appended).
-Status SerializeRow(const Schema& schema, const Row& row,
-                    std::string* out);
-
-/// Deserializes a row previously produced by SerializeRow.
-Result<Row> DeserializeRow(const Schema& schema, std::string_view bytes);
-
-/// Deserializes into an existing Row, reusing its vector storage (the hot
-/// path of batched scans: no per-tuple Row allocation).
-Status DeserializeRowInto(const Schema& schema, std::string_view bytes,
-                          Row* row);
-
-/// Size in bytes SerializeRow would produce (without serializing).
-size_t SerializedRowSize(const Schema& schema, const Row& row);
+/// A row's slot number within its table. Stable for the row's lifetime:
+/// updates happen in place, and a slot is reused only after its row is
+/// deleted.
+using RowId = uint32_t;
 
 }  // namespace rdfrel::sql
 

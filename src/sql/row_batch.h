@@ -10,8 +10,8 @@
 ///    so a scan that refills the same batch never reallocates Row vectors
 ///    after warm-up;
 ///  - *borrowed*: the batch points into somebody else's contiguous rows
-///    (a Materialized CTE, a sort buffer) — zero copies, valid while the
-///    producing operator is alive.
+///    (a table's slots, a Materialized CTE, a sort buffer) — zero copies,
+///    valid while the producing operator is alive.
 ///
 /// Filters do not compact either kind; they attach a *selection vector* of
 /// surviving physical indices. Consumers iterate `ActiveSize()` /
@@ -26,8 +26,8 @@ namespace rdfrel::sql {
 
 class RowBatch {
  public:
-  /// Target rows per batch; producers may exceed it (e.g. a SeqScan emits
-  /// whole heap pages, a join emits every match of a probe batch).
+  /// Target rows per batch; producers may exceed it (e.g. a join emits
+  /// every match of a probe batch).
   static constexpr size_t kDefaultCapacity = 1024;
 
   explicit RowBatch(size_t capacity = kDefaultCapacity)

@@ -73,9 +73,6 @@ class PredicateStoreBackend final : public SparqlStore {
   Status Flush() override;
   Status Close() override;
   persist::PersistStats persist_stats() const override;
-  util::CacheStats page_cache_stats() const override {
-    return db_.page_cache_stats();
-  }
 
   sql::Database& database() { return db_; }
   size_t num_predicate_tables() const { return tables_.size(); }

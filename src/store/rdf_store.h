@@ -130,9 +130,6 @@ class RdfStore final : public SparqlStore {
   Status Flush() override;
   Status Close() override;
   persist::PersistStats persist_stats() const override;
-  util::CacheStats page_cache_stats() const override {
-    return db_.page_cache_stats();
-  }
 
   const schema::LoadStats& load_stats() const { return load_stats_; }
   const schema::Db2RdfSchema& schema() const { return *schema_; }
@@ -202,16 +199,17 @@ class RdfStore final : public SparqlStore {
 
   /// Serializes readers (shared) against Insert/Delete and closure
   /// materialization (exclusive). Protects db_, dict_, stats_,
-  /// closure_cache_ and the schema spill sets. kStore is the outermost
-  /// engine rank: holders go on to take the plan cache, decoded-page
-  /// cache and the WAL (see util/mutex.h's hierarchy).
+  /// closure_cache_ and the schema spill sets. SQL tables have no lock
+  /// of their own, so every scan runs under this lock's shared mode and
+  /// every table mutation under its exclusive mode. kStore is the
+  /// outermost engine rank: holders go on to take the plan cache and the
+  /// WAL (see util/mutex.h's hierarchy).
   mutable util::SharedMutex mutex_{"store", util::lock_rank::kStore};
 
   // db_, dict_, stats_, schema_ and friends are accessed under mutex_ in
   // the matching mode but stay unannotated: public accessors hand out
-  // references for single-threaded tooling (benchmarks, loaders), and the
-  // SQL layer below has its own locking. The annotated fields are the ones
-  // only this class touches.
+  // references for single-threaded tooling (benchmarks, loaders). The
+  // annotated fields are the ones only this class touches.
   sql::Database db_;
   std::unique_ptr<schema::Db2RdfSchema> schema_;
   std::unique_ptr<schema::Loader> loader_;

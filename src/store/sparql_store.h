@@ -164,9 +164,9 @@ class SparqlStore {
   /// Cumulative hit/miss/eviction counters of the plan cache.
   virtual util::CacheStats plan_cache_stats() const = 0;
 
-  /// Decoded-page cache counters of the embedded database (empty for
-  /// backends without one).
-  virtual util::CacheStats page_cache_stats() const { return {}; }
+  /// Inert: always zeros. The engine keeps no page cache; this remains
+  /// only because the benchmark harness (`perfbench/`) still calls it.
+  util::CacheStats page_cache_stats() const { return {}; }
 
   // --- Durability surface (see src/persist/, DESIGN.md §9). Backends
   // without persistence attached keep the defaults. ---

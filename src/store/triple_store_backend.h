@@ -71,9 +71,6 @@ class TripleStoreBackend final : public SparqlStore {
   Status Flush() override;
   Status Close() override;
   persist::PersistStats persist_stats() const override;
-  util::CacheStats page_cache_stats() const override {
-    return db_.page_cache_stats();
-  }
 
   sql::Database& database() { return db_; }
 

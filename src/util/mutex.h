@@ -125,8 +125,8 @@ namespace rdfrel::util {
 // mutex it already holds. Gaps leave room for future layers.
 //
 // The order encodes every nesting the engine actually performs:
-//   server conn queue -> store r/w lock -> plan cache shard -> decoded-page
-//   cache -> WAL writer (group-commit flusher state) -> Env file map.
+//   server conn queue -> store r/w lock -> plan cache shard -> WAL writer
+//   (group-commit flusher state) -> Env file map.
 // e.g. a writer holding the store lock logs to the WAL (kStore < kWal), and
 // the WAL writer under kEveryRecord appends while holding its own lock
 // (kWal < kEnv).
@@ -135,7 +135,6 @@ inline constexpr int kUnranked = 0;    ///< ordering not checked (leaf-only)
 inline constexpr int kServer = 100;    ///< serve::SparqlServer connection queue
 inline constexpr int kStore = 200;     ///< store reader/writer lock
 inline constexpr int kPlanCache = 300; ///< sharded plan/translation cache
-inline constexpr int kPageCache = 400; ///< sql::Table decoded-page cache
 inline constexpr int kWal = 900;       ///< persist::WalWriter flusher state
 inline constexpr int kEnv = 1000;      ///< persist Env file maps / fault spec
 }  // namespace lock_rank

@@ -51,9 +51,6 @@ class DelegatingStore : public store::SparqlStore {
   util::CacheStats plan_cache_stats() const override {
     return inner_->plan_cache_stats();
   }
-  util::CacheStats page_cache_stats() const override {
-    return inner_->page_cache_stats();
-  }
   persist::PersistStats persist_stats() const override {
     return inner_->persist_stats();
   }
@@ -374,11 +371,12 @@ TEST_F(ServeTest, HealthzAndStats) {
   EXPECT_EQ(stats->status, 200);
   EXPECT_EQ(stats->headers["content-type"], "application/json");
   for (const char* key :
-       {"\"plan_cache\"", "\"page_cache\"", "\"persist\"", "\"server\"",
+       {"\"plan_cache\"", "\"persist\"", "\"server\"",
         "\"endpoints\"", "\"sparql\"", "\"p99_us\"", "\"uptime_s\"",
         "\"connections_shed\""}) {
     EXPECT_NE(stats->body.find(key), std::string::npos) << key;
   }
+  EXPECT_EQ(stats->body.find("\"page_cache\""), std::string::npos);
   // The earlier query is visible in the endpoint counters.
   EXPECT_NE(stats->body.find("\"requests\":1"), std::string::npos)
       << stats->body;

@@ -11,7 +11,7 @@
 namespace rdfrel::sql {
 namespace {
 
-RowId Rid(uint32_t n) { return RowId{n / 100, n % 100}; }
+RowId Rid(uint32_t n) { return RowId{n}; }
 
 TEST(BPlusTreeTest, EmptyTree) {
   BPlusTree t;
@@ -158,7 +158,7 @@ TEST_P(BTreePropertyTest, RandomInsertRemoveMatchesReferenceSet) {
   // Ordered scan equals the sorted reference multiset.
   std::vector<std::pair<int64_t, uint32_t>> scanned;
   t.ScanAll([&](const Value& k, RowId rid) {
-    scanned.push_back({k.AsInt(), rid.page * 100 + rid.slot});
+    scanned.push_back({k.AsInt(), rid});
     return true;
   });
   EXPECT_EQ(scanned.size(), reference.size());
