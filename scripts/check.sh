@@ -9,8 +9,10 @@
 #       full sweep of the compile database enforcing blocking-under-lock,
 #       borrowed-batch, and status-discipline.
 #   2.  ThreadSanitizer build, running the concurrency + plan-cache tests
-#       (the reader/writer stress test is the point of this build) and the
-#       Serve suite, so the endpoint's worker pool races fail it too.
+#       (the reader/writer stress test is the point of this build), the
+#       Serve suite, so the endpoint's worker pool races fail it too, and
+#       the WAL group-commit tests, whose committers wait for durability
+#       outside the store lock.
 #   3.  Debug + AddressSanitizer build, running the full ctest suite.
 #   4.  UndefinedBehaviorSanitizer build with recovery disabled, running
 #       the full suite: any UB (signed overflow, bad shifts, misaligned
@@ -50,16 +52,17 @@ fi
 scripts/lint.sh
 
 echo
-echo "== [2/7] ThreadSanitizer: concurrency + serve =="
+echo "== [2/7] ThreadSanitizer: concurrency + serve + group commit =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRDFREL_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j"${JOBS}" \
-  --target concurrency_test util_test serve_test
+  --target concurrency_test util_test serve_test persist_test
 # TSan aborts the process on a race, so a clean exit means no reports.
-# Serve exercises the endpoint's acceptor/worker handoff and shutdown.
+# Serve exercises the endpoint's acceptor/worker handoff and shutdown;
+# GroupCommit the concurrent WAL committers.
 (cd build-tsan && ctest --output-on-failure -j"${JOBS}" \
-    -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|Serve')
+    -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|Serve|GroupCommit')
 
 echo
 echo "== [3/7] Debug + AddressSanitizer: full suite =="

@@ -154,13 +154,6 @@ inline Status ExecutePlanStreaming(sql::Database* db, const CachedPlan& plan,
                                     plan.post_filters, plan.post_filter_vars,
                                     opts, sink);
 }
-inline Result<ResultSet> ExecutePlan(sql::Database* db,
-                                     const CachedPlan& plan,
-                                     const rdf::Dictionary& dict,
-                                     const QueryOptions& opts = {}) {
-  return ExecuteDecodedSql(db, plan.sql, plan.query, dict, plan.post_filters,
-                           plan.post_filter_vars, opts);
-}
 
 /// Builds the `(id, num)` lex side table named \p table for every numeric
 /// literal in \p dict.

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "persist/manager.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
 #include "store/triple_store_backend.h"
@@ -11,11 +10,8 @@ namespace rdfrel::store {
 
 Result<std::unique_ptr<SparqlStore>> OpenStore(
     const std::string& dir, const PersistOptions& persist_opts) {
-  persist::Env* env =
-      persist_opts.env != nullptr ? persist_opts.env : persist::Env::Default();
   RDFREL_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
-                          persist::PersistenceManager::ScanForRecovery(env,
-                                                                       dir));
+                          RelationalStore::ScanForRecovery(dir, persist_opts));
   if (plan.backend_kind == RdfStore::kBackendKind) {
     RDFREL_ASSIGN_OR_RETURN(
         auto store, RdfStore::OpenFromPlan(std::move(plan), persist_opts, {}));

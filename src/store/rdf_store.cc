@@ -6,7 +6,6 @@
 #include "persist/coding.h"
 #include "persist/serializer.h"
 #include "schema/hash_mapping.h"
-#include "sparql/parser.h"
 #include "translate/sql_builder.h"
 
 namespace rdfrel::store {
@@ -41,24 +40,12 @@ MappingChoice BuildMapping(const rdf::Graph& graph, bool reverse,
           k};
 }
 
-/// True when \p query contains a transitive property-path triple (those
-/// need materialized closure tables, i.e. the writer lock).
-bool HasPropertyPaths(const sparql::Query& query) {
-  std::vector<const sparql::TriplePattern*> triples;
-  query.where->CollectTriples(&triples);
-  for (const auto* t : triples) {
-    if (t->path_mod != sparql::PathMod::kNone) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<RdfStore>> RdfStore::Load(
     rdf::Graph graph, const RdfStoreOptions& options) {
-  auto store = std::unique_ptr<RdfStore>(new RdfStore());
+  auto store = std::unique_ptr<RdfStore>(new RdfStore(options));
   store->stats_ = opt::Statistics::FromGraph(graph, options.stats_top_k);
-  store->plan_cache_ = PlanCache(options.plan_cache_capacity);
 
   MappingChoice direct = BuildMapping(graph, /*reverse=*/false, options);
   MappingChoice rev = BuildMapping(graph, /*reverse=*/true, options);
@@ -106,7 +93,7 @@ Result<std::string> RdfStore::EnsureClosureTable(const rdf::Term& pred,
     edge_query.num_triples = 1;
   }
   RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery edges,
-                          Translate(edge_query, QueryOptions{}));
+                          Translate(edge_query, QueryOptions{}, nullptr));
   RDFREL_ASSIGN_OR_RETURN(sql::QueryResult qr, db_.Query(edges.sql));
 
   // 2. Transitive closure by per-node BFS over the adjacency lists.
@@ -167,7 +154,7 @@ Result<std::string> RdfStore::EnsureClosureTable(const rdf::Term& pred,
   return table;
 }
 
-Status RdfStore::EnsureClosuresFor(const sparql::Query& query) {
+Status RdfStore::PreparePaths(const sparql::Query& query) {
   std::vector<const sparql::TriplePattern*> triples;
   query.where->CollectTriples(&triples);
   for (const auto* t : triples) {
@@ -202,7 +189,7 @@ Result<translate::TranslatedQuery> RdfStore::Translate(
   in.verify.k_reverse = schema_->config().k_reverse;
 
   // Look up the pre-materialized closure tables for transitive
-  // property-path triples (see EnsureClosuresFor).
+  // property-path triples (see PreparePaths).
   std::map<int, std::string> closure_tables;
   {
     std::vector<const sparql::TriplePattern*> triples;
@@ -236,96 +223,23 @@ Result<translate::TranslatedQuery> RdfStore::Translate(
   return TranslateQuery(query, in, opts, build, explain);
 }
 
-Result<std::shared_ptr<const CachedPlan>> RdfStore::BuildPlan(
-    sparql::Query query, const QueryOptions& opts) const {
-  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                          Translate(query, opts));
-  return MakeCachedPlan(std::move(query), std::move(tq));
-}
-
-Status RdfStore::QueryWith(std::string_view sparql, const QueryOptions& opts,
-                           RowSink& sink) {
-  const std::string key = PlanCacheKey(sparql, opts);
-  {
-    util::ReaderLock lock(&mutex_);
-    if (auto plan = plan_cache_.Get(key)) {
-      // Any closure tables the plan references exist for as long as the
-      // entry does: writes drop both under the writer lock.
-      return ExecutePlanStreaming(&db_, *plan, dict_, opts, sink);
-    }
+bool RdfStore::IsDerivedTable(const std::string& table) const {
+  for (const auto& [key, name] : closure_cache_) {
+    if (name == table) return true;
   }
-  RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  if (HasPropertyPaths(query)) {
-    // Property-path queries may materialize closure tables (a write), so
-    // they run under the exclusive lock.
-    util::WriterLock lock(&mutex_);
-    if (auto plan = plan_cache_.Get(key)) {
-      return ExecutePlanStreaming(&db_, *plan, dict_, opts, sink);
-    }
-    RDFREL_RETURN_NOT_OK(EnsureClosuresFor(query));
-    RDFREL_ASSIGN_OR_RETURN(auto plan, BuildPlan(std::move(query), opts));
-    plan_cache_.Put(key, plan);
-    return ExecutePlanStreaming(&db_, *plan, dict_, opts, sink);
-  }
-  util::ReaderLock lock(&mutex_);
-  RDFREL_ASSIGN_OR_RETURN(auto plan, BuildPlan(std::move(query), opts));
-  plan_cache_.Put(key, plan);
-  return ExecutePlanStreaming(&db_, *plan, dict_, opts, sink);
+  return false;
 }
 
 Result<ResultSet> RdfStore::QueryParsed(const sparql::Query& query,
                                         const QueryOptions& opts) {
-  if (HasPropertyPaths(query)) {
-    util::WriterLock lock(&mutex_);
-    RDFREL_RETURN_NOT_OK(EnsureClosuresFor(query));
-    RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                            Translate(query, opts));
-    return ExecuteDecodedSql(&db_, tq.sql, query, dict_, tq.post_filters,
-                             tq.post_filter_vars);
-  }
-  util::ReaderLock lock(&mutex_);
-  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                          Translate(query, opts));
-  return ExecuteDecodedSql(&db_, tq.sql, query, dict_, tq.post_filters,
-                           tq.post_filter_vars);
-}
-
-Result<std::string> RdfStore::TranslateWith(std::string_view sparql,
-                                            const QueryOptions& opts) {
-  RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  if (HasPropertyPaths(query)) {
-    util::WriterLock lock(&mutex_);
-    RDFREL_RETURN_NOT_OK(EnsureClosuresFor(query));
-    RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                            Translate(query, opts));
-    return std::move(tq.sql);
-  }
-  util::ReaderLock lock(&mutex_);
-  RDFREL_ASSIGN_OR_RETURN(translate::TranslatedQuery tq,
-                          Translate(query, opts));
-  return std::move(tq.sql);
-}
-
-Result<SparqlStore::Explanation> RdfStore::Explain(std::string_view sparql,
-                                                   const QueryOptions& opts) {
-  RDFREL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  // Two explicit branches instead of a deferred-lock dance: the analysis
-  // can follow each RAII guard, and ExplainLocked states its requirement.
-  if (HasPropertyPaths(query)) {
-    util::WriterLock lock(&mutex_);
-    RDFREL_RETURN_NOT_OK(EnsureClosuresFor(query));
-    return ExplainLocked(query, opts);
-  }
-  util::ReaderLock lock(&mutex_);
-  return ExplainLocked(query, opts);
-}
-
-Result<SparqlStore::Explanation> RdfStore::ExplainLocked(
-    const sparql::Query& query, const QueryOptions& opts) {
-  Explanation ex;
-  RDFREL_RETURN_NOT_OK(Translate(query, opts, &ex).status());
-  RDFREL_RETURN_NOT_OK(ProfileExplained(&db_, &ex));
-  return ex;
+  CollectingSink sink;
+  RDFREL_RETURN_NOT_OK(
+      WithTranslation(query, opts, nullptr, [&](translate::TranslatedQuery tq) {
+        return ExecuteDecodedSqlStreaming(&db_, tq.sql, query, dict_,
+                                          tq.post_filters, tq.post_filter_vars,
+                                          QueryOptions{}, sink);
+      }));
+  return sink.TakeResult();
 }
 
 Status RdfStore::InvalidateAfterWrite() {
@@ -367,6 +281,7 @@ Status RdfStore::MutateBatch(persist::WalRecordType type,
                              const std::vector<rdf::Triple>& triples) {
   Status apply_status;
   uint64_t wait_lsn = 0;
+  std::shared_ptr<persist::PersistenceManager> wal;
   {
     util::WriterLock lock(&mutex_);
     std::vector<rdf::Triple> applied;
@@ -391,14 +306,14 @@ Status RdfStore::MutateBatch(persist::WalRecordType type,
             type, persist::EncodeTripleBatch(applied));
         if (!lsn.ok()) return lsn.status();
         wait_lsn = *lsn;
+        wal = persist_;
       }
     }
   }
   // Durability wait happens outside the writer lock so concurrent
-  // committers can share one group-commit fsync.
-  if (wait_lsn != 0 && persist_ != nullptr) {
-    RDFREL_RETURN_NOT_OK(persist_->WaitDurable(wait_lsn));
-  }
+  // committers can share one group-commit fsync; `wal` keeps the manager
+  // alive should Close detach it meanwhile.
+  if (wal != nullptr) RDFREL_RETURN_NOT_OK(wal->WaitDurable(wait_lsn));
   return apply_status;
 }
 
@@ -418,32 +333,8 @@ Status RdfStore::DeleteBatch(const std::vector<rdf::Triple>& triples) {
   return MutateBatch(persist::WalRecordType::kDeleteBatch, triples);
 }
 
-Result<persist::SnapshotSections> RdfStore::SnapshotState() const {
-  persist::SnapshotSections sections;
-  sections[static_cast<uint32_t>(persist::SnapshotSection::kDictionary)] =
-      persist::EncodeDictionary(dict_);
-  sections[static_cast<uint32_t>(persist::SnapshotSection::kStatistics)] =
-      persist::EncodeStatistics(stats_);
-
-  // Catalog minus the materialized closure tables (derived data; recovery
-  // rebuilds them lazily on the next property-path query).
-  std::unordered_set<std::string> skip;
-  for (const auto& [key, table] : closure_cache_) skip.insert(table);
-  std::string cat;
-  std::vector<std::string> names = db_.catalog().TableNames();
-  uint32_t kept = 0;
-  for (const auto& name : names) {
-    if (skip.count(name) == 0) ++kept;
-  }
-  persist::PutU32(&cat, kept);
-  for (const auto& name : names) {
-    if (skip.count(name) > 0) continue;
-    persist::EncodeTable(&cat, *db_.catalog().GetTable(name).value());
-  }
-  sections[static_cast<uint32_t>(persist::SnapshotSection::kCatalog)] =
-      std::move(cat);
-
-  std::string b;
+Status RdfStore::EncodeBackendSection(std::string* out) const {
+  std::string& b = *out;
   const schema::Db2RdfConfig& cfg = schema_->config();
   persist::PutU32(&b, cfg.k_direct);
   persist::PutU32(&b, cfg.k_reverse);
@@ -466,61 +357,11 @@ Result<persist::SnapshotSections> RdfStore::SnapshotState() const {
   persist::PutU64(&b, load_stats_.rph_spill_rows);
   persist::PutU64(&b, load_stats_.ds_rows);
   persist::PutU64(&b, load_stats_.rs_rows);
-  sections[static_cast<uint32_t>(persist::SnapshotSection::kBackend)] =
-      std::move(b);
-  return sections;
-}
-
-Status RdfStore::EnablePersistence(const std::string& dir,
-                                   const PersistOptions& opts) {
-  util::WriterLock lock(&mutex_);
-  if (persist_ != nullptr) {
-    return Status::AlreadyExists("persistence already attached");
-  }
-  persist::Env* env = opts.env != nullptr ? opts.env : persist::Env::Default();
-  RDFREL_ASSIGN_OR_RETURN(persist::SnapshotSections sections, SnapshotState());
-  RDFREL_ASSIGN_OR_RETURN(
-      persist_, persist::PersistenceManager::Create(env, dir, kBackendKind,
-                                                    sections, opts.wal));
   return Status::OK();
 }
 
-Result<std::unique_ptr<RdfStore>> RdfStore::OpenFromPlan(
-    persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-    const RdfStoreOptions& options) {
-  if (plan.backend_kind != kBackendKind) {
-    return Status::InvalidArgument("store directory holds a '" +
-                                   plan.backend_kind + "' store, not " +
-                                   kBackendKind);
-  }
-  auto store = std::unique_ptr<RdfStore>(new RdfStore());
-  store->plan_cache_ = PlanCache(options.plan_cache_capacity);
-
-  auto section = [&plan](persist::SnapshotSection id) -> Result<std::string> {
-    auto it = plan.sections.find(static_cast<uint32_t>(id));
-    if (it == plan.sections.end()) {
-      return Status::DataLoss("snapshot missing section " +
-                              std::to_string(static_cast<uint32_t>(id)));
-    }
-    return it->second;
-  };
-
-  RDFREL_ASSIGN_OR_RETURN(std::string dict_bytes,
-                          section(persist::SnapshotSection::kDictionary));
-  RDFREL_ASSIGN_OR_RETURN(store->dict_,
-                          persist::DecodeDictionary(dict_bytes));
-  RDFREL_ASSIGN_OR_RETURN(std::string stats_bytes,
-                          section(persist::SnapshotSection::kStatistics));
-  RDFREL_ASSIGN_OR_RETURN(store->stats_,
-                          persist::DecodeStatistics(stats_bytes));
-  RDFREL_ASSIGN_OR_RETURN(std::string cat_bytes,
-                          section(persist::SnapshotSection::kCatalog));
-  RDFREL_RETURN_NOT_OK(
-      persist::DecodeCatalogInto(cat_bytes, &store->db_.catalog()));
-
-  RDFREL_ASSIGN_OR_RETURN(std::string backend_bytes,
-                          section(persist::SnapshotSection::kBackend));
-  persist::ByteReader r(backend_bytes);
+Status RdfStore::DecodeBackendSection(persist::ByteReader* in) {
+  persist::ByteReader& r = *in;
   schema::Db2RdfConfig cfg;
   RDFREL_ASSIGN_OR_RETURN(cfg.k_direct, r.ReadU32());
   RDFREL_ASSIGN_OR_RETURN(cfg.k_reverse, r.ReadU32());
@@ -528,16 +369,14 @@ Result<std::unique_ptr<RdfStore>> RdfStore::OpenFromPlan(
   cfg.prefix = std::string(prefix);
   RDFREL_ASSIGN_OR_RETURN(uint8_t create_indexes, r.ReadU8());
   cfg.create_indexes = create_indexes != 0;
-  RDFREL_ASSIGN_OR_RETURN(store->direct_, persist::DecodeMapping(&r));
-  RDFREL_ASSIGN_OR_RETURN(store->reverse_, persist::DecodeMapping(&r));
+  RDFREL_ASSIGN_OR_RETURN(direct_, persist::DecodeMapping(&r));
+  RDFREL_ASSIGN_OR_RETURN(reverse_, persist::DecodeMapping(&r));
   RDFREL_ASSIGN_OR_RETURN(int64_t next_lid, r.ReadI64());
-  RDFREL_ASSIGN_OR_RETURN(store->schema_,
-                          schema::Db2RdfSchema::Attach(&store->db_, cfg));
-  store->schema_->set_next_lid(next_lid);
-  for (auto* set :
-       {&store->schema_->spilled_direct(), &store->schema_->spilled_reverse(),
-        &store->schema_->multivalued_direct(),
-        &store->schema_->multivalued_reverse()}) {
+  RDFREL_ASSIGN_OR_RETURN(schema_, schema::Db2RdfSchema::Attach(&db_, cfg));
+  schema_->set_next_lid(next_lid);
+  for (auto* set : {&schema_->spilled_direct(), &schema_->spilled_reverse(),
+                    &schema_->multivalued_direct(),
+                    &schema_->multivalued_reverse()}) {
     RDFREL_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
     for (uint64_t i = 0; i < n; ++i) {
       RDFREL_ASSIGN_OR_RETURN(uint64_t pid, r.ReadU64());
@@ -545,118 +384,56 @@ Result<std::unique_ptr<RdfStore>> RdfStore::OpenFromPlan(
     }
   }
   RDFREL_ASSIGN_OR_RETURN(std::string_view lex, r.ReadString());
-  store->lex_table_ = std::string(lex);
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.triples, r.ReadU64());
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.dph_rows, r.ReadU64());
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.rph_rows, r.ReadU64());
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.dph_spill_rows, r.ReadU64());
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.rph_spill_rows, r.ReadU64());
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.ds_rows, r.ReadU64());
-  RDFREL_ASSIGN_OR_RETURN(store->load_stats_.rs_rows, r.ReadU64());
-  if (!r.AtEnd()) {
-    return Status::DataLoss("trailing bytes after backend section");
-  }
-  store->loader_ = std::make_unique<schema::Loader>(
-      store->schema_.get(), store->direct_, store->reverse_);
+  lex_table_ = std::string(lex);
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.triples, r.ReadU64());
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.dph_rows, r.ReadU64());
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.rph_rows, r.ReadU64());
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.dph_spill_rows, r.ReadU64());
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.rph_spill_rows, r.ReadU64());
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.ds_rows, r.ReadU64());
+  RDFREL_ASSIGN_OR_RETURN(load_stats_.rs_rows, r.ReadU64());
+  loader_ = std::make_unique<schema::Loader>(schema_.get(), direct_, reverse_);
+  return Status::OK();
+}
 
-  {
-    // Construction-time writer lock: no other thread can see the store
-    // yet, but replay calls the same REQUIRES(mutex_)-annotated helpers as
-    // live mutations. Uncontended, and released before the verify probe
-    // below (QueryWith takes the lock itself).
-    util::WriterLock lock(&store->mutex_);
-
-    // Replay the committed WAL suffix through the normal mutation path.
-    // Dictionary Encode assigns insertion-order ids, so term-form replay
-    // reproduces a consistent id assignment deterministically.
-    for (const auto& rec : plan.records) {
-      RDFREL_ASSIGN_OR_RETURN(std::vector<rdf::Triple> batch,
-                              persist::DecodeTripleBatch(rec.payload));
-      auto type = static_cast<persist::WalRecordType>(rec.type);
-      for (const auto& t : batch) {
-        Status s = type == persist::WalRecordType::kInsertBatch
-                       ? store->ApplyInsert(t)
-                       : type == persist::WalRecordType::kDeleteBatch
-                             ? store->ApplyDelete(t)
-                             : Status::DataLoss("unknown WAL record type " +
-                                                std::to_string(rec.type));
-        if (!s.ok()) {
-          return Status::DataLoss(
-              "WAL replay failed at LSN " + std::to_string(rec.lsn) + ": " +
-              s.ToString());
-        }
+Status RdfStore::ReplayWal(const std::vector<persist::WalRecord>& records) {
+  // Dictionary Encode assigns insertion-order ids, so term-form replay
+  // reproduces a consistent id assignment deterministically.
+  for (const auto& rec : records) {
+    RDFREL_ASSIGN_OR_RETURN(std::vector<rdf::Triple> batch,
+                            persist::DecodeTripleBatch(rec.payload));
+    auto type = static_cast<persist::WalRecordType>(rec.type);
+    for (const auto& t : batch) {
+      Status s = type == persist::WalRecordType::kInsertBatch
+                     ? ApplyInsert(t)
+                     : type == persist::WalRecordType::kDeleteBatch
+                           ? ApplyDelete(t)
+                           : Status::DataLoss("unknown WAL record type " +
+                                              std::to_string(rec.type));
+      if (!s.ok()) {
+        return Status::DataLoss("WAL replay failed at LSN " +
+                                std::to_string(rec.lsn) + ": " +
+                                s.ToString());
       }
     }
-
-    // Recovery ends with a fresh checkpoint: torn tails never need
-    // in-place truncation and corrupt generations leave the fallback
-    // chain.
-    persist::Env* env = persist_opts.env != nullptr ? persist_opts.env
-                                                    : persist::Env::Default();
-    RDFREL_ASSIGN_OR_RETURN(persist::SnapshotSections sections,
-                            store->SnapshotState());
-    RDFREL_ASSIGN_OR_RETURN(
-        store->persist_,
-        persist::PersistenceManager::Resume(env, plan.dir, plan, sections,
-                                            persist_opts.wal));
   }
+  return Status::OK();
+}
 
-  if (persist_opts.verify_on_recovery) {
-    // Probe: run one verified query over a predicate known to the
-    // statistics; any inconsistency between the rebuilt relations and the
-    // optimizer's invariants fails the Open.
-    for (const auto& [pid, count] : store->stats_.predicate_count_map()) {
-      if (count == 0) continue;
-      auto term = store->dict_.Decode(pid);
-      if (!term.ok() || !term->is_iri()) continue;
-      QueryOptions probe;
-      probe.verify_plans = true;
-      std::string q = "SELECT ?s ?o WHERE { ?s <" + term->lexical() +
-                      "> ?o }";
-      RDFREL_RETURN_NOT_OK(store->QueryWith(q, probe).status());
-      break;
-    }
-  }
+Result<std::unique_ptr<RdfStore>> RdfStore::OpenFromPlan(
+    persist::RecoveryPlan plan, const PersistOptions& persist_opts,
+    const RdfStoreOptions& options) {
+  auto store = std::unique_ptr<RdfStore>(new RdfStore(options));
+  RDFREL_RETURN_NOT_OK(store->Recover(std::move(plan), persist_opts));
   return store;
 }
 
 Result<std::unique_ptr<RdfStore>> RdfStore::Open(
     const std::string& dir, const PersistOptions& persist_opts,
     const RdfStoreOptions& options) {
-  persist::Env* env =
-      persist_opts.env != nullptr ? persist_opts.env : persist::Env::Default();
   RDFREL_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
-                          persist::PersistenceManager::ScanForRecovery(env,
-                                                                       dir));
+                          ScanForRecovery(dir, persist_opts));
   return OpenFromPlan(std::move(plan), persist_opts, options);
-}
-
-Status RdfStore::Checkpoint() {
-  util::WriterLock lock(&mutex_);
-  if (persist_ == nullptr) {
-    return Status::Unsupported("no persistence attached to this store");
-  }
-  RDFREL_ASSIGN_OR_RETURN(persist::SnapshotSections sections, SnapshotState());
-  return persist_->Checkpoint(sections);
-}
-
-Status RdfStore::Flush() {
-  util::ReaderLock lock(&mutex_);
-  if (persist_ == nullptr) return Status::OK();
-  return persist_->Flush();
-}
-
-Status RdfStore::Close() {
-  util::WriterLock lock(&mutex_);
-  if (persist_ == nullptr) return Status::OK();
-  Status s = persist_->Close();
-  persist_.reset();
-  return s;
-}
-
-persist::PersistStats RdfStore::persist_stats() const {
-  util::ReaderLock lock(&mutex_);
-  return persist_ != nullptr ? persist_->stats() : persist::PersistStats{};
 }
 
 }  // namespace rdfrel::store

@@ -18,15 +18,10 @@
 #include <utility>
 #include <vector>
 
-#include "opt/statistics.h"
-#include "persist/manager.h"
 #include "rdf/graph.h"
 #include "schema/coloring_mapping.h"
 #include "schema/loader.h"
-#include "sql/database.h"
-#include "store/backend_util.h"
-#include "store/sparql_store.h"
-#include "util/mutex.h"
+#include "store/relational_store.h"
 #include "util/status.h"
 
 namespace rdfrel::store {
@@ -54,7 +49,7 @@ struct RdfStoreOptions {
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 };
 
-class RdfStore final : public SparqlStore {
+class RdfStore final : public RelationalStore {
  public:
   /// The backend-kind tag written into snapshot metadata.
   static constexpr const char* kBackendKind = "db2rdf";
@@ -79,29 +74,7 @@ class RdfStore final : public SparqlStore {
       persist::RecoveryPlan plan, const PersistOptions& persist_opts,
       const RdfStoreOptions& options);
 
-  /// Attaches durability to this (so far in-memory) store: writes the
-  /// initial snapshot generation into \p dir and starts logging every
-  /// committed mutation to its WAL.
-  Status EnablePersistence(const std::string& dir,
-                           const PersistOptions& opts = {});
-
-  bool persistent() const { return persist_ != nullptr; }
-
-  // SparqlStore read surface (thread-safe; see file comment). The
-  // streaming QueryWith is the primitive; the materializing overload is
-  // the base-class convenience over it.
-  Status QueryWith(std::string_view sparql, const QueryOptions& opts,
-                   RowSink& sink) override;
-  using SparqlStore::QueryWith;
-  Result<std::string> TranslateWith(std::string_view sparql,
-                                    const QueryOptions& opts) override;
-  Result<Explanation> Explain(std::string_view sparql,
-                              const QueryOptions& opts = {}) override;
-  util::CacheStats plan_cache_stats() const override {
-    return plan_cache_.stats();
-  }
   std::string name() const override { return "DB2RDF"; }
-  const rdf::Dictionary& dictionary() const override { return dict_; }
 
   /// Runs an already-parsed (possibly rewritten) query — e.g. after
   /// sparql::ExpandTypeQuery inference expansion. Not plan-cached (there is
@@ -125,16 +98,8 @@ class RdfStore final : public SparqlStore {
   Status InsertBatch(const std::vector<rdf::Triple>& triples);
   Status DeleteBatch(const std::vector<rdf::Triple>& triples);
 
-  // Durability surface (SparqlStore):
-  Status Checkpoint() override;
-  Status Flush() override;
-  Status Close() override;
-  persist::PersistStats persist_stats() const override;
-
   const schema::LoadStats& load_stats() const { return load_stats_; }
   const schema::Db2RdfSchema& schema() const { return *schema_; }
-  const opt::Statistics& statistics() const { return stats_; }
-  sql::Database& database() { return db_; }
   /// The mappings in force (inspection / benchmarks).
   const schema::PredicateMapping& direct_mapping() const { return *direct_; }
   const schema::PredicateMapping& reverse_mapping() const {
@@ -142,30 +107,27 @@ class RdfStore final : public SparqlStore {
   }
 
  private:
-  RdfStore() = default;
+  explicit RdfStore(const RdfStoreOptions& options)
+      : RelationalStore(kBackendKind, options.plan_cache_capacity) {}
 
-  /// Pure translation: the shared optimizer pipeline plus the DB2RDF SQL
-  /// builder; fills \p explain when non-null. Requires every closure
-  /// table needed by \p query to already be materialized (see
-  /// EnsureClosuresFor); const and safe under a shared lock.
+  /// The shared optimizer pipeline plus the DB2RDF SQL builder. Requires
+  /// every closure table needed by \p query to already be materialized
+  /// (see PreparePaths).
   Result<translate::TranslatedQuery> Translate(
       const sparql::Query& query, const QueryOptions& opts,
-      Explanation* explain = nullptr) const RDFREL_REQUIRES_SHARED(mutex_);
-
-  /// Translates \p query into an immutable, shareable plan (consumes it).
-  Result<std::shared_ptr<const CachedPlan>> BuildPlan(
-      sparql::Query query, const QueryOptions& opts) const
+      Explanation* explain) const override RDFREL_REQUIRES_SHARED(mutex_);
+  Status EncodeBackendSection(std::string* out) const override
       RDFREL_REQUIRES_SHARED(mutex_);
-
-  /// Explain body shared by the read-only and closure-materializing paths;
-  /// the caller holds the lock in the matching mode.
-  Result<Explanation> ExplainLocked(const sparql::Query& query,
-                                    const QueryOptions& opts)
-      RDFREL_REQUIRES_SHARED(mutex_);
+  Status DecodeBackendSection(persist::ByteReader* in) override;
 
   /// Materializes closure tables for every transitive property-path triple
-  /// of \p query. Mutates db_/closure_cache_: callers hold the writer lock.
-  Status EnsureClosuresFor(const sparql::Query& query)
+  /// of \p query; they stay out of snapshots (IsDerivedTable).
+  Status PreparePaths(const sparql::Query& query) override
+      RDFREL_REQUIRES(mutex_);
+  bool IsDerivedTable(const std::string& table) const override
+      RDFREL_REQUIRES_SHARED(mutex_);
+  /// Replays committed WAL batches through the normal mutation path.
+  Status ReplayWal(const std::vector<persist::WalRecord>& records) override
       RDFREL_REQUIRES(mutex_);
 
   /// Materializes (and caches) the transitive closure of \p pred as a
@@ -191,42 +153,16 @@ class RdfStore final : public SparqlStore {
                      const std::vector<rdf::Triple>& triples)
       RDFREL_EXCLUDES(mutex_);
 
-  /// Serializes the current state into snapshot sections (caller holds at
-  /// least a shared lock). Closure tables are excluded: they are derived
-  /// data, rebuilt lazily after recovery.
-  Result<persist::SnapshotSections> SnapshotState() const
-      RDFREL_REQUIRES_SHARED(mutex_);
-
-  /// Serializes readers (shared) against Insert/Delete and closure
-  /// materialization (exclusive). Protects db_, dict_, stats_,
-  /// closure_cache_ and the schema spill sets. SQL tables have no lock
-  /// of their own, so every scan runs under this lock's shared mode and
-  /// every table mutation under its exclusive mode. kStore is the
-  /// outermost engine rank: holders go on to take the plan cache and the
-  /// WAL (see util/mutex.h's hierarchy).
-  mutable util::SharedMutex mutex_{"store", util::lock_rank::kStore};
-
-  // db_, dict_, stats_, schema_ and friends are accessed under mutex_ in
-  // the matching mode but stay unannotated: public accessors hand out
-  // references for single-threaded tooling (benchmarks, loaders). The
-  // annotated fields are the ones only this class touches.
-  sql::Database db_;
+  // Layout state, under mutex_ like the shell's (see RelationalStore).
   std::unique_ptr<schema::Db2RdfSchema> schema_;
   std::unique_ptr<schema::Loader> loader_;
   std::shared_ptr<const schema::PredicateMapping> direct_;
   std::shared_ptr<const schema::PredicateMapping> reverse_;
-  rdf::Dictionary dict_;
-  opt::Statistics stats_;
   schema::LoadStats load_stats_;
-  std::string lex_table_;
   /// (predicate id, mod) -> materialized closure table name.
   std::map<std::pair<uint64_t, int>, std::string> closure_cache_
       RDFREL_GUARDED_BY(mutex_);
   int path_table_counter_ RDFREL_GUARDED_BY(mutex_) = 0;
-  /// Memoized (sparql, options) -> translated plan. Internally locked.
-  PlanCache plan_cache_;
-  /// Snapshot/WAL orchestration; null while the store is memory-only.
-  std::unique_ptr<persist::PersistenceManager> persist_;
 };
 
 }  // namespace rdfrel::store

@@ -345,6 +345,73 @@ std::string PatternSqlBuilderBase::CompatMerge(const std::string& expr,
   return "COALESCE(" + cur_ + "." + bv.column + ", " + expr + ")";
 }
 
+bool PatternSqlBuilderBase::BindComponent(const sparql::TermOrVar& tv,
+                                          const std::string& expr,
+                                          AccessBinds* binds) const {
+  if (!tv.is_var) {
+    binds->wheres.push_back(expr + " = " + std::to_string(IdOf(tv.term)));
+    return false;
+  }
+  const std::string& var = tv.var;
+  if (IsBound(var)) {
+    auto seen = binds->seen_bound.find(var);
+    if (seen != binds->seen_bound.end()) {
+      binds->wheres.push_back(expr + " = " + seen->second);
+      return false;
+    }
+    binds->wheres.push_back(CompatEq(expr, var));
+    std::string merged = CompatMerge(expr, var);
+    if (merged.empty()) {
+      binds->seen_bound[var] = BoundCol(var);
+    } else {
+      binds->overrides[var] = merged;
+      binds->resolved.push_back(var);
+      binds->seen_bound[var] = std::move(merged);
+    }
+    return false;
+  }
+  auto local = binds->new_vars.find(var);
+  if (local != binds->new_vars.end()) {
+    // Repeated variable within the triple (?x p ?x).
+    binds->wheres.push_back(expr + " = " + local->second);
+    return false;
+  }
+  binds->new_vars[var] = expr;
+  return true;
+}
+
+void PatternSqlBuilderBase::EmitAccessCte(const std::string& table,
+                                          const AccessBinds& binds,
+                                          const std::string& dummy) {
+  std::string from = table + " AS T";
+  if (!cur_.empty()) from += ", " + cur_;
+  std::string select = CarryList(cur_, binds.overrides);
+  for (const auto& [var, expr] : binds.new_vars) {
+    if (!select.empty()) select += ", ";
+    select += expr + " AS " + VarColumn(var);
+  }
+  if (select.empty()) select = dummy;
+  std::string body = "SELECT " + select + " FROM " + from;
+  if (!binds.wheres.empty()) {
+    body += " WHERE " + JoinStrings(binds.wheres, " AND ");
+  }
+  cur_ = NewCte(body);
+  for (const auto& [var, expr] : binds.new_vars) {
+    bound_[var] = BoundVar{VarColumn(var), false};
+  }
+  for (const auto& var : binds.resolved) bound_[var].maybe_null = false;
+}
+
+void PatternSqlBuilderBase::EmitBinaryAccess(const std::string& table,
+                                             const sparql::TriplePattern& t,
+                                             const std::string& pred_expr) {
+  AccessBinds binds;
+  BindComponent(t.subject, "T.entry", &binds);
+  BindComponent(t.object, "T.val", &binds);
+  if (!pred_expr.empty()) BindComponent(t.predicate, pred_expr, &binds);
+  EmitAccessCte(table, binds, "T.entry AS dummy_entry");
+}
+
 Status PatternSqlBuilderBase::EmitUnion(const ExecNode& node) {
   std::string cur0 = cur_;
   auto bound0 = bound_;

@@ -143,6 +143,38 @@ class PatternSqlBuilderBase {
   std::string CompatMerge(const std::string& expr,
                           const std::string& var) const;
 
+  /// One access CTE's bindings, filled component by component.
+  struct AccessBinds {
+    std::vector<std::string> wheres;
+    /// Variables this CTE binds anew: var -> expression.
+    std::map<std::string, std::string> new_vars;
+    /// Compatible-join merges of maybe-null bindings (CarryList overrides).
+    std::map<std::string, std::string> overrides;
+    /// Maybe-null bindings this CTE makes definite.
+    std::vector<std::string> resolved;
+    /// Merged value of each bound variable already joined in this CTE: a
+    /// repeated occurrence must equal it exactly.
+    std::map<std::string, std::string> seen_bound;
+  };
+  /// The binding rule for one triple component read from \p expr (never
+  /// NULL): a constant gives `expr = id`; a bound variable a compatible
+  /// join, which takes \p expr where the binding was NULL; a variable
+  /// already seen in this CTE an equality; any other variable a new
+  /// binding. Returns true for a new binding.
+  bool BindComponent(const sparql::TermOrVar& tv, const std::string& expr,
+                     AccessBinds* binds) const;
+  /// Emits `SELECT <carried, then new bindings by name> FROM <table> AS T
+  /// [, cur] WHERE ...` for \p binds as the current CTE and records its
+  /// bindings; \p dummy is the select list when it would be empty.
+  void EmitAccessCte(const std::string& table, const AccessBinds& binds,
+                     const std::string& dummy);
+  /// Access over a binary `(entry, val)` table: the subject reads
+  /// T.entry, the object T.val and, when \p pred_expr is non-empty, the
+  /// predicate variable reads it (a variable-predicate branch).
+  void EmitBinaryAccess(const std::string& table,
+                        const sparql::TriplePattern& t,
+                        const std::string& pred_expr = "");
+
   // FILTER translation.
   Result<std::string> FilterToSql(const sparql::FilterExpr& f,
                                   std::map<std::string, std::string>* lex);

@@ -511,61 +511,7 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
       return Status::Internal("missing closure table for triple t" +
                               std::to_string(t.id));
     }
-    const std::string& table = it->second;
-    std::string from = table + " AS T";
-    if (!cur_.empty()) from += ", " + cur_;
-    std::vector<std::string> wheres;
-    std::map<std::string, std::string> new_vars;
-    std::map<std::string, std::string> overrides;
-    std::vector<std::string> resolved;
-    std::map<std::string, std::string> seen_bound;
-    struct Component {
-      const sparql::TermOrVar* tv;
-      const char* column;
-    };
-    const Component comps[2] = {{&t.subject, "T.entry"},
-                                {&t.object, "T.val"}};
-    for (const auto& c : comps) {
-      if (!c.tv->is_var) {
-        wheres.push_back(std::string(c.column) + " = " +
-                         std::to_string(IdOf(c.tv->term)));
-        continue;
-      }
-      const std::string& var = c.tv->var;
-      if (IsBound(var)) {
-        auto seen = seen_bound.find(var);
-        if (seen != seen_bound.end()) {
-          wheres.push_back(std::string(c.column) + " = " + seen->second);
-          continue;
-        }
-        wheres.push_back(CompatEq(c.column, var));
-        std::string merged = CompatMerge(c.column, var);
-        if (!merged.empty()) {
-          overrides[var] = merged;
-          resolved.push_back(var);
-          seen_bound[var] = merged;
-        } else {
-          seen_bound[var] = BoundCol(var);
-        }
-      } else if (new_vars.count(var)) {
-        wheres.push_back(std::string(c.column) + " = " + new_vars[var]);
-      } else {
-        new_vars[var] = c.column;
-      }
-    }
-    std::string select = CarryList(cur_, overrides);
-    for (const auto& [var, expr] : new_vars) {
-      if (!select.empty()) select += ", ";
-      select += expr + " AS " + VarColumn(var);
-    }
-    if (select.empty()) select = "T.entry AS dummy_entry";
-    std::string body = "SELECT " + select + " FROM " + from;
-    if (!wheres.empty()) body += " WHERE " + JoinStrings(wheres, " AND ");
-    cur_ = NewCte(body);
-    for (const auto& [var, expr] : new_vars) {
-      bound_[var] = BoundVar{VarColumn(var), false};
-    }
-    for (const auto& var : resolved) bound_[var].maybe_null = false;
+    EmitBinaryAccess(it->second, t);
     return Status::OK();
   }
 
@@ -579,76 +525,45 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
     const sparql::TermOrVar& entry = EntryOf(t, method);
     const sparql::TermOrVar& value = ValueOf(t, method);
 
-    // Variables newly bound by this triple, in binding order. Repeated
-    // variables (?x ?x ?o, ?x ?p ?x, ...) constrain instead of rebinding.
+    // Variables newly bound by this triple, in binding order (the select
+    // list keeps it). Repeated variables (?x ?x ?o, ?x ?p ?x, ...)
+    // constrain instead of rebinding. Every branch binds alike.
     std::vector<std::string> new_var_order;
-    std::vector<std::string> resolved;  // maybe-null bindings made definite
+    AccessBinds binds;
     std::vector<std::string> branches;
     for (uint32_t c = 0; c < k; ++c) {
       std::string pcol = "T." + Db2RdfSchema::PredColumn(c);
       std::string vcol = "T." + Db2RdfSchema::ValColumn(c);
-      std::string val = "COALESCE(S0.elm, " + vcol + ")";
-      std::vector<std::string> wheres;
-      wheres.push_back(pcol + " IS NOT NULL");
-      std::map<std::string, std::string> locals;  // var -> expr this branch
-      std::map<std::string, std::string> overrides;
-      // Effective (merged) value of a bound variable seen earlier in this
-      // member: a repeated occurrence must equal it exactly, even when the
-      // original binding was NULL-compatible.
-      std::map<std::string, std::string> seen_bound;
+      binds = AccessBinds{};
+      binds.wheres.push_back(pcol + " IS NOT NULL");
       new_var_order.clear();
-      resolved.clear();
-      auto handle = [&](const sparql::TermOrVar& tv,
-                        const std::string& expr) {
-        if (!tv.is_var) {
-          wheres.push_back(expr + " = " + std::to_string(IdOf(tv.term)));
-          return;
-        }
-        if (IsBound(tv.var)) {
-          auto seen = seen_bound.find(tv.var);
-          if (seen != seen_bound.end()) {
-            wheres.push_back(expr + " = " + seen->second);
-            return;
-          }
-          wheres.push_back(CompatEq(expr, tv.var));
-          std::string merged = CompatMerge(expr, tv.var);
-          if (!merged.empty()) {
-            overrides[tv.var] = merged;
-            resolved.push_back(tv.var);  // all three exprs are non-null
-            seen_bound[tv.var] = merged;
-          } else {
-            seen_bound[tv.var] = BoundCol(tv.var);
-          }
-        } else if (locals.count(tv.var)) {
-          wheres.push_back(expr + " = " + locals[tv.var]);
-        } else {
-          locals[tv.var] = expr;
-          new_var_order.push_back(tv.var);
-        }
-      };
-      handle(entry, "T.entry");
-      handle(t.predicate, pcol);
-      handle(value, val);
+      const std::pair<const sparql::TermOrVar*, std::string> comps[3] = {
+          {&entry, "T.entry"},
+          {&t.predicate, pcol},
+          {&value, "COALESCE(S0.elm, " + vcol + ")"}};
+      for (const auto& [tv, expr] : comps) {
+        if (BindComponent(*tv, expr, &binds)) new_var_order.push_back(tv->var);
+      }
 
       std::string from = dir.primary + " AS T";
       if (!cur_.empty()) from += ", " + cur_;
       std::string oj = " LEFT OUTER JOIN " + dir.secondary +
                        " AS S0 ON " + vcol + " = S0.l_id";
 
-      std::string select = CarryList(cur_, overrides);
+      std::string select = CarryList(cur_, binds.overrides);
       for (const auto& var : new_var_order) {
         if (!select.empty()) select += ", ";
-        select += locals[var] + " AS " + VarColumn(var);
+        select += binds.new_vars[var] + " AS " + VarColumn(var);
       }
       if (select.empty()) select = "1 AS one";
       branches.push_back("SELECT " + select + " FROM " + from + oj +
-                         " WHERE " + JoinStrings(wheres, " AND "));
+                         " WHERE " + JoinStrings(binds.wheres, " AND "));
     }
     cur_ = NewCte(JoinStrings(branches, " UNION ALL "));
     for (const auto& var : new_var_order) {
       bound_[var] = BoundVar{VarColumn(var), false};
     }
-    for (const auto& var : resolved) bound_[var].maybe_null = false;
+    for (const auto& var : binds.resolved) bound_[var].maybe_null = false;
     return Status::OK();
   }
 
@@ -657,17 +572,6 @@ class Db2RdfSqlBuilder final : public PatternSqlBuilderBase {
 };
 
 }  // namespace
-
-Result<std::string> BuildSql(const sparql::Query& query,
-                             const opt::ExecNode& plan,
-                             const StoreContext& store) {
-  Db2RdfSqlBuilder b(query, store);
-  RDFREL_ASSIGN_OR_RETURN(TranslatedQuery tq, b.Build(plan));
-  if (!tq.post_filters.empty()) {
-    return Status::Unsupported("query needs post-filters; use BuildSqlFull");
-  }
-  return std::move(tq.sql);
-}
 
 Result<TranslatedQuery> BuildSqlFull(const sparql::Query& query,
                                      const opt::ExecNode& plan,

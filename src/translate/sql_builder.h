@@ -41,16 +41,10 @@ struct StoreContext {
 };
 
 /// Translates a merged query plan \p plan of \p query into one SQL SELECT
-/// statement. The returned SQL's result columns are the query's effective
-/// projection variables, in order, holding dictionary ids (NULL = unbound).
-/// Errors with Unsupported when the query needs post-filters (use
-/// BuildSqlFull).
-Result<std::string> BuildSql(const sparql::Query& query,
-                             const opt::ExecNode& plan,
-                             const StoreContext& store);
-
-/// Like BuildSql but also returns root-level FILTERs (e.g. REGEX) that the
-/// caller must apply on the decoded results.
+/// statement. The SQL's result columns are the query's effective
+/// projection variables, in order, holding dictionary ids (NULL = unbound);
+/// also returns the root-level FILTERs (e.g. REGEX) that the caller must
+/// apply on the decoded results.
 Result<TranslatedQuery> BuildSqlFull(const sparql::Query& query,
                                      const opt::ExecNode& plan,
                                      const StoreContext& store);

@@ -16,6 +16,7 @@
 #include "persist/env.h"
 #include "persist/fail_fs.h"
 #include "persist/manager.h"
+#include "persist/serializer.h"
 #include "store/open.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
@@ -492,13 +493,125 @@ TEST(PersistTestRecovery, RepeatedQuerySeesLaterInsert) {
   EXPECT_EQ(after->size(), 3u);
 }
 
-TEST(PersistTestRecovery, UnpersistedStoreDurabilitySurface) {
-  auto store = RdfStore::Load(BaseGraph()).value();
+/// The durability surface every backend inherits from RelationalStore,
+/// parameterized by backend kind.
+class PersistTestBackends : public ::testing::TestWithParam<const char*> {
+ protected:
+  static std::unique_ptr<RelationalStore> Load(const std::string& kind) {
+    if (kind == RdfStore::kBackendKind) {
+      return std::move(RdfStore::Load(BaseGraph()).value());
+    }
+    if (kind == TripleStoreBackend::kBackendKind) {
+      return std::move(TripleStoreBackend::Load(BaseGraph()).value());
+    }
+    return std::move(PredicateStoreBackend::Load(BaseGraph()).value());
+  }
+
+  static Result<std::unique_ptr<RelationalStore>> Open(
+      const std::string& kind, const std::string& dir,
+      const PersistOptions& opts) {
+    if (kind == RdfStore::kBackendKind) {
+      RDFREL_ASSIGN_OR_RETURN(auto store, RdfStore::Open(dir, opts));
+      return std::unique_ptr<RelationalStore>(std::move(store));
+    }
+    if (kind == TripleStoreBackend::kBackendKind) {
+      RDFREL_ASSIGN_OR_RETURN(auto store, TripleStoreBackend::Open(dir, opts));
+      return std::unique_ptr<RelationalStore>(std::move(store));
+    }
+    RDFREL_ASSIGN_OR_RETURN(auto store,
+                            PredicateStoreBackend::Open(dir, opts));
+    return std::unique_ptr<RelationalStore>(std::move(store));
+  }
+};
+
+TEST_P(PersistTestBackends, UnpersistedStoreDurabilitySurface) {
+  auto store = Load(GetParam());
   EXPECT_FALSE(store->persistent());
   EXPECT_TRUE(store->Checkpoint().IsUnsupported());
   EXPECT_TRUE(store->Flush().ok());
   EXPECT_TRUE(store->Close().ok());
   EXPECT_EQ(store->persist_stats().wal_records, 0u);
+
+  MemEnv env;
+  PersistOptions opts = SyncEveryRecord(&env);
+  ASSERT_TRUE(store->EnablePersistence("db", opts).ok());
+  EXPECT_TRUE(store->persistent());
+  EXPECT_TRUE(store->EnablePersistence("db2", opts).IsAlreadyExists());
+  EXPECT_TRUE(store->Close().ok());
+  EXPECT_FALSE(store->persistent());
+}
+
+TEST_P(PersistTestBackends, CheckpointThenReopen) {
+  MemEnv env;
+  PersistOptions opts = SyncEveryRecord(&env);
+  auto store = Load(GetParam());
+  ASSERT_TRUE(store->EnablePersistence("db", opts).ok());
+  const uint64_t snapshots = store->persist_stats().snapshots_written;
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(store->persist_stats().snapshots_written, snapshots + 1);
+  auto before = AllTriples(*store);
+  ASSERT_TRUE(store->Close().ok());
+  auto reopened = Open(GetParam(), "db", opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(AllTriples(**reopened), before);
+}
+
+TEST_P(PersistTestBackends, OpenRejectsAnotherBackendKind) {
+  MemEnv env;
+  PersistOptions opts = SyncEveryRecord(&env);
+  for (const char* kind : {RdfStore::kBackendKind,
+                           TripleStoreBackend::kBackendKind,
+                           PredicateStoreBackend::kBackendKind}) {
+    auto store = Load(kind);
+    ASSERT_TRUE(store->EnablePersistence(kind, opts).ok()) << kind;
+    ASSERT_TRUE(store->Close().ok()) << kind;
+    auto opened = Open(GetParam(), kind, opts);
+    if (std::string(kind) == GetParam()) {
+      EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    } else {
+      EXPECT_TRUE(opened.status().IsInvalidArgument())
+          << kind << ": " << opened.status().ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, PersistTestBackends,
+                         ::testing::Values(RdfStore::kBackendKind,
+                                           TripleStoreBackend::kBackendKind,
+                                           PredicateStoreBackend::kBackendKind),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param);
+                         });
+
+TEST(PersistTestRecovery, BaselineWalRecordIsDataLoss) {
+  // The baselines never log a mutation, so a WAL record in their directory
+  // means the files are not what this store wrote.
+  MemEnv env;
+  PersistOptions opts = SyncEveryRecord(&env);
+  persist::WalRecord rec;
+  rec.type = static_cast<uint8_t>(persist::WalRecordType::kInsertBatch);
+  rec.payload = persist::EncodeTripleBatch(
+      {{Iri("oracle"), Iri("industry"), Term::Literal("software")}});
+
+  auto triple = TripleStoreBackend::Load(BaseGraph()).value();
+  ASSERT_TRUE(triple->EnablePersistence("ts", opts).ok());
+  ASSERT_TRUE(triple->Close().ok());
+  auto plan = PersistenceManager::ScanForRecovery(&env, "ts");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  rec.lsn = plan->next_lsn;
+  plan->records.push_back(rec);
+  auto ts = TripleStoreBackend::OpenFromPlan(std::move(*plan), opts, {});
+  EXPECT_TRUE(ts.status().IsDataLoss()) << ts.status().ToString();
+
+  auto pred = PredicateStoreBackend::Load(BaseGraph()).value();
+  ASSERT_TRUE(pred->EnablePersistence("ps", opts).ok());
+  ASSERT_TRUE(pred->Close().ok());
+  plan = PersistenceManager::ScanForRecovery(&env, "ps");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  rec.lsn = plan->next_lsn;
+  plan->records.push_back(rec);
+  auto ps = PredicateStoreBackend::OpenFromPlan(std::move(*plan), opts, {});
+  EXPECT_TRUE(ps.status().IsDataLoss()) << ps.status().ToString();
 }
 
 }  // namespace

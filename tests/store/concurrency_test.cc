@@ -1,8 +1,9 @@
 /// Tests for the concurrent read path and the plan/translation cache:
 /// cache hits on repeated queries, invalidation on Insert/Delete (including
 /// materialized property-path closure tables), the uniform QueryWith /
-/// Explain surface across all three backends, and a reader/writer stress
-/// test meant to run under -fsanitize=thread (see scripts/check.sh).
+/// Explain surface across all three backends, a reader/writer stress test
+/// and a durability-vs-Close race, meant to run under -fsanitize=thread
+/// (see scripts/check.sh).
 
 #include <atomic>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/env.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
 #include "store/triple_store_backend.h"
@@ -267,6 +269,38 @@ TEST(ConcurrencyTest, ReadersAndWriterStress) {
                            "SELECT ?x ?y WHERE { ?x :next ?y }");
   ASSERT_TRUE(sane.ok()) << sane.status().ToString();
   EXPECT_GT(sane->size(), 0u);
+}
+
+TEST(ConcurrencyTest, BaselineDurabilityCallsTakeTheStoreLock) {
+  // Close detaches the persistence manager while another thread reads its
+  // counters and flushes it: every one of these calls goes through the
+  // store lock, so the reader sees the manager or its absence, never a
+  // half-reset pointer.
+  persist::MemEnv env;
+  PersistOptions opts;
+  opts.env = &env;
+  auto triple = TripleStoreBackend::Load(ChainGraph(8)).value();
+  auto pred = PredicateStoreBackend::Load(ChainGraph(8)).value();
+  for (RelationalStore* store : {static_cast<RelationalStore*>(triple.get()),
+                                 static_cast<RelationalStore*>(pred.get())}) {
+    ASSERT_TRUE(store->EnablePersistence(store->name(), opts).ok());
+    std::atomic<bool> started{false};
+    std::atomic<bool> stop{false};
+    std::atomic<int> errors{0};
+    std::thread reader([&] {
+      while (!stop.load()) {
+        (void)store->persist_stats();
+        if (!store->Flush().ok()) errors.fetch_add(1);
+        started.store(true);
+      }
+    });
+    while (!started.load()) std::this_thread::yield();
+    EXPECT_TRUE(store->Close().ok()) << store->name();
+    stop.store(true);
+    reader.join();
+    EXPECT_EQ(errors.load(), 0) << store->name();
+    EXPECT_FALSE(store->persistent()) << store->name();
+  }
 }
 
 }  // namespace
