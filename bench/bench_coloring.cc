@@ -30,7 +30,6 @@ schema::LoadStats LoadWith(
   schema::Db2RdfConfig cfg;
   cfg.k_direct = kd;
   cfg.k_reverse = kr;
-  cfg.create_indexes = true;
   auto sch = schema::Db2RdfSchema::Create(&db, cfg).value();
   schema::Loader loader(sch.get(), direct, reverse);
   return loader.BulkLoad(g).value();

@@ -1,6 +1,6 @@
 /// \file bench_engine.cc
 /// google-benchmark microbenchmarks for the embedded relational engine's
-/// primitives: B+-tree, hash index, dictionary encoding, and
+/// primitives: the equality index, dictionary encoding, and
 /// end-to-end SQL evaluation paths (index scan, hash join, star lookup).
 
 #include <benchmark/benchmark.h>
@@ -10,42 +10,27 @@
 #include <vector>
 
 #include "rdf/dictionary.h"
-#include "sql/btree.h"
 #include "sql/database.h"
 #include "sql/hash_index.h"
 
 namespace rdfrel {
 namespace {
 
-void BM_BTreeInsert(benchmark::State& state) {
+void BM_IndexInsert(benchmark::State& state) {
   const int64_t n = state.range(0);
   for (auto _ : state) {
-    sql::BPlusTree tree;
+    sql::HashIndex idx;
     for (int64_t i = 0; i < n; ++i) {
-      tree.Insert(sql::Value::Int(i * 2654435761 % n),
-                  static_cast<sql::RowId>(i));
+      idx.Insert(sql::Value::Int(i * 2654435761 % n),
+                 static_cast<sql::RowId>(i));
     }
-    benchmark::DoNotOptimize(tree.size());
+    benchmark::DoNotOptimize(idx.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_IndexInsert)->Arg(1000)->Arg(100000);
 
-void BM_BTreeLookup(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  sql::BPlusTree tree;
-  for (int64_t i = 0; i < n; ++i) {
-    tree.Insert(sql::Value::Int(i), static_cast<sql::RowId>(i));
-  }
-  int64_t k = 0;
-  for (auto _ : state) {
-    auto rids = tree.Lookup(sql::Value::Int(k++ % n));
-    benchmark::DoNotOptimize(rids);
-  }
-}
-BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(100000);
-
-void BM_HashIndexLookup(benchmark::State& state) {
+void BM_IndexLookup(benchmark::State& state) {
   const int64_t n = state.range(0);
   sql::HashIndex idx;
   for (int64_t i = 0; i < n; ++i) {
@@ -56,7 +41,7 @@ void BM_HashIndexLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(idx.Lookup(sql::Value::Int(k++ % n)));
   }
 }
-BENCHMARK(BM_HashIndexLookup)->Arg(100000);
+BENCHMARK(BM_IndexLookup)->Arg(1000)->Arg(100000);
 
 void BM_DictionaryEncode(benchmark::State& state) {
   for (auto _ : state) {

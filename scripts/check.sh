@@ -28,7 +28,8 @@
 #   7.  Release bench smoke: bench_micro_star, bench_serve and
 #       bench_summary at a reduced scale must run to completion and emit
 #       machine-readable BENCH_sql.json / BENCH_serve.json /
-#       BENCH_summary.json.
+#       BENCH_summary.json; bench_engine's microbenchmarks must each run
+#       (a short minimum time per benchmark).
 #
 # Build trees go to build-tsan/, build-asan/, build-ubsan/ and
 # build-release/ so the default build/ stays untouched.
@@ -99,10 +100,10 @@ cmake --build build-asan -j"${JOBS}" --target serve_demo
 ./build-asan/examples/serve_demo --smoke
 
 echo
-echo "== [7/7] Release bench smoke: BENCH_sql/serve/summary.json =="
+echo "== [7/7] Release bench smoke: BENCH_sql/serve/summary.json, bench_engine =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-release -j"${JOBS}" \
-  --target bench_micro_star bench_serve bench_summary
+  --target bench_micro_star bench_serve bench_summary bench_engine
 (cd build-release &&
   rm -f BENCH_sql.json &&
   RDFREL_BENCH_SCALE=0.1 ./bench/bench_micro_star &&
@@ -118,6 +119,9 @@ cmake --build build-release -j"${JOBS}" \
   RDFREL_BENCH_SCALE=0.1 ./bench/bench_summary > /dev/null &&
   test -s BENCH_summary.json &&
   echo "BENCH_summary.json ok")
+(cd build-release &&
+  ./bench/bench_engine --benchmark_min_time=0.01 > /dev/null &&
+  echo "bench_engine ok")
 
 echo
 echo "All checks passed."

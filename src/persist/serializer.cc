@@ -9,6 +9,12 @@ namespace {
 constexpr uint8_t kMappingHash = 0;
 constexpr uint8_t kMappingColoring = 1;
 
+// Each catalog index carries a kind byte. Every index is a hash index
+// and is written as kHashIndexTag; snapshots from when entry columns used an
+// ordered tree carry kOrderedIndexTag, which decodes to the same index.
+constexpr uint8_t kOrderedIndexTag = 0;
+constexpr uint8_t kHashIndexTag = 1;
+
 // Smallest encodings, used to reject element counts a payload cannot hold
 // before reserving memory for them.
 constexpr size_t kMinTermBytes = 1 + 3 * 4;   // kind + 3 empty strings
@@ -329,7 +335,7 @@ void EncodeTable(std::string* out, const sql::Table& table) {
   for (const auto& idx : table.indexes()) {
     PutString(out, idx->name);
     PutString(out, schema.column(static_cast<size_t>(idx->column)).name);
-    PutU8(out, static_cast<uint8_t>(idx->kind));
+    PutU8(out, kHashIndexTag);
   }
   PutU64(out, table.row_count());
   // Scan visits live rows in slot order; reload re-inserts in that order.
@@ -367,7 +373,6 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
   struct IndexSpec {
     std::string name;
     std::string column;
-    sql::IndexKind kind;
   };
   RDFREL_ASSIGN_OR_RETURN(uint32_t n_indexes, r->ReadU32());
   if (n_indexes > r->remaining() / kMinIndexBytes) {
@@ -382,9 +387,7 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
     RDFREL_ASSIGN_OR_RETURN(std::string_view col_name, r->ReadString());
     spec.column = std::string(col_name);
     RDFREL_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
-    spec.kind = static_cast<sql::IndexKind>(kind);
-    if (spec.kind != sql::IndexKind::kBTree &&
-        spec.kind != sql::IndexKind::kHash) {
+    if (kind != kOrderedIndexTag && kind != kHashIndexTag) {
       return Status::DataLoss("unknown index kind " + std::to_string(kind));
     }
     indexes.push_back(std::move(spec));
@@ -412,7 +415,7 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
   // Indexes last: CreateIndex backfills from the freshly inserted rows —
   // the "rebuild indexes on load" path.
   for (const auto& spec : indexes) {
-    RDFREL_RETURN_NOT_OK(table->CreateIndex(spec.name, spec.column, spec.kind));
+    RDFREL_RETURN_NOT_OK(table->CreateIndex(spec.name, spec.column));
   }
   return Status::OK();
 }

@@ -40,16 +40,15 @@ Result<std::unique_ptr<Db2RdfSchema>> Db2RdfSchema::Create(
       cat.CreateTable(schema->rph_name(), PrimarySchema(config.k_reverse)));
   RDFREL_ASSIGN_OR_RETURN(
       schema->rs_, cat.CreateTable(schema->rs_name(), SecondarySchema()));
-  if (config.create_indexes) {
-    RDFREL_RETURN_NOT_OK(schema->dph_->CreateIndex(
-        schema->dph_name() + "_entry", "entry", sql::IndexKind::kBTree));
-    RDFREL_RETURN_NOT_OK(schema->rph_->CreateIndex(
-        schema->rph_name() + "_entry", "entry", sql::IndexKind::kBTree));
-    RDFREL_RETURN_NOT_OK(schema->ds_->CreateIndex(
-        schema->ds_name() + "_lid", "l_id", sql::IndexKind::kHash));
-    RDFREL_RETURN_NOT_OK(schema->rs_->CreateIndex(
-        schema->rs_name() + "_lid", "l_id", sql::IndexKind::kHash));
-  }
+  RDFREL_RETURN_NOT_OK(
+      schema->dph_->CreateIndex(schema->dph_name() + "_entry", "entry"));
+  RDFREL_RETURN_NOT_OK(
+      schema->rph_->CreateIndex(schema->rph_name() + "_entry", "entry"));
+  RDFREL_RETURN_NOT_OK(
+      schema->ds_->CreateIndex(schema->ds_name() + "_lid", "l_id"));
+  RDFREL_RETURN_NOT_OK(
+      schema->rs_->CreateIndex(schema->rs_name() + "_lid", "l_id"));
+  RDFREL_RETURN_NOT_OK(schema->BindIndexes());
   return schema;
 }
 
@@ -72,7 +71,27 @@ Result<std::unique_ptr<Db2RdfSchema>> Db2RdfSchema::Attach(
     return Status::DataLoss(
         "restored DPH/RPH column count does not match the snapshot config");
   }
+  RDFREL_RETURN_NOT_OK(schema->BindIndexes());
   return schema;
+}
+
+Status Db2RdfSchema::BindIndexes() {
+  struct Want {
+    const sql::Table* table;
+    const char* column;
+    const sql::IndexInfo** index;
+  };
+  for (const Want& w : {Want{dph_, "entry", &dph_entry_},
+                        Want{rph_, "entry", &rph_entry_},
+                        Want{ds_, "l_id", &ds_lid_},
+                        Want{rs_, "l_id", &rs_lid_}}) {
+    *w.index = w.table->FindIndexOn(w.column);
+    if (*w.index == nullptr) {
+      return Status::DataLoss("table " + w.table->name() +
+                              " has no index on " + w.column);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace rdfrel::schema

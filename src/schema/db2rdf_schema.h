@@ -31,22 +31,22 @@ struct Db2RdfConfig {
   uint32_t k_reverse = 32;
   /// Table-name prefix, so several stores can share a Database.
   std::string prefix = "";
-  /// Create B+-tree indexes on DPH.entry / RPH.entry and hash indexes on
-  /// DS.l_id / RS.l_id (the paper indexes only the entry columns).
-  bool create_indexes = true;
 };
 
 /// Owns the four relations' names/handles inside a Database and the shared
 /// bookkeeping the translator needs (spilled & multi-valued predicate sets).
 class Db2RdfSchema {
  public:
-  /// Creates the four tables (+indexes) in \p db.
+  /// Creates the four tables in \p db with an equality index on DPH.entry
+  /// and RPH.entry (the paper indexes only these) and on DS.l_id and
+  /// RS.l_id, which the loader probes to extend and shrink value lists.
   static Result<std::unique_ptr<Db2RdfSchema>> Create(
       sql::Database* db, const Db2RdfConfig& config);
 
   /// Binds to the four tables already present in \p db (the recovery path:
   /// the catalog was restored from a snapshot first). Fails with NotFound
-  /// when any of them is missing.
+  /// when any of them is missing, and with DataLoss when one lacks its
+  /// entry / l_id index.
   static Result<std::unique_ptr<Db2RdfSchema>> Attach(
       sql::Database* db, const Db2RdfConfig& config);
 
@@ -60,6 +60,12 @@ class Db2RdfSchema {
   const sql::Table* ds() const { return ds_; }
   const sql::Table* rph() const { return rph_; }
   const sql::Table* rs() const { return rs_; }
+
+  /// The indexes on DPH.entry, RPH.entry, DS.l_id and RS.l_id (never null).
+  const sql::IndexInfo* dph_entry() const { return dph_entry_; }
+  const sql::IndexInfo* rph_entry() const { return rph_entry_; }
+  const sql::IndexInfo* ds_lid() const { return ds_lid_; }
+  const sql::IndexInfo* rs_lid() const { return rs_lid_; }
 
   std::string dph_name() const { return config_.prefix + "dph"; }
   std::string ds_name() const { return config_.prefix + "ds"; }
@@ -122,11 +128,18 @@ class Db2RdfSchema {
  private:
   Db2RdfSchema() = default;
 
+  /// Binds dph_entry_ .. rs_lid_; DataLoss when a table lacks its index.
+  Status BindIndexes();
+
   Db2RdfConfig config_;
   sql::Table* dph_ = nullptr;
   sql::Table* ds_ = nullptr;
   sql::Table* rph_ = nullptr;
   sql::Table* rs_ = nullptr;
+  const sql::IndexInfo* dph_entry_ = nullptr;
+  const sql::IndexInfo* rph_entry_ = nullptr;
+  const sql::IndexInfo* ds_lid_ = nullptr;
+  const sql::IndexInfo* rs_lid_ = nullptr;
   int64_t next_lid_ = -1;
   std::unordered_set<uint64_t> spilled_direct_;
   std::unordered_set<uint64_t> spilled_reverse_;

@@ -16,6 +16,8 @@ using sql::Value;
 struct Loader::Direction {
   sql::Table* primary;
   sql::Table* secondary;
+  const sql::IndexInfo* entry_index;  ///< on primary.entry
+  const sql::IndexInfo* lid_index;    ///< on secondary.l_id
   const PredicateMapping* mapping;
   std::unordered_set<uint64_t>* spilled;
   std::unordered_set<uint64_t>* multivalued;
@@ -91,11 +93,13 @@ Result<LoadStats> Loader::BulkLoad(const rdf::Graph& graph) {
   batch.triples = graph.size();
 
   Direction dirs[2] = {
-      {schema_->dph(), schema_->ds(), direct_.get(),
+      {schema_->dph(), schema_->ds(), schema_->dph_entry(),
+       schema_->ds_lid(), direct_.get(),
        &schema_->spilled_direct(), &schema_->multivalued_direct(),
        schema_->config().k_direct, &batch.dph_rows, &batch.dph_spill_rows,
        &batch.ds_rows},
-      {schema_->rph(), schema_->rs(), reverse_.get(),
+      {schema_->rph(), schema_->rs(), schema_->rph_entry(),
+       schema_->rs_lid(), reverse_.get(),
        &schema_->spilled_reverse(), &schema_->multivalued_reverse(),
        schema_->config().k_reverse, &batch.rph_rows, &batch.rph_spill_rows,
        &batch.rs_rows},
@@ -164,11 +168,13 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
   batch.triples = 1;
 
   Direction dirs[2] = {
-      {schema_->dph(), schema_->ds(), direct_.get(),
+      {schema_->dph(), schema_->ds(), schema_->dph_entry(),
+       schema_->ds_lid(), direct_.get(),
        &schema_->spilled_direct(), &schema_->multivalued_direct(),
        schema_->config().k_direct, &batch.dph_rows, &batch.dph_spill_rows,
        &batch.ds_rows},
-      {schema_->rph(), schema_->rs(), reverse_.get(),
+      {schema_->rph(), schema_->rs(), schema_->rph_entry(),
+       schema_->rs_lid(), reverse_.get(),
        &schema_->spilled_reverse(), &schema_->multivalued_reverse(),
        schema_->config().k_reverse, &batch.rph_rows, &batch.rph_spill_rows,
        &batch.rs_rows},
@@ -184,22 +190,9 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
     std::vector<uint32_t> candidates =
         dir.mapping->Columns({pred, pred_term.lexical()});
 
-    const sql::IndexInfo* idx = dir.primary->FindIndexOn("entry");
-    std::vector<sql::RowId> rids;
-    if (idx != nullptr) {
-      rids = idx->Lookup(Value::Int(static_cast<int64_t>(entity)));
-    } else {
-      // Fall back to a scan (index-less configurations).
-      RDFREL_RETURN_NOT_OK(dir.primary->Scan(
-          [&](sql::RowId rid, const Row& row) {
-            if (!row[Db2RdfSchema::kEntrySlot].is_null() &&
-                row[Db2RdfSchema::kEntrySlot].AsInt() ==
-                    static_cast<int64_t>(entity)) {
-              rids.push_back(rid);
-            }
-            return Status::OK();
-          }));
-    }
+    // A copy: the inserts and updates below change the postings.
+    std::vector<sql::RowId> rids =
+        dir.entry_index->Lookup(Value::Int(static_cast<int64_t>(entity)));
     std::sort(rids.begin(), rids.end());
 
     // 1. If the predicate already exists in a candidate column, extend it.
@@ -217,14 +210,12 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
         if (Db2RdfSchema::IsLid(existing)) {
           // Already multi-valued: append to the list (dedup).
           bool present = false;
-          const sql::IndexInfo* sidx = dir.secondary->FindIndexOn("l_id");
-          if (sidx != nullptr) {
-            for (sql::RowId srid : sidx->Lookup(Value::Int(existing))) {
-              RDFREL_ASSIGN_OR_RETURN(Row srow, dir.secondary->Get(srid));
-              if (srow[1].AsInt() == static_cast<int64_t>(value)) {
-                present = true;
-                break;
-              }
+          for (sql::RowId srid :
+               dir.lid_index->Lookup(Value::Int(existing))) {
+            RDFREL_ASSIGN_OR_RETURN(Row srow, dir.secondary->Get(srid));
+            if (srow[1].AsInt() == static_cast<int64_t>(value)) {
+              present = true;
+              break;
             }
           }
           if (!present) {
@@ -312,10 +303,12 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
 Status Loader::DeleteTriple(const rdf::Dictionary& dict,
                             const rdf::EncodedTriple& triple) {
   Direction dirs[2] = {
-      {schema_->dph(), schema_->ds(), direct_.get(),
+      {schema_->dph(), schema_->ds(), schema_->dph_entry(),
+       schema_->ds_lid(), direct_.get(),
        &schema_->spilled_direct(), &schema_->multivalued_direct(),
        schema_->config().k_direct, nullptr, nullptr, nullptr},
-      {schema_->rph(), schema_->rs(), reverse_.get(),
+      {schema_->rph(), schema_->rs(), schema_->rph_entry(),
+       schema_->rs_lid(), reverse_.get(),
        &schema_->spilled_reverse(), &schema_->multivalued_reverse(),
        schema_->config().k_reverse, nullptr, nullptr, nullptr},
   };
@@ -330,12 +323,9 @@ Status Loader::DeleteTriple(const rdf::Dictionary& dict,
     std::vector<uint32_t> candidates =
         dir.mapping->Columns({pred, pred_term.lexical()});
 
-    const sql::IndexInfo* idx = dir.primary->FindIndexOn("entry");
-    if (idx == nullptr) {
-      return Status::Unsupported("delete requires the entry index");
-    }
+    // A copy: the updates and deletes below change the postings.
     std::vector<sql::RowId> rids =
-        idx->Lookup(Value::Int(static_cast<int64_t>(entity)));
+        dir.entry_index->Lookup(Value::Int(static_cast<int64_t>(entity)));
     std::sort(rids.begin(), rids.end());
 
     bool removed = false;
@@ -351,20 +341,16 @@ Status Loader::DeleteTriple(const rdf::Dictionary& dict,
         int64_t stored = row[vs].AsInt();
         if (Db2RdfSchema::IsLid(stored)) {
           // Remove the element from the secondary list.
-          const sql::IndexInfo* sidx = dir.secondary->FindIndexOn("l_id");
-          if (sidx == nullptr) {
-            return Status::Unsupported("delete requires the l_id index");
-          }
-          for (sql::RowId srid : sidx->Lookup(Value::Int(stored))) {
+          for (sql::RowId srid : dir.lid_index->Lookup(Value::Int(stored))) {
             RDFREL_ASSIGN_OR_RETURN(Row srow, dir.secondary->Get(srid));
             if (srow[1].AsInt() == static_cast<int64_t>(value)) {
+              // Delete changes the postings being read: stop right after.
               RDFREL_RETURN_NOT_OK(dir.secondary->Delete(srid));
               removed = true;
               break;
             }
           }
-          if (removed &&
-              sidx->Lookup(Value::Int(stored)).empty()) {
+          if (removed && dir.lid_index->Lookup(Value::Int(stored)).empty()) {
             // Last list element gone: clear the cell too.
             row[ps] = Value::Null();
             row[vs] = Value::Null();

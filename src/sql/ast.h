@@ -177,7 +177,6 @@ struct CreateIndexStmt {
   std::string index_name;
   std::string table_name;
   std::string column_name;
-  bool hash = false;  ///< CREATE HASH INDEX vs (default) B+-tree
 };
 
 struct InsertStmt {

@@ -8,7 +8,7 @@ Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {}
 
 Status Table::CreateIndex(const std::string& index_name,
-                          const std::string& column_name, IndexKind kind) {
+                          const std::string& column_name) {
   if (FindIndexByName(index_name) != nullptr) {
     return Status::AlreadyExists("index " + index_name);
   }
@@ -19,12 +19,6 @@ Status Table::CreateIndex(const std::string& index_name,
   auto idx = std::make_unique<IndexInfo>();
   idx->name = index_name;
   idx->column = col;
-  idx->kind = kind;
-  if (kind == IndexKind::kBTree) {
-    idx->btree = std::make_unique<BPlusTree>();
-  } else {
-    idx->hash = std::make_unique<HashIndex>();
-  }
   IndexInfo* raw = idx.get();
   // Backfill from existing rows.
   RDFREL_RETURN_NOT_OK(Scan([&](RowId rid, const Row& row) {
@@ -54,21 +48,13 @@ const IndexInfo* Table::FindIndexByName(const std::string& index_name) const {
 void Table::IndexInsert(IndexInfo* idx, const Row& row, RowId rid) {
   const Value& key = row[static_cast<size_t>(idx->column)];
   if (key.is_null()) return;  // NULLs are not indexed
-  if (idx->kind == IndexKind::kBTree) {
-    idx->btree->Insert(key, rid);
-  } else {
-    idx->hash->Insert(key, rid);
-  }
+  idx->hash.Insert(key, rid);
 }
 
 void Table::IndexRemove(IndexInfo* idx, const Row& row, RowId rid) {
   const Value& key = row[static_cast<size_t>(idx->column)];
   if (key.is_null()) return;
-  if (idx->kind == IndexKind::kBTree) {
-    idx->btree->Remove(key, rid);
-  } else {
-    idx->hash->Remove(key, rid);
-  }
+  idx->hash.Remove(key, rid);
 }
 
 Status Table::NoRow(RowId rid) const {

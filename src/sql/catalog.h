@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "sql/btree.h"
 #include "sql/hash_index.h"
 #include "sql/row.h"
 #include "sql/schema.h"
@@ -19,20 +18,16 @@
 
 namespace rdfrel::sql {
 
-enum class IndexKind { kBTree, kHash };
-
-/// A secondary index on one column of a table.
+/// A secondary equality index on one column of a table.
 struct IndexInfo {
   std::string name;
   int column = -1;
-  IndexKind kind = IndexKind::kBTree;
-  std::unique_ptr<BPlusTree> btree;
-  std::unique_ptr<HashIndex> hash;
+  HashIndex hash;
 
-  /// RowIds matching \p key through whichever structure backs this index.
-  std::vector<RowId> Lookup(const Value& key) const {
-    return kind == IndexKind::kBTree ? btree->Lookup(key)
-                                     : hash->Lookup(key);
+  /// RowIds whose indexed column equals \p key, read in place: the
+  /// reference is valid until the table is next mutated.
+  const std::vector<RowId>& Lookup(const Value& key) const {
+    return hash.Lookup(key);
   }
 };
 
@@ -56,7 +51,7 @@ class Table {
   /// Builds an index over existing rows; errors on duplicate name or
   /// unknown column.
   Status CreateIndex(const std::string& index_name,
-                     const std::string& column_name, IndexKind kind);
+                     const std::string& column_name);
 
   /// Index over \p column_name, or nullptr.
   const IndexInfo* FindIndexOn(const std::string& column_name) const;

@@ -100,8 +100,7 @@ Status Database::ExecCreateTable(const ast::CreateTableStmt& ct) {
 
 Status Database::ExecCreateIndex(const ast::CreateIndexStmt& ci) {
   RDFREL_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(ci.table_name));
-  return t->CreateIndex(ci.index_name, ci.column_name,
-                        ci.hash ? IndexKind::kHash : IndexKind::kBTree);
+  return t->CreateIndex(ci.index_name, ci.column_name);
 }
 
 Status Database::ExecInsert(const ast::InsertStmt& ins) {

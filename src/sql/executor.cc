@@ -164,24 +164,26 @@ IndexScanOp::IndexScanOp(const Table* table, const std::string& alias,
 Status IndexScanOp::Open() {
   pos_ = 0;
   if (keys_.size() == 1) {
-    rids_ = index_->Lookup(keys_[0]);
+    rids_ = &index_->Lookup(keys_[0]);
     return Status::OK();
   }
-  rids_.clear();
+  merged_.clear();
   for (const Value& key : keys_) {
-    std::vector<RowId> hits = index_->Lookup(key);
-    rids_.insert(rids_.end(), hits.begin(), hits.end());
+    const std::vector<RowId>& hits = index_->Lookup(key);
+    merged_.insert(merged_.end(), hits.begin(), hits.end());
   }
   // Slot order, and one fetch per row however many keys it matches.
-  std::sort(rids_.begin(), rids_.end());
-  rids_.erase(std::unique(rids_.begin(), rids_.end()), rids_.end());
+  std::sort(merged_.begin(), merged_.end());
+  merged_.erase(std::unique(merged_.begin(), merged_.end()), merged_.end());
+  rids_ = &merged_;
   return Status::OK();
 }
 
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
-  if (pos_ >= rids_.size()) return false;
-  while (pos_ < rids_.size() && !out->Full()) {
-    RDFREL_ASSIGN_OR_RETURN(const Row* row, LiveRow(*table_, rids_[pos_++]));
+  const std::vector<RowId>& rids = *rids_;
+  if (pos_ >= rids.size()) return false;
+  while (pos_ < rids.size() && !out->Full()) {
+    RDFREL_ASSIGN_OR_RETURN(const Row* row, LiveRow(*table_, rids[pos_++]));
     *out->AddRow() = *row;
   }
   return true;

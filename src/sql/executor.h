@@ -155,7 +155,10 @@ class IndexScanOp final : public Operator {
   const Table* table_;
   const IndexInfo* index_;
   std::vector<Value> keys_;
-  std::vector<RowId> rids_;
+  /// The rows to fetch: one key's postings, read in place in the index, or
+  /// merged_ for several keys.
+  const std::vector<RowId>* rids_ = nullptr;
+  std::vector<RowId> merged_;
   size_t pos_ = 0;
 };
 

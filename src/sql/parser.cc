@@ -600,7 +600,6 @@ class Parser {
 
   Result<CreateIndexStmt> ParseCreateIndex() {
     CreateIndexStmt ci;
-    ci.hash = ConsumeKeyword("HASH");
     RDFREL_RETURN_NOT_OK(ExpectKeyword("INDEX"));
     RDFREL_ASSIGN_OR_RETURN(ci.index_name, ExpectIdentifier("index name"));
     RDFREL_RETURN_NOT_OK(ExpectKeyword("ON"));

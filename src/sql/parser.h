@@ -13,7 +13,7 @@
 
 namespace rdfrel::sql {
 
-/// Parses one statement (SELECT / CREATE TABLE / CREATE [HASH] INDEX /
+/// Parses one statement (SELECT / CREATE TABLE / CREATE INDEX /
 /// INSERT). A trailing ';' is allowed.
 Result<ast::Statement> ParseSql(std::string_view sql);
 

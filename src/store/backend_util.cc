@@ -305,7 +305,7 @@ Status BuildLexTable(sql::Database* db, const rdf::Dictionary& dict,
                      sql::Value::Real(num)})
             .status());
   }
-  return lex->CreateIndex(table + "_id", "id", sql::IndexKind::kHash);
+  return lex->CreateIndex(table + "_id", "id");
 }
 
 }  // namespace rdfrel::store

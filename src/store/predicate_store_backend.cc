@@ -143,12 +143,10 @@ Result<std::unique_ptr<PredicateStoreBackend>> PredicateStoreBackend::Load(
     RDFREL_ASSIGN_OR_RETURN(sql::Table * table,
                             store->db_.catalog().GetTable(name));
     if (options.index_entry) {
-      RDFREL_RETURN_NOT_OK(table->CreateIndex(name + "_entry", "entry",
-                                              sql::IndexKind::kBTree));
+      RDFREL_RETURN_NOT_OK(table->CreateIndex(name + "_entry", "entry"));
     }
     if (options.index_value) {
-      RDFREL_RETURN_NOT_OK(
-          table->CreateIndex(name + "_val", "val", sql::IndexKind::kBTree));
+      RDFREL_RETURN_NOT_OK(table->CreateIndex(name + "_val", "val"));
     }
   }
   if (options.build_lex) {

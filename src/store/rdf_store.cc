@@ -146,10 +146,8 @@ Result<std::string> RdfStore::EnsureClosureTable(const rdf::Term& pred,
               .status());
     }
   }
-  RDFREL_RETURN_NOT_OK(
-      t->CreateIndex(table + "_entry", "entry", sql::IndexKind::kBTree));
-  RDFREL_RETURN_NOT_OK(
-      t->CreateIndex(table + "_val", "val", sql::IndexKind::kBTree));
+  RDFREL_RETURN_NOT_OK(t->CreateIndex(table + "_entry", "entry"));
+  RDFREL_RETURN_NOT_OK(t->CreateIndex(table + "_val", "val"));
   closure_cache_.emplace(key, table);
   return table;
 }
@@ -237,7 +235,7 @@ Result<ResultSet> RdfStore::QueryParsed(const sparql::Query& query,
       WithTranslation(query, opts, nullptr, [&](translate::TranslatedQuery tq) {
         return ExecuteDecodedSqlStreaming(&db_, tq.sql, query, dict_,
                                           tq.post_filters, tq.post_filter_vars,
-                                          QueryOptions{}, sink);
+                                          opts, sink);
       }));
   return sink.TakeResult();
 }
@@ -339,7 +337,7 @@ Status RdfStore::EncodeBackendSection(std::string* out) const {
   persist::PutU32(&b, cfg.k_direct);
   persist::PutU32(&b, cfg.k_reverse);
   persist::PutString(&b, cfg.prefix);
-  persist::PutU8(&b, cfg.create_indexes ? 1 : 0);
+  persist::PutU8(&b, 1);  // index flag: the four tables are always indexed
   RDFREL_RETURN_NOT_OK(persist::EncodeMapping(&b, *direct_));
   RDFREL_RETURN_NOT_OK(persist::EncodeMapping(&b, *reverse_));
   persist::PutI64(&b, schema_->next_lid());
@@ -367,8 +365,11 @@ Status RdfStore::DecodeBackendSection(persist::ByteReader* in) {
   RDFREL_ASSIGN_OR_RETURN(cfg.k_reverse, r.ReadU32());
   RDFREL_ASSIGN_OR_RETURN(std::string_view prefix, r.ReadString());
   cfg.prefix = std::string(prefix);
-  RDFREL_ASSIGN_OR_RETURN(uint8_t create_indexes, r.ReadU8());
-  cfg.create_indexes = create_indexes != 0;
+  RDFREL_ASSIGN_OR_RETURN(uint8_t index_flag, r.ReadU8());
+  if (index_flag != 1) {
+    return Status::DataLoss("index flag " + std::to_string(index_flag) +
+                            " in a DB2RDF section (expected 1)");
+  }
   RDFREL_ASSIGN_OR_RETURN(direct_, persist::DecodeMapping(&r));
   RDFREL_ASSIGN_OR_RETURN(reverse_, persist::DecodeMapping(&r));
   RDFREL_ASSIGN_OR_RETURN(int64_t next_lid, r.ReadI64());

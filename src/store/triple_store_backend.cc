@@ -57,16 +57,13 @@ Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::Load(
             .status());
   }
   if (options.index_subject) {
-    RDFREL_RETURN_NOT_OK(
-        table->CreateIndex("triples_subj", "subj", sql::IndexKind::kBTree));
+    RDFREL_RETURN_NOT_OK(table->CreateIndex("triples_subj", "subj"));
   }
   if (options.index_object) {
-    RDFREL_RETURN_NOT_OK(
-        table->CreateIndex("triples_obj", "obj", sql::IndexKind::kBTree));
+    RDFREL_RETURN_NOT_OK(table->CreateIndex("triples_obj", "obj"));
   }
   if (options.index_predicate) {
-    RDFREL_RETURN_NOT_OK(
-        table->CreateIndex("triples_pred", "pred", sql::IndexKind::kBTree));
+    RDFREL_RETURN_NOT_OK(table->CreateIndex("triples_pred", "pred"));
   }
   if (options.build_lex) {
     store->lex_table_ = "lex";

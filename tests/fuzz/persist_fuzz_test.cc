@@ -202,8 +202,8 @@ bool DecodesCatalog(std::string_view payload) {
   return DecodeCatalogInto(payload, &catalog).ok();
 }
 
-/// The catalog encoding of a table with every column type, NULLs and both
-/// index kinds.
+/// The catalog encoding of a table with every column type, NULLs and two
+/// indexes (an INT and a STRING key).
 std::string SampleCatalog() {
   sql::Catalog catalog;
   auto table = catalog.CreateTable(
@@ -218,8 +218,8 @@ std::string SampleCatalog() {
                             : sql::Value::Str("v" + std::to_string(i))};
     EXPECT_TRUE((*table)->Insert(row).ok());
   }
-  EXPECT_TRUE((*table)->CreateIndex("t_id", "id", sql::IndexKind::kBTree).ok());
-  EXPECT_TRUE((*table)->CreateIndex("t_s", "s", sql::IndexKind::kHash).ok());
+  EXPECT_TRUE((*table)->CreateIndex("t_id", "id").ok());
+  EXPECT_TRUE((*table)->CreateIndex("t_s", "s").ok());
   return EncodeCatalog(catalog);
 }
 

@@ -17,6 +17,7 @@
 #include "persist/fail_fs.h"
 #include "persist/manager.h"
 #include "persist/serializer.h"
+#include "persist/snapshot.h"
 #include "store/open.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
@@ -612,6 +613,72 @@ TEST(PersistTestRecovery, BaselineWalRecordIsDataLoss) {
   plan->records.push_back(rec);
   auto ps = PredicateStoreBackend::OpenFromPlan(std::move(*plan), opts, {});
   EXPECT_TRUE(ps.status().IsDataLoss()) << ps.status().ToString();
+}
+
+/// \p payload (a catalog section) re-encoded without the index named
+/// \p index_name.
+std::string CatalogWithoutIndex(const std::string& payload,
+                                const std::string& index_name) {
+  sql::Catalog in;
+  EXPECT_TRUE(persist::DecodeCatalogInto(payload, &in).ok());
+  sql::Catalog out;
+  for (const std::string& name : in.TableNames()) {
+    const sql::Table* t = in.GetTable(name).value();
+    sql::Table* copy = out.CreateTable(name, t->schema()).value();
+    EXPECT_TRUE(t->Scan([&](sql::RowId, const sql::Row& row) {
+                   return copy->Insert(row).status();
+                 }).ok());
+    for (const auto& idx : t->indexes()) {
+      if (idx->name == index_name) continue;
+      const auto col = static_cast<size_t>(idx->column);
+      EXPECT_TRUE(
+          copy->CreateIndex(idx->name, t->schema().column(col).name).ok());
+    }
+  }
+  return persist::EncodeCatalog(out);
+}
+
+TEST(PersistTestRecovery, Db2RdfSectionNeedsItsIndexes) {
+  // The loader probes DPH/RPH.entry and DS/RS.l_id through their indexes,
+  // so a snapshot whose catalog lacks one must not open.
+  MemEnv env;
+  PersistOptions opts = SyncEveryRecord(&env);
+  auto store = RdfStore::Load(BaseGraph()).value();
+  ASSERT_TRUE(store->EnablePersistence("db", opts).ok());
+  ASSERT_TRUE(store->Close().ok());
+  auto clean = PersistenceManager::ScanForRecovery(&env, "db");
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const auto catalog =
+      static_cast<uint32_t>(persist::SnapshotSection::kCatalog);
+  const auto backend =
+      static_cast<uint32_t>(persist::SnapshotSection::kBackend);
+
+  for (const char* index : {"dph_entry", "rph_entry", "ds_lid", "rs_lid"}) {
+    persist::RecoveryPlan plan = *clean;
+    plan.sections[catalog] =
+        CatalogWithoutIndex(plan.sections[catalog], index);
+    auto reopened = RdfStore::OpenFromPlan(std::move(plan), opts, {});
+    EXPECT_TRUE(reopened.status().IsDataLoss())
+        << index << ": " << reopened.status().ToString();
+  }
+
+  // The backend section's index flag follows k_direct, k_reverse and the
+  // (empty) table prefix; every store writes 1.
+  constexpr size_t kFlagAt = 4 + 4 + 4;
+  ASSERT_EQ(clean->sections[backend][kFlagAt], 1);
+  for (int flag : {0, 2}) {
+    persist::RecoveryPlan plan = *clean;
+    plan.sections[backend][kFlagAt] = static_cast<char>(flag);
+    auto reopened = RdfStore::OpenFromPlan(std::move(plan), opts, {});
+    EXPECT_TRUE(reopened.status().IsDataLoss())
+        << "flag " << flag << ": " << reopened.status().ToString();
+  }
+
+  auto reopened = RdfStore::OpenFromPlan(std::move(*clean), opts, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto fresh = RdfStore::Load(BaseGraph()).value();
+  EXPECT_EQ(AllTriples(**reopened), AllTriples(*fresh));
+  ASSERT_TRUE((*reopened)->Close().ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 /// Serializer round-trips: the dictionary (empty store, non-ASCII literals,
 /// >64KiB literals, id stability), statistics (with and without the
-/// per-predicate fan-out tail) and the triple-batch WAL payloads.
+/// per-predicate fan-out tail), the triple-batch WAL payloads and the
+/// catalog's index kind bytes.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
 #include "sparql/parser.h"
+#include "sql/catalog.h"
 
 namespace rdfrel::persist {
 namespace {
@@ -180,6 +182,51 @@ TEST(PersistTestSerializer, StatisticsWithoutFanoutTailDecode) {
   EXPECT_TRUE(DecodeStatistics(full.substr(0, full.size() - object_map))
                   .status()
                   .IsDataLoss());
+}
+
+TEST(PersistTestSerializer, CatalogKindBytesDecodeToOneIndex) {
+  // Each catalog index carries a kind byte: 0 for the ordered tree that once
+  // backed the entry columns, 1 for a hash index. Both decode to the one
+  // equality index; any other byte is DataLoss.
+  sql::Catalog catalog;
+  auto table = catalog.CreateTable(
+      "t", sql::Schema({{"k", sql::ValueType::kInt64},
+                        {"v", sql::ValueType::kString}}));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE((*table)
+                    ->Insert({sql::Value::Int(i % 3),
+                              sql::Value::Str("v" + std::to_string(i))})
+                    .ok());
+  }
+  ASSERT_TRUE((*table)->CreateIndex("t_k", "k").ok());
+  const std::string payload = EncodeCatalog(catalog);
+  std::string index_entry;
+  PutString(&index_entry, "t_k");
+  PutString(&index_entry, "k");
+  const size_t at = payload.find(index_entry);
+  ASSERT_NE(at, std::string::npos);
+  const size_t kind_at = at + index_entry.size();
+  EXPECT_EQ(payload[kind_at], 1) << "an index is written as a hash index";
+
+  for (int kind : {0, 1}) {
+    std::string bytes = payload;
+    bytes[kind_at] = static_cast<char>(kind);
+    sql::Catalog restored;
+    Status st = DecodeCatalogInto(bytes, &restored);
+    ASSERT_TRUE(st.ok()) << "kind " << kind << ": " << st.ToString();
+    auto t = restored.GetTable("t");
+    ASSERT_TRUE(t.ok());
+    const sql::IndexInfo* idx = (*t)->FindIndexOn("k");
+    ASSERT_NE(idx, nullptr) << "kind " << kind;
+    EXPECT_EQ(idx->name, "t_k");
+    EXPECT_EQ(idx->Lookup(sql::Value::Int(1)).size(), 2u);
+    EXPECT_TRUE(idx->Lookup(sql::Value::Int(3)).empty());
+  }
+  std::string bytes = payload;
+  bytes[kind_at] = 2;
+  sql::Catalog restored;
+  EXPECT_TRUE(DecodeCatalogInto(bytes, &restored).IsDataLoss());
 }
 
 }  // namespace

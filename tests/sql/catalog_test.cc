@@ -35,7 +35,7 @@ TEST(CatalogTest, TableNamesListed) {
 
 TEST(TableTest, IndexMaintainedOnInsert) {
   Table t("people", PeopleSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_id", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
   auto rid = t.Insert({Value::Int(1), Value::Str("ann")});
   ASSERT_TRUE(rid.ok());
   const IndexInfo* idx = t.FindIndexOn("id");
@@ -49,7 +49,7 @@ TEST(TableTest, IndexBackfillsExistingRows) {
   Table t("people", PeopleSchema());
   ASSERT_TRUE(t.Insert({Value::Int(1), Value::Str("a")}).ok());
   ASSERT_TRUE(t.Insert({Value::Int(2), Value::Str("b")}).ok());
-  ASSERT_TRUE(t.CreateIndex("idx_id", "id", IndexKind::kHash).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
   const IndexInfo* idx = t.FindIndexOn("id");
   ASSERT_NE(idx, nullptr);
   EXPECT_EQ(idx->Lookup(Value::Int(2)).size(), 1u);
@@ -57,7 +57,7 @@ TEST(TableTest, IndexBackfillsExistingRows) {
 
 TEST(TableTest, IndexFollowsUpdateAndDelete) {
   Table t("people", PeopleSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_id", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
   auto rid = t.Insert({Value::Int(1), Value::Str("ann")});
   ASSERT_TRUE(rid.ok());
   ASSERT_TRUE(t.Update(*rid, {Value::Int(99), Value::Str("ann")}).ok());
@@ -70,7 +70,7 @@ TEST(TableTest, IndexFollowsUpdateAndDelete) {
 
 TEST(TableTest, NullKeysNotIndexed) {
   Table t("people", PeopleSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_id", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
   ASSERT_TRUE(t.Insert({Value::Null(), Value::Str("ghost")}).ok());
   const IndexInfo* idx = t.FindIndexOn("id");
   EXPECT_EQ(idx->Lookup(Value::Null()).size(), 0u);
@@ -78,11 +78,11 @@ TEST(TableTest, NullKeysNotIndexed) {
 
 TEST(TableTest, DuplicateIndexRejected) {
   Table t("people", PeopleSchema());
-  ASSERT_TRUE(t.CreateIndex("idx", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx", "id").ok());
   EXPECT_TRUE(
-      t.CreateIndex("idx", "name", IndexKind::kBTree).IsAlreadyExists());
+      t.CreateIndex("idx", "name").IsAlreadyExists());
   EXPECT_TRUE(
-      t.CreateIndex("idx2", "missing", IndexKind::kBTree).IsNotFound());
+      t.CreateIndex("idx2", "missing").IsNotFound());
 }
 
 TEST(HashIndexTest, Basics) {

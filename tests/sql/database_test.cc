@@ -95,6 +95,68 @@ TEST_F(DatabaseTest, RowValueInListOverAJoin) {
                   .rows.empty());
 }
 
+/// Sorted rows of \p r, rendered for comparison.
+std::vector<std::string> SortedRows(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const auto& row : r.rows) {
+    std::string line;
+    for (const auto& v : row) line += v.ToString() + "|";
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(DatabaseTest, NumericKeysMatchAcrossIntAndDouble) {
+  // An index finds a key written as the other numeric type: 5 in a DOUBLE
+  // column (stored as 5.0) and 5.0 against a BIGINT column. Each indexed
+  // table must answer exactly as its unindexed twin.
+  for (const char* t : {"d_idx", "d_seq"}) {
+    Exec(std::string("CREATE TABLE ") + t + " (x DOUBLE, tag VARCHAR)");
+    Exec(std::string("INSERT INTO ") + t +
+         " VALUES (5, 'a'), (5.0, 'b'), (5.5, 'c'), (7, 'd'), (NULL, 'e')");
+  }
+  for (const char* t : {"i_idx", "i_seq"}) {
+    Exec(std::string("CREATE TABLE ") + t + " (k BIGINT, tag VARCHAR)");
+    Exec(std::string("INSERT INTO ") + t +
+         " VALUES (5, 'a'), (5, 'b'), (6, 'c'), (7, 'd'), (NULL, 'e')");
+  }
+  Exec("CREATE INDEX d_idx_x ON d_idx (x)");
+  Exec("CREATE INDEX i_idx_k ON i_idx (k)");
+  Exec("CREATE TABLE probe_i (v BIGINT)");
+  Exec("INSERT INTO probe_i VALUES (5), (7), (8)");
+  Exec("CREATE TABLE probe_d (v DOUBLE)");
+  Exec("INSERT INTO probe_d VALUES (5.0), (5.5), (7.0), (6.5)");
+
+  struct Case {
+    std::string indexed;
+    std::string unindexed;
+    std::string op;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT tag FROM d_idx WHERE x = 5",
+       "SELECT tag FROM d_seq WHERE x = 5", "IndexScan(d_idx)"},
+      {"SELECT tag FROM i_idx WHERE k = 5.0",
+       "SELECT tag FROM i_seq WHERE k = 5.0", "IndexScan(i_idx)"},
+      {"SELECT p.v, t.tag FROM probe_i AS p, d_idx AS t WHERE p.v = t.x",
+       "SELECT p.v, t.tag FROM probe_i AS p, d_seq AS t WHERE p.v = t.x",
+       "IndexNLJoin(d_idx)"},
+      {"SELECT p.v, t.tag FROM probe_d AS p, i_idx AS t WHERE p.v = t.k",
+       "SELECT p.v, t.tag FROM probe_d AS p, i_seq AS t WHERE p.v = t.k",
+       "IndexNLJoin(i_idx)"},
+  };
+  for (const Case& c : cases) {
+    std::string profile;
+    auto indexed = db_.QueryProfiled(c.indexed, &profile);
+    ASSERT_TRUE(indexed.ok()) << c.indexed << " -> "
+                              << indexed.status().ToString();
+    EXPECT_NE(profile.find(c.op), std::string::npos) << profile;
+    const QueryResult unindexed = Q(c.unindexed);
+    EXPECT_FALSE(unindexed.rows.empty()) << c.unindexed;
+    EXPECT_EQ(SortedRows(*indexed), SortedRows(unindexed)) << c.indexed;
+  }
+}
+
 TEST_F(DatabaseTest, FilterNonIndexed) {
   auto r = Q("SELECT name FROM emp WHERE salary >= 90.0");
   EXPECT_EQ(r.rows.size(), 2u);

@@ -130,7 +130,7 @@ TEST(ExecutorTest, HashJoinResidualFiltersWithinMatches) {
 TEST(ExecutorTest, IndexNLJoinProbesAndPads) {
   Table table("inner", Schema({{"id", ValueType::kInt64},
                                {"v", ValueType::kString}}));
-  ASSERT_TRUE(table.CreateIndex("idx", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(table.CreateIndex("idx", "id").ok());
   ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("one")}).ok());
   ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("uno")}).ok());
   ASSERT_TRUE(table.Insert({Value::Int(2), Value::Str("two")}).ok());

@@ -168,10 +168,12 @@ TEST(ParserTest, CreateTable) {
 TEST(ParserTest, CreateIndexVariants) {
   auto r1 = ParseSql("CREATE INDEX i1 ON t (id)");
   ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(r1->create_index->hash);
+  EXPECT_EQ(r1->create_index->index_name, "i1");
+  EXPECT_EQ(r1->create_index->table_name, "t");
+  EXPECT_EQ(r1->create_index->column_name, "id");
+  // Every index is an equality hash index; there is no kind to choose.
   auto r2 = ParseSql("CREATE HASH INDEX i2 ON t (id)");
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(r2->create_index->hash);
+  EXPECT_TRUE(r2.status().IsParseError()) << r2.status().ToString();
 }
 
 TEST(ParserTest, InsertMultiRow) {

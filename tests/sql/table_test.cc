@@ -106,7 +106,7 @@ TEST(TableTest, InsertGetDelete) {
 
 TEST(TableTest, UpdateInPlaceKeepsRowId) {
   Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("t_name", "name", IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("t_name", "name").ok());
   auto rid = t.Insert({Value::Int(1), Value::Str("small"), Value::Null()});
   ASSERT_TRUE(rid.ok());
   for (int i = 0; i < 50; ++i) {
@@ -139,7 +139,7 @@ TEST(TableTest, UpdateShrinksThenGrows) {
 
 TEST(TableTest, RejectedUpdateLeavesRowAndIndex) {
   Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("t_id", "id", IndexKind::kHash).ok());
+  ASSERT_TRUE(t.CreateIndex("t_id", "id").ok());
   Row row = {Value::Int(1), Value::Str("x"), Value::Null()};
   auto rid = t.Insert(row);
   ASSERT_TRUE(rid.ok());
@@ -204,7 +204,7 @@ TEST(TableTest, ManyRowsGetById) {
 
 TEST(TableTest, DeletedSlotIsReusedAndReindexed) {
   Table t("t", Schema({{"k", ValueType::kInt64}}));
-  ASSERT_TRUE(t.CreateIndex("t_k", "k", IndexKind::kHash).ok());
+  ASSERT_TRUE(t.CreateIndex("t_k", "k").ok());
   auto a = t.Insert({Value::Int(7)});
   auto b = t.Insert({Value::Int(8)});
   ASSERT_TRUE(a.ok() && b.ok());

@@ -1,8 +1,11 @@
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "sparql/parser.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
 #include "store/triple_store_backend.h"
@@ -347,6 +350,28 @@ TEST_F(StoreTest, IncrementalInsertVisibleToQueries) {
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after->size(), 1u);
   EXPECT_EQ(after->rows[0][0], Term::Iri("http://ex/ElonMusk"));
+}
+
+TEST_F(StoreTest, QueryParsedHonorsDeadlineAndCancel) {
+  auto q = sparql::ParseQuery(std::string(kPrefix) +
+                              "SELECT ?x ?y WHERE { ?x :industry ?y }");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  QueryOptions expired;
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  auto late = db2rdf_->QueryParsed(*q, expired);
+  EXPECT_TRUE(late.status().IsDeadlineExceeded()) << late.status().ToString();
+
+  std::atomic<bool> cancel{true};
+  QueryOptions cancelled;
+  cancelled.cancel = &cancel;
+  auto stopped = db2rdf_->QueryParsed(*q, cancelled);
+  EXPECT_TRUE(stopped.status().IsCancelled()) << stopped.status().ToString();
+
+  cancel.store(false);
+  auto answered = db2rdf_->QueryParsed(*q, cancelled);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->size(), 5u);
 }
 
 TEST_F(StoreTest, HashOnlyStoreAnswersSame) {
