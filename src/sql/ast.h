@@ -3,9 +3,11 @@
 
 /// \file ast.h
 /// Abstract syntax for the SQL subset the engine executes. The subset is
-/// exactly what the SPARQL->SQL translator emits (paper §3.2, Figs. 12-13):
+/// exactly what the SPARQL->SQL translators emit (paper §3.2, Figs. 12-13):
 /// WITH/CTE chains, SELECT with CASE/COALESCE, comma joins + LEFT OUTER
-/// JOIN, UNION ALL, UNNEST lateral flips, plus the DDL/DML needed by tests.
+/// JOIN, UNION ALL, UNNEST lateral flips, LIMIT/OFFSET, plus the DDL/DML
+/// needed by tests and benchmarks. There is no SQL ORDER BY (the stores sort
+/// decoded terms) and no derived table (CTEs are the only materialization).
 
 #include <memory>
 #include <optional>
@@ -105,20 +107,17 @@ struct SelectItem {
   bool agg_distinct = false;  ///< COUNT(DISTINCT e)
 };
 
-enum class FromKind { kTable, kSubquery, kUnnest };
-enum class JoinType { kComma, kInner, kLeftOuter };
+enum class FromKind { kTable, kUnnest };
+enum class JoinType { kComma, kLeftOuter };
 
 /// One entry in the FROM clause, plus how it joins to everything before it.
 struct FromItem {
   FromKind kind = FromKind::kTable;
   JoinType join = JoinType::kComma;
-  ExprPtr on;  ///< ON condition for kInner/kLeftOuter; null for comma
+  ExprPtr on;  ///< ON condition for kLeftOuter; null for comma
 
   // kTable
   std::string table_name;
-
-  // kSubquery
-  std::unique_ptr<SelectStmt> subquery;
 
   // kUnnest: UNNEST(e1, e2, ...) AS alias(col) — a lateral operator that
   // emits one row per argument, with column `col` bound to that argument's
@@ -146,22 +145,16 @@ struct SelectCore {
   }
 };
 
-struct OrderItem {
-  ExprPtr expr;
-  bool descending = false;
-};
-
 struct CteDef {
   std::string name;
   std::unique_ptr<SelectStmt> query;
 };
 
 /// A full query: CTE prologue, one or more cores joined by UNION ALL,
-/// optional ORDER BY / LIMIT / OFFSET.
+/// optional LIMIT / OFFSET.
 struct SelectStmt {
   std::vector<CteDef> ctes;
   std::vector<SelectCore> cores;  ///< cores[1..] union-all'ed onto cores[0]
-  std::vector<OrderItem> order_by;
   std::optional<int64_t> limit;
   std::optional<int64_t> offset;
 };

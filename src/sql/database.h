@@ -47,7 +47,7 @@ class Database {
   /// order, on the calling thread; the batch is only valid for the duration
   /// of the call. A non-OK return from \p on_batch aborts execution and is
   /// returned verbatim. \p control (optional, borrowed) is checked at every
-  /// batch boundary — including inside blocking operators and CTE/subquery
+  /// batch boundary — including inside blocking operators and CTE
   /// materialization — and surfaces kDeadlineExceeded / kCancelled.
   Status QueryStreaming(std::string_view sql, const ExecControl* control,
                         std::vector<std::string>* columns,

@@ -603,58 +603,6 @@ Result<bool> DistinctOp::NextBatchImpl(RowBatch* out) {
   }
 }
 
-// ------------------------------------------------------------------ SortOp
-
-SortOp::SortOp(OperatorPtr child, std::vector<BoundExprPtr> keys,
-               std::vector<bool> descending)
-    : child_(std::move(child)),
-      keys_(std::move(keys)),
-      descending_(std::move(descending)) {
-  scope_ = child_->scope();
-}
-
-Status SortOp::Open() {
-  RDFREL_RETURN_NOT_OK(child_->Open());
-  rows_.clear();
-  pos_ = 0;
-  RDFREL_RETURN_NOT_OK(ForEachChildRow(child_.get(), [&](const Row& row) {
-    rows_.push_back(row);
-    return Status::OK();
-  }));
-  // Precompute sort keys per row to keep the comparator exception-free.
-  std::vector<std::vector<Value>> sort_keys(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    sort_keys[i].reserve(keys_.size());
-    for (const auto& k : keys_) {
-      auto v = k->Evaluate(rows_[i]);
-      if (!v.ok()) return v.status();
-      sort_keys[i].push_back(std::move(*v));
-    }
-  }
-  std::vector<size_t> order(rows_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      int c = sort_keys[a][k].Compare(sort_keys[b][k]);
-      if (c != 0) return descending_[k] ? c > 0 : c < 0;
-    }
-    return false;
-  });
-  std::vector<Row> sorted;
-  sorted.reserve(rows_.size());
-  for (size_t i : order) sorted.push_back(std::move(rows_[i]));
-  rows_ = std::move(sorted);
-  return Status::OK();
-}
-
-Result<bool> SortOp::NextBatchImpl(RowBatch* out) {
-  if (pos_ >= rows_.size()) return false;
-  size_t n = std::min(out->capacity(), rows_.size() - pos_);
-  out->Borrow(rows_.data() + pos_, n);
-  pos_ += n;
-  return true;
-}
-
 // ------------------------------------------------------------- AggregateOp
 
 AggregateOp::AggregateOp(OperatorPtr child, std::vector<BoundExprPtr> keys,
@@ -1014,23 +962,6 @@ Status UnionAllOp::VerifySelf() const {
 Status DistinctOp::VerifySelf() const {
   if (scope_.size() != child_->scope().size()) {
     return Status::InternalPlanError("distinct changes scope arity");
-  }
-  return Status::OK();
-}
-
-Status SortOp::VerifySelf() const {
-  if (keys_.size() != descending_.size()) {
-    return Status::InternalPlanError(
-        std::to_string(keys_.size()) + " keys vs " +
-        std::to_string(descending_.size()) + " direction flags");
-  }
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    std::string what = "sort key " + std::to_string(i);
-    RDFREL_RETURN_NOT_OK(
-        CheckExprSlots(*keys_[i], child_->scope().size(), what.c_str()));
-  }
-  if (scope_.size() != child_->scope().size()) {
-    return Status::InternalPlanError("sort changes scope arity");
   }
   return Status::OK();
 }

@@ -39,8 +39,8 @@ namespace rdfrel::sql {
 /// parameter remain only for the perfbench harness, which calls them.
 enum class ExecMode { kBatch };
 
-/// A materialized intermediate result (CTE or derived table), shared between
-/// the planner's execution of the CTE and later scans of it.
+/// A materialized CTE result, shared between the planner's execution of the
+/// CTE and later scans of it.
 struct Materialized {
   Scope scope;             ///< qualifier = the materialized name
   std::vector<Row> rows;
@@ -162,7 +162,7 @@ class IndexScanOp final : public Operator {
   size_t pos_ = 0;
 };
 
-/// Scans a materialized result (CTE / derived table) under a new alias,
+/// Scans a materialized CTE under a new alias,
 /// borrowing the cached rows (zero copies).
 class MaterializedScanOp final : public Operator {
  public:
@@ -385,28 +385,6 @@ class DistinctOp final : public Operator {
   OperatorPtr child_;
   std::unordered_set<std::vector<Value>, ValueVectorHasher> seen_;
   std::vector<uint32_t> sel_;
-};
-
-/// Full sort (materializing). Key i uses keys_[i], descending per flag.
-/// Batches are served as zero-copy slices of the sorted buffer.
-class SortOp final : public Operator {
- public:
-  SortOp(OperatorPtr child, std::vector<BoundExprPtr> keys,
-         std::vector<bool> descending);
-  Status Open() override;
-  std::string name() const override { return "Sort"; }
-  std::vector<Operator*> children() override { return {child_.get()}; }
-  Status VerifySelf() const override;
-
- protected:
-  Result<bool> NextBatchImpl(RowBatch* out) override;
-
- private:
-  OperatorPtr child_;
-  std::vector<BoundExprPtr> keys_;
-  std::vector<bool> descending_;
-  std::vector<Row> rows_;
-  size_t pos_ = 0;
 };
 
 /// Hash aggregation (GROUP BY keys + aggregate functions). Output columns

@@ -100,7 +100,7 @@ Result<BoundExprPtr> BindExpr(const ast::Expr& expr, const Scope& scope);
 Result<Value> ConstantValue(const ast::Expr& expr);
 
 /// A bound expression reading row slot \p slot directly (planner helper for
-/// hidden sort columns and projection trims).
+/// the projection over aggregate output).
 BoundExprPtr MakeSlotRef(int slot);
 
 /// SQL truthiness: NULL -> nullopt, numeric -> (v != 0). Strings are not

@@ -400,18 +400,8 @@ class Parser {
       RDFREL_ASSIGN_OR_RETURN(SelectCore next, ParseSelectCore());
       stmt->cores.push_back(std::move(next));
     }
-    if (ConsumeKeyword("ORDER")) {
-      RDFREL_RETURN_NOT_OK(ExpectKeyword("BY"));
-      do {
-        OrderItem item;
-        RDFREL_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (ConsumeKeyword("DESC")) {
-          item.descending = true;
-        } else {
-          ConsumeKeyword("ASC");
-        }
-        stmt->order_by.push_back(std::move(item));
-      } while (ConsumeSymbol(","));
+    if (PeekKeyword("ORDER")) {
+      return Error("SQL ORDER BY is unsupported: the store sorts decoded terms");
     }
     if (ConsumeKeyword("LIMIT")) {
       RDFREL_ASSIGN_OR_RETURN(stmt->limit, ParseCount("LIMIT"));
@@ -466,24 +456,11 @@ class Parser {
         core.from.push_back(std::move(item));
         continue;
       }
-      JoinType jt;
-      if (PeekKeyword("LEFT")) {
-        Advance();
-        ConsumeKeyword("OUTER");
-        RDFREL_RETURN_NOT_OK(ExpectKeyword("JOIN"));
-        jt = JoinType::kLeftOuter;
-      } else if (PeekKeyword("INNER")) {
-        Advance();
-        RDFREL_RETURN_NOT_OK(ExpectKeyword("JOIN"));
-        jt = JoinType::kInner;
-      } else if (PeekKeyword("JOIN")) {
-        Advance();
-        jt = JoinType::kInner;
-      } else {
-        break;
-      }
+      if (!ConsumeKeyword("LEFT")) break;
+      ConsumeKeyword("OUTER");
+      RDFREL_RETURN_NOT_OK(ExpectKeyword("JOIN"));
       RDFREL_ASSIGN_OR_RETURN(FromItem item, ParseFromItem());
-      item.join = jt;
+      item.join = JoinType::kLeftOuter;
       RDFREL_RETURN_NOT_OK(ExpectKeyword("ON"));
       RDFREL_ASSIGN_OR_RETURN(item.on, ParseExpr());
       core.from.push_back(std::move(item));
@@ -532,20 +509,6 @@ class Parser {
       RDFREL_ASSIGN_OR_RETURN(item.unnest_column,
                               ExpectIdentifier("UNNEST column"));
       RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
-      return item;
-    }
-    if (PeekSymbol("(")) {
-      Advance();
-      item.kind = FromKind::kSubquery;
-      RDFREL_ASSIGN_OR_RETURN(item.subquery, ParseSelectStmt());
-      RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
-      bool had_as = ConsumeKeyword("AS");
-      if (had_as || (Peek().kind == TokenKind::kIdentifier && !PeekReserved())) {
-        RDFREL_ASSIGN_OR_RETURN(item.alias,
-                                ExpectIdentifier("subquery alias"));
-      } else {
-        return Error("derived table requires an alias");
-      }
       return item;
     }
     item.kind = FromKind::kTable;

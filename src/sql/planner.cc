@@ -32,7 +32,7 @@ struct Conjunct {
 struct PendingSource {
   // Base table (kind == kTable resolving to catalog).
   const Table* table = nullptr;
-  // Materialized (CTE or derived table).
+  // Materialized CTE.
   std::shared_ptr<const Materialized> mat;
   std::string alias;
   Scope scope;
@@ -42,17 +42,15 @@ struct PendingSource {
 
 class CorePlanner {
  public:
-  CorePlanner(const Catalog& catalog, CteEnv* env, const ExecControl* control)
-      : catalog_(catalog), env_(env), control_(control) {}
+  CorePlanner(const Catalog& catalog, const CteEnv* env)
+      : catalog_(catalog), env_(env) {}
 
-  /// Plans one core. When \p order_by is non-null the sort is planted inside
-  /// this core (below the final projection trim), so sort keys may reference
-  /// either output aliases or underlying FROM columns — matching standard
-  /// SQL ORDER BY scoping for a non-UNION query.
-  Result<OperatorPtr> PlanCore(const SelectCore& core,
-                               const std::vector<ast::OrderItem>* order_by) {
+  /// Plans one core: its join tree, then the aggregate path or the
+  /// projection.
+  Result<OperatorPtr> PlanCore(const SelectCore& core) {
     RDFREL_ASSIGN_OR_RETURN(OperatorPtr current, PlanJoinTree(core));
-    return FinishCore(core, std::move(current), order_by);
+    if (core.HasAggregates()) return PlanAggregate(core, std::move(current));
+    return PlanProjection(core, std::move(current));
   }
 
   /// Plans the FROM/WHERE join pipeline of a core — everything below the
@@ -148,21 +146,10 @@ class CorePlanner {
     return current;
   }
 
-  /// Completes a core above its join tree: aggregate path, or projection +
-  /// sort/trim/distinct.
-  Result<OperatorPtr> FinishCore(const SelectCore& core, OperatorPtr current,
-                                 const std::vector<ast::OrderItem>* order_by) {
-    if (core.HasAggregates()) {
-      return PlanAggregate(core, std::move(current), order_by);
-    }
-    return PlanProjection(core, std::move(current), order_by);
-  }
-
-  /// Builds the SELECT-list projection (plus hidden ORDER BY columns) over
-  /// \p current, then sort + hidden-column trim + DISTINCT above it.
-  Result<OperatorPtr> PlanProjection(
-      const SelectCore& core, OperatorPtr current,
-      const std::vector<ast::OrderItem>* order_by) {
+  /// Builds the SELECT-list projection over \p current, then DISTINCT above
+  /// it.
+  Result<OperatorPtr> PlanProjection(const SelectCore& core,
+                                     OperatorPtr current) {
     std::vector<BoundExprPtr> exprs;
     Scope out;
     for (const auto& it : core.items) {
@@ -188,51 +175,8 @@ class CorePlanner {
       }
       out.Add("", name);
     }
-    // ORDER BY handling: keys naming output columns sort on the projected
-    // slot; anything else is computed from the pre-projection row as a
-    // hidden column, sorted on, then trimmed away.
-    size_t visible = exprs.size();
-    std::vector<int> sort_slots;
-    std::vector<bool> sort_desc;
-    if (order_by != nullptr) {
-      for (const auto& item : *order_by) {
-        int slot = -1;
-        if (item.expr->kind == ExprKind::kColumnRef &&
-            item.expr->qualifier.empty()) {
-          auto r = out.Resolve("", item.expr->column);
-          if (r.ok()) slot = *r;
-        }
-        if (slot < 0) {
-          RDFREL_ASSIGN_OR_RETURN(BoundExprPtr hidden,
-                                  BindExpr(*item.expr, current->scope()));
-          exprs.push_back(std::move(hidden));
-          slot = out.Add("", "__sort" + std::to_string(sort_slots.size()));
-        }
-        sort_slots.push_back(slot);
-        sort_desc.push_back(item.descending);
-      }
-    }
-
     current = std::make_unique<ProjectOp>(std::move(current),
-                                          std::move(exprs), out);
-    if (!sort_slots.empty()) {
-      std::vector<BoundExprPtr> keys;
-      for (int s : sort_slots) keys.push_back(MakeSlotRef(s));
-      current = std::make_unique<SortOp>(std::move(current), std::move(keys),
-                                         std::move(sort_desc));
-    }
-    if (out.size() > visible) {
-      // Trim hidden sort columns.
-      std::vector<BoundExprPtr> trim;
-      Scope trimmed;
-      for (size_t i = 0; i < visible; ++i) {
-        trim.push_back(MakeSlotRef(static_cast<int>(i)));
-        trimmed.Add("", out.column(i).second);
-      }
-      current = std::make_unique<ProjectOp>(std::move(current),
-                                            std::move(trim),
-                                            std::move(trimmed));
-    }
+                                          std::move(exprs), std::move(out));
     if (core.distinct) {
       current = std::make_unique<DistinctOp>(std::move(current));
     }
@@ -241,11 +185,9 @@ class CorePlanner {
 
   /// GROUP BY / aggregate planning: AggregateOp over the joined input, then
   /// a projection restoring the SELECT-list order. Non-aggregate items must
-  /// textually match a GROUP BY expression; ORDER BY may reference output
-  /// aliases only.
-  Result<OperatorPtr> PlanAggregate(
-      const SelectCore& core, OperatorPtr input,
-      const std::vector<ast::OrderItem>* order_by) {
+  /// textually match a GROUP BY expression.
+  Result<OperatorPtr> PlanAggregate(const SelectCore& core,
+                                    OperatorPtr input) {
     std::vector<BoundExprPtr> keys;
     std::vector<std::string> key_strs;
     for (const auto& g : core.group_by) {
@@ -311,19 +253,7 @@ class CorePlanner {
       out.Add("", oc.name);
     }
     current = std::make_unique<ProjectOp>(std::move(current),
-                                          std::move(exprs), out);
-
-    if (order_by != nullptr && !order_by->empty()) {
-      std::vector<BoundExprPtr> sort_keys;
-      std::vector<bool> desc;
-      for (const auto& item : *order_by) {
-        RDFREL_ASSIGN_OR_RETURN(BoundExprPtr k, BindExpr(*item.expr, out));
-        sort_keys.push_back(std::move(k));
-        desc.push_back(item.descending);
-      }
-      current = std::make_unique<SortOp>(
-          std::move(current), std::move(sort_keys), std::move(desc));
-    }
+                                          std::move(exprs), std::move(out));
     if (core.distinct) {
       current = std::make_unique<DistinctOp>(std::move(current));
     }
@@ -331,26 +261,11 @@ class CorePlanner {
   }
 
  private:
-  /// Resolves a FROM item to a pending source (base table or materialized).
+  /// Resolves a FROM table name to a pending source: CTE first, then
+  /// catalog.
   Result<PendingSource> ResolveSource(const FromItem& item) {
     PendingSource src;
     src.alias = item.alias;
-    if (item.kind == FromKind::kSubquery) {
-      RDFREL_ASSIGN_OR_RETURN(OperatorPtr sub,
-                              PlanSelect(catalog_, *item.subquery, env_,
-                                         control_));
-      RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                              CollectRows(sub.get(), control_));
-      auto mat = std::make_shared<Materialized>();
-      mat->scope = sub->scope();
-      mat->rows = std::move(rows);
-      src.mat = mat;
-      for (size_t i = 0; i < mat->scope.size(); ++i) {
-        src.scope.Add(src.alias, mat->scope.column(i).second);
-      }
-      return src;
-    }
-    // Table name: CTE first, then catalog.
     auto cte = env_->find(ToLowerAscii(item.table_name));
     if (cte != env_->end()) {
       src.mat = cte->second;
@@ -683,8 +598,7 @@ class CorePlanner {
   static BoundExprPtr MakeAndExpr(BoundExprPtr a, BoundExprPtr b);
 
   const Catalog& catalog_;
-  CteEnv* env_;
-  const ExecControl* control_;  ///< cancellation for those materializations
+  const CteEnv* env_;
   std::vector<ast::ExprPtr> owned_;
 };
 
@@ -738,14 +652,9 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
   // Plan cores. Bound expressions copy what they need from the AST, so the
   // planner (and the AST nodes it owns) may die before execution.
   std::vector<OperatorPtr> cores;
-  const bool single_core = stmt.cores.size() == 1;
   for (const auto& core : stmt.cores) {
-    CorePlanner planner(catalog, env, control);
-    RDFREL_ASSIGN_OR_RETURN(
-        OperatorPtr op,
-        planner.PlanCore(core, single_core && !stmt.order_by.empty()
-                                   ? &stmt.order_by
-                                   : nullptr));
+    CorePlanner planner(catalog, env);
+    RDFREL_ASSIGN_OR_RETURN(OperatorPtr op, planner.PlanCore(core));
     cores.push_back(std::move(op));
   }
 
@@ -763,18 +672,6 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
     root = std::make_unique<UnionAllOp>(std::move(cores));
   }
 
-  if (!stmt.order_by.empty() && !single_core) {
-    std::vector<BoundExprPtr> keys;
-    std::vector<bool> desc;
-    for (const auto& item : stmt.order_by) {
-      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr k,
-                              BindExpr(*item.expr, root->scope()));
-      keys.push_back(std::move(k));
-      desc.push_back(item.descending);
-    }
-    root = std::make_unique<SortOp>(std::move(root), std::move(keys),
-                                    std::move(desc));
-  }
   if (stmt.limit.has_value() || stmt.offset.has_value()) {
     root = std::make_unique<LimitOp>(std::move(root), stmt.limit,
                                      stmt.offset);

@@ -27,9 +27,8 @@ using CteEnv = std::map<std::string, std::shared_ptr<const Materialized>>;
 /// CTEs may reference earlier ones), then returns the root operator for the
 /// statement body. The returned operator tree borrows \p catalog and the
 /// materialized results in \p env; both must outlive it. \p control (when
-/// non-null) makes the CTE and subquery materializations — which run
-/// *during planning* — honor the query's deadline/cancel token, and must
-/// outlive execution.
+/// non-null) makes the CTE materializations — which run *during planning* —
+/// honor the query's deadline/cancel token, and must outlive execution.
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
                                const ExecControl* control = nullptr);

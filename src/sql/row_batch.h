@@ -10,7 +10,7 @@
 ///    so a scan that refills the same batch never reallocates Row vectors
 ///    after warm-up;
 ///  - *borrowed*: the batch points into somebody else's contiguous rows
-///    (a table's slots, a Materialized CTE, a sort buffer) — zero copies,
+///    (a table's slots, a Materialized CTE) — zero copies,
 ///    valid while the producing operator is alive.
 ///
 /// Filters do not compact either kind; they attach a *selection vector* of

@@ -274,18 +274,6 @@ Status ExecuteDecodedSqlStreaming(
   return sink.End();
 }
 
-Result<ResultSet> ExecuteDecodedSql(
-    sql::Database* db, const std::string& sql, const sparql::Query& query,
-    const rdf::Dictionary& dict,
-    const std::vector<const sparql::FilterExpr*>& post_filters,
-    const std::vector<std::string>& post_filter_vars,
-    const QueryOptions& opts) {
-  CollectingSink sink;
-  RDFREL_RETURN_NOT_OK(ExecuteDecodedSqlStreaming(
-      db, sql, query, dict, post_filters, post_filter_vars, opts, sink));
-  return sink.TakeResult();
-}
-
 Status BuildLexTable(sql::Database* db, const rdf::Dictionary& dict,
                      const std::string& table) {
   RDFREL_ASSIGN_OR_RETURN(

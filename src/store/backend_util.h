@@ -51,10 +51,10 @@ std::string PlanCacheKey(std::string_view sparql, const QueryOptions& opts);
 /// The per-store plan/translation cache. Thread-safe; see util/lru_cache.h.
 class PlanCache {
  public:
-  static constexpr size_t kDefaultCapacity = 256;
+  /// Entry budget of every store's cache.
+  static constexpr size_t kCapacity = 256;
 
-  explicit PlanCache(size_t capacity = kDefaultCapacity)
-      : cache_(capacity) {}
+  PlanCache() : cache_(kCapacity) {}
 
   std::shared_ptr<const CachedPlan> Get(const std::string& key) {
     auto hit = cache_.Get(key);
@@ -137,14 +137,6 @@ Status ExecuteDecodedSqlStreaming(
     const std::vector<const sparql::FilterExpr*>& post_filters,
     const std::vector<std::string>& post_filter_vars,
     const QueryOptions& opts, RowSink& sink);
-
-/// Materializing convenience over the streaming back half.
-Result<ResultSet> ExecuteDecodedSql(
-    sql::Database* db, const std::string& sql, const sparql::Query& query,
-    const rdf::Dictionary& dict,
-    const std::vector<const sparql::FilterExpr*>& post_filters,
-    const std::vector<std::string>& post_filter_vars = {},
-    const QueryOptions& opts = {});
 
 /// Executes a translated plan (cache hit or fresh) against \p db.
 inline Status ExecutePlanStreaming(sql::Database* db, const CachedPlan& plan,

@@ -14,19 +14,19 @@ Result<std::unique_ptr<SparqlStore>> OpenStore(
                           RelationalStore::ScanForRecovery(dir, persist_opts));
   if (plan.backend_kind == RdfStore::kBackendKind) {
     RDFREL_ASSIGN_OR_RETURN(
-        auto store, RdfStore::OpenFromPlan(std::move(plan), persist_opts, {}));
+        auto store, RdfStore::OpenFromPlan(std::move(plan), persist_opts));
     return std::unique_ptr<SparqlStore>(std::move(store));
   }
   if (plan.backend_kind == TripleStoreBackend::kBackendKind) {
     RDFREL_ASSIGN_OR_RETURN(
         auto store,
-        TripleStoreBackend::OpenFromPlan(std::move(plan), persist_opts, {}));
+        TripleStoreBackend::OpenFromPlan(std::move(plan), persist_opts));
     return std::unique_ptr<SparqlStore>(std::move(store));
   }
   if (plan.backend_kind == PredicateStoreBackend::kBackendKind) {
     RDFREL_ASSIGN_OR_RETURN(
-        auto store, PredicateStoreBackend::OpenFromPlan(std::move(plan),
-                                                        persist_opts, {}));
+        auto store,
+        PredicateStoreBackend::OpenFromPlan(std::move(plan), persist_opts));
     return std::unique_ptr<SparqlStore>(std::move(store));
   }
   return Status::DataLoss("unknown backend kind in snapshot: '" +

@@ -198,19 +198,17 @@ Status PredicateStoreBackend::DecodeBackendSection(persist::ByteReader* in) {
 }
 
 Result<std::unique_ptr<PredicateStoreBackend>> PredicateStoreBackend::Open(
-    const std::string& dir, const PersistOptions& persist_opts,
-    const PredicateStoreOptions& options) {
+    const std::string& dir, const PersistOptions& persist_opts) {
   RDFREL_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
                           ScanForRecovery(dir, persist_opts));
-  return OpenFromPlan(std::move(plan), persist_opts, options);
+  return OpenFromPlan(std::move(plan), persist_opts);
 }
 
 Result<std::unique_ptr<PredicateStoreBackend>>
 PredicateStoreBackend::OpenFromPlan(persist::RecoveryPlan plan,
-                                    const PersistOptions& persist_opts,
-                                    const PredicateStoreOptions& options) {
+                                    const PersistOptions& persist_opts) {
   auto store = std::unique_ptr<PredicateStoreBackend>(
-      new PredicateStoreBackend(options));
+      new PredicateStoreBackend(PredicateStoreOptions{}));
   RDFREL_RETURN_NOT_OK(store->Recover(std::move(plan), persist_opts));
   return store;
 }

@@ -28,7 +28,6 @@ struct PredicateStoreOptions {
   /// table; beyond this many predicates the query is rejected (mirroring
   /// the scalability pain the paper ascribes to this layout).
   size_t max_union_predicates = 512;
-  size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 };
 
 class PredicateStoreBackend final : public RelationalStore {
@@ -38,20 +37,19 @@ class PredicateStoreBackend final : public RelationalStore {
   static Result<std::unique_ptr<PredicateStoreBackend>> Load(
       rdf::Graph graph, const PredicateStoreOptions& options = {});
 
-  /// Opens a persisted predicate store (see RelationalStore::Recover).
+  /// Opens a persisted predicate store (see RelationalStore::Recover). The
+  /// snapshot restores max_union_predicates.
   static Result<std::unique_ptr<PredicateStoreBackend>> Open(
-      const std::string& dir, const PersistOptions& persist_opts = {},
-      const PredicateStoreOptions& options = {});
+      const std::string& dir, const PersistOptions& persist_opts = {});
   static Result<std::unique_ptr<PredicateStoreBackend>> OpenFromPlan(
-      persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-      const PredicateStoreOptions& options);
+      persist::RecoveryPlan plan, const PersistOptions& persist_opts);
 
   std::string name() const override { return "Predicate-oriented"; }
   size_t num_predicate_tables() const { return tables_.size(); }
 
  private:
   explicit PredicateStoreBackend(const PredicateStoreOptions& options)
-      : RelationalStore(kBackendKind, options.plan_cache_capacity),
+      : RelationalStore(kBackendKind),
         options_(options) {}
 
   Result<translate::TranslatedQuery> Translate(

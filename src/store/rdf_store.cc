@@ -44,7 +44,7 @@ MappingChoice BuildMapping(const rdf::Graph& graph, bool reverse,
 
 Result<std::unique_ptr<RdfStore>> RdfStore::Load(
     rdf::Graph graph, const RdfStoreOptions& options) {
-  auto store = std::unique_ptr<RdfStore>(new RdfStore(options));
+  auto store = std::unique_ptr<RdfStore>(new RdfStore());
   store->stats_ = opt::Statistics::FromGraph(graph, options.stats_top_k);
 
   MappingChoice direct = BuildMapping(graph, /*reverse=*/false, options);
@@ -422,19 +422,17 @@ Status RdfStore::ReplayWal(const std::vector<persist::WalRecord>& records) {
 }
 
 Result<std::unique_ptr<RdfStore>> RdfStore::OpenFromPlan(
-    persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-    const RdfStoreOptions& options) {
-  auto store = std::unique_ptr<RdfStore>(new RdfStore(options));
+    persist::RecoveryPlan plan, const PersistOptions& persist_opts) {
+  auto store = std::unique_ptr<RdfStore>(new RdfStore());
   RDFREL_RETURN_NOT_OK(store->Recover(std::move(plan), persist_opts));
   return store;
 }
 
 Result<std::unique_ptr<RdfStore>> RdfStore::Open(
-    const std::string& dir, const PersistOptions& persist_opts,
-    const RdfStoreOptions& options) {
+    const std::string& dir, const PersistOptions& persist_opts) {
   RDFREL_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
                           ScanForRecovery(dir, persist_opts));
-  return OpenFromPlan(std::move(plan), persist_opts, options);
+  return OpenFromPlan(std::move(plan), persist_opts);
 }
 
 }  // namespace rdfrel::store

@@ -45,8 +45,6 @@ struct RdfStoreOptions {
   bool build_lex = true;
   /// Table-name prefix inside the embedded database.
   std::string prefix = "";
-  /// Entry budget of the plan/translation cache.
-  size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 };
 
 class RdfStore final : public RelationalStore {
@@ -63,16 +61,14 @@ class RdfStore final : public RelationalStore {
   /// (falling back to the previous on corruption), replays the committed
   /// WAL suffix — truncating a torn tail — and finishes recovery with a
   /// fresh checkpoint. With persist_opts.verify_on_recovery a verified
-  /// probe query gates the result.
+  /// probe query gates the result. The layout comes from the snapshot.
   static Result<std::unique_ptr<RdfStore>> Open(
-      const std::string& dir, const PersistOptions& persist_opts = {},
-      const RdfStoreOptions& options = {});
+      const std::string& dir, const PersistOptions& persist_opts = {});
 
   /// Recovery entry point shared with the store::OpenStore dispatcher:
   /// rebuilds a store from an already-scanned RecoveryPlan.
   static Result<std::unique_ptr<RdfStore>> OpenFromPlan(
-      persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-      const RdfStoreOptions& options);
+      persist::RecoveryPlan plan, const PersistOptions& persist_opts);
 
   std::string name() const override { return "DB2RDF"; }
 
@@ -107,8 +103,7 @@ class RdfStore final : public RelationalStore {
   }
 
  private:
-  explicit RdfStore(const RdfStoreOptions& options)
-      : RelationalStore(kBackendKind, options.plan_cache_capacity) {}
+  RdfStore() : RelationalStore(kBackendKind) {}
 
   /// The shared optimizer pipeline plus the DB2RDF SQL builder. Requires
   /// every closure table needed by \p query to already be materialized

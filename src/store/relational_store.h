@@ -79,8 +79,8 @@ class RelationalStore : public SparqlStore {
 
  protected:
   /// \p backend_kind is the tag written into snapshot metadata.
-  RelationalStore(const char* backend_kind, size_t plan_cache_capacity)
-      : plan_cache_(plan_cache_capacity), backend_kind_(backend_kind) {}
+  explicit RelationalStore(const char* backend_kind)
+      : backend_kind_(backend_kind) {}
 
   /// Layout hook: the shared optimizer pipeline plus this layout's SQL
   /// builder; fills \p explain when non-null.

@@ -37,8 +37,7 @@ class TripleStoreSqlBuilder final : public PatternSqlBuilderBase {
 
 Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::Load(
     rdf::Graph graph, const TripleStoreOptions& options) {
-  auto store =
-      std::unique_ptr<TripleStoreBackend>(new TripleStoreBackend(options));
+  auto store = std::unique_ptr<TripleStoreBackend>(new TripleStoreBackend());
   store->stats_ = opt::Statistics::FromGraph(graph, options.stats_top_k);
   RDFREL_ASSIGN_OR_RETURN(
       sql::Table * table,
@@ -75,18 +74,15 @@ Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::Load(
 }
 
 Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::Open(
-    const std::string& dir, const PersistOptions& persist_opts,
-    const TripleStoreOptions& options) {
+    const std::string& dir, const PersistOptions& persist_opts) {
   RDFREL_ASSIGN_OR_RETURN(persist::RecoveryPlan plan,
                           ScanForRecovery(dir, persist_opts));
-  return OpenFromPlan(std::move(plan), persist_opts, options);
+  return OpenFromPlan(std::move(plan), persist_opts);
 }
 
 Result<std::unique_ptr<TripleStoreBackend>> TripleStoreBackend::OpenFromPlan(
-    persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-    const TripleStoreOptions& options) {
-  auto store =
-      std::unique_ptr<TripleStoreBackend>(new TripleStoreBackend(options));
+    persist::RecoveryPlan plan, const PersistOptions& persist_opts) {
+  auto store = std::unique_ptr<TripleStoreBackend>(new TripleStoreBackend());
   RDFREL_RETURN_NOT_OK(store->Recover(std::move(plan), persist_opts));
   return store;
 }

@@ -24,7 +24,6 @@ struct TripleStoreOptions {
   bool index_predicate = false;  ///< the paper indexes only entry columns
   bool build_lex = true;
   size_t stats_top_k = 1000;
-  size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 };
 
 class TripleStoreBackend final : public RelationalStore {
@@ -36,17 +35,14 @@ class TripleStoreBackend final : public RelationalStore {
 
   /// Opens a persisted triple store (see RelationalStore::Recover).
   static Result<std::unique_ptr<TripleStoreBackend>> Open(
-      const std::string& dir, const PersistOptions& persist_opts = {},
-      const TripleStoreOptions& options = {});
+      const std::string& dir, const PersistOptions& persist_opts = {});
   static Result<std::unique_ptr<TripleStoreBackend>> OpenFromPlan(
-      persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-      const TripleStoreOptions& options);
+      persist::RecoveryPlan plan, const PersistOptions& persist_opts);
 
   std::string name() const override { return "Triple-store"; }
 
  private:
-  explicit TripleStoreBackend(const TripleStoreOptions& options)
-      : RelationalStore(kBackendKind, options.plan_cache_capacity) {}
+  TripleStoreBackend() : RelationalStore(kBackendKind) {}
 
   Result<translate::TranslatedQuery> Translate(
       const sparql::Query& query, const QueryOptions& opts,

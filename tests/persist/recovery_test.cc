@@ -601,7 +601,7 @@ TEST(PersistTestRecovery, BaselineWalRecordIsDataLoss) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   rec.lsn = plan->next_lsn;
   plan->records.push_back(rec);
-  auto ts = TripleStoreBackend::OpenFromPlan(std::move(*plan), opts, {});
+  auto ts = TripleStoreBackend::OpenFromPlan(std::move(*plan), opts);
   EXPECT_TRUE(ts.status().IsDataLoss()) << ts.status().ToString();
 
   auto pred = PredicateStoreBackend::Load(BaseGraph()).value();
@@ -611,7 +611,7 @@ TEST(PersistTestRecovery, BaselineWalRecordIsDataLoss) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   rec.lsn = plan->next_lsn;
   plan->records.push_back(rec);
-  auto ps = PredicateStoreBackend::OpenFromPlan(std::move(*plan), opts, {});
+  auto ps = PredicateStoreBackend::OpenFromPlan(std::move(*plan), opts);
   EXPECT_TRUE(ps.status().IsDataLoss()) << ps.status().ToString();
 }
 
@@ -657,7 +657,7 @@ TEST(PersistTestRecovery, Db2RdfSectionNeedsItsIndexes) {
     persist::RecoveryPlan plan = *clean;
     plan.sections[catalog] =
         CatalogWithoutIndex(plan.sections[catalog], index);
-    auto reopened = RdfStore::OpenFromPlan(std::move(plan), opts, {});
+    auto reopened = RdfStore::OpenFromPlan(std::move(plan), opts);
     EXPECT_TRUE(reopened.status().IsDataLoss())
         << index << ": " << reopened.status().ToString();
   }
@@ -669,12 +669,12 @@ TEST(PersistTestRecovery, Db2RdfSectionNeedsItsIndexes) {
   for (int flag : {0, 2}) {
     persist::RecoveryPlan plan = *clean;
     plan.sections[backend][kFlagAt] = static_cast<char>(flag);
-    auto reopened = RdfStore::OpenFromPlan(std::move(plan), opts, {});
+    auto reopened = RdfStore::OpenFromPlan(std::move(plan), opts);
     EXPECT_TRUE(reopened.status().IsDataLoss())
         << "flag " << flag << ": " << reopened.status().ToString();
   }
 
-  auto reopened = RdfStore::OpenFromPlan(std::move(*clean), opts, {});
+  auto reopened = RdfStore::OpenFromPlan(std::move(*clean), opts);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto fresh = RdfStore::Load(BaseGraph()).value();
   EXPECT_EQ(AllTriples(**reopened), AllTriples(*fresh));

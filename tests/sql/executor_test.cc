@@ -171,25 +171,6 @@ TEST(ExecutorTest, DistinctTreatsNullRowsEqual) {
   EXPECT_EQ(rows->size(), 2u);
 }
 
-TEST(ExecutorTest, SortStableAndNullsFirst) {
-  auto child = Fixed({{Value::Int(2), Value::Str("x")},
-                      {Value::Null(), Value::Str("y")},
-                      {Value::Int(1), Value::Str("z")},
-                      {Value::Int(2), Value::Str("w")}},
-                     {"a", "tag"});
-  std::vector<BoundExprPtr> keys;
-  keys.push_back(Slot(0));
-  SortOp s(std::move(child), std::move(keys), {false});
-  auto rows = CollectRows(&s);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 4u);
-  EXPECT_TRUE((*rows)[0][0].is_null());
-  EXPECT_EQ((*rows)[1][0].AsInt(), 1);
-  // Stability: the two a=2 rows keep input order (x before w).
-  EXPECT_EQ((*rows)[2][1].AsString(), "x");
-  EXPECT_EQ((*rows)[3][1].AsString(), "w");
-}
-
 TEST(ExecutorTest, UnnestEmitsPerArgumentIncludingNulls) {
   auto child = Fixed({{Value::Int(1), Value::Null()}}, {"a", "b"});
   std::vector<BoundExprPtr> args;

@@ -107,10 +107,10 @@ TEST(OperatorVerifierTest, RejectsDuplicateSelectionIndex) {
 TEST(OperatorVerifierTest, AcceptsWellFormedTree) {
   auto filter = std::make_unique<FilterOp>(
       Fixed({{Value::Int(1), Value::Int(2)}}, {"a", "b"}), MakeSlotRef(1));
-  auto sort = std::make_unique<SortOp>(std::move(filter),
-                                       Exprs(MakeSlotRef(0)),
-                                       std::vector<bool>{false});
-  EXPECT_TRUE(VerifyOperatorTree(*sort).ok());
+  auto limit = std::make_unique<LimitOp>(std::move(filter),
+                                         std::optional<int64_t>(1),
+                                         std::nullopt);
+  EXPECT_TRUE(VerifyOperatorTree(*limit).ok());
 }
 
 TEST(OperatorVerifierTest, IndexScanKeysAreNonNull) {
@@ -143,14 +143,14 @@ TEST(OperatorVerifierTest, RejectsFilterSlotOutsideChildArity) {
 }
 
 TEST(OperatorVerifierTest, ReportsDottedPathToNestedOffender) {
-  // Sort -> Filter(bad slot): the error must name the full path.
+  // Limit -> Filter(bad slot): the error must name the full path.
   auto filter = std::make_unique<FilterOp>(
       Fixed({{Value::Int(1)}}, {"a"}), MakeSlotRef(9));
-  auto sort = std::make_unique<SortOp>(std::move(filter),
-                                       Exprs(MakeSlotRef(0)),
-                                       std::vector<bool>{false});
-  Status st = VerifyOperatorTree(*sort);
-  ExpectPlanError(st, "Sort.0.Filter");
+  auto limit = std::make_unique<LimitOp>(std::move(filter),
+                                         std::optional<int64_t>(1),
+                                         std::nullopt);
+  Status st = VerifyOperatorTree(*limit);
+  ExpectPlanError(st, "Limit.0.Filter");
   ExpectPlanError(st, "reads slot 9 outside input arity 1");
 }
 
@@ -161,13 +161,6 @@ TEST(OperatorVerifierTest, RejectsHashJoinKeyArityMismatch) {
       /*left_outer=*/false, /*residual=*/nullptr);
   ExpectPlanError(VerifyOperatorTree(*join),
                   "join key arity mismatch: 1 left vs 0 right");
-}
-
-TEST(OperatorVerifierTest, RejectsSortKeyDirectionMismatch) {
-  auto sort = std::make_unique<SortOp>(Fixed({{Value::Int(1)}}, {"a"}),
-                                       Exprs(MakeSlotRef(0)),
-                                       std::vector<bool>{});
-  ExpectPlanError(VerifyOperatorTree(*sort), "1 keys vs 0 direction flags");
 }
 
 TEST(OperatorVerifierTest, RejectsNegativeLimit) {

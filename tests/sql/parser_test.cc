@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "sql/lexer.h"
@@ -64,14 +67,32 @@ TEST(ParserTest, AliasesWithAndWithoutAs) {
 
 TEST(ParserTest, JoinForms) {
   auto r = ParseSelect(
-      "SELECT * FROM a LEFT OUTER JOIN b ON a.x = b.y "
-      "JOIN c ON c.z = a.x");
+      "SELECT * FROM a LEFT OUTER JOIN b ON a.x = b.y, c "
+      "LEFT JOIN d ON d.z = a.x");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const auto& core = (*r)->cores[0];
-  ASSERT_EQ(core.from.size(), 3u);
+  ASSERT_EQ(core.from.size(), 4u);
   EXPECT_EQ(core.from[1].join, JoinType::kLeftOuter);
   ASSERT_NE(core.from[1].on, nullptr);
-  EXPECT_EQ(core.from[2].join, JoinType::kInner);
+  EXPECT_EQ(core.from[2].join, JoinType::kComma);
+  EXPECT_EQ(core.from[2].on, nullptr);
+  EXPECT_EQ(core.from[3].join, JoinType::kLeftOuter);
+}
+
+TEST(ParserTest, RejectsBareJoin) {
+  // Inner joins are comma joins; the error names the keyword.
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT * FROM a JOIN b ON a.x = b.y", "near 'JOIN'"},
+      {"SELECT * FROM a INNER JOIN b ON a.x = b.y", "near 'INNER'"},
+      {"SELECT * FROM a AS t, b JOIN c ON t.x = c.y", "near 'JOIN'"},
+  };
+  for (const auto& [sql, near] : cases) {
+    auto r = ParseSelect(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find(near), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(ParserTest, WithCtes) {
@@ -86,15 +107,30 @@ TEST(ParserTest, WithCtes) {
 
 TEST(ParserTest, UnionAllOrderLimit) {
   auto r = ParseSelect(
-      "SELECT a FROM t UNION ALL SELECT b FROM u "
-      "ORDER BY a DESC, a ASC LIMIT 10 OFFSET 5");
+      "SELECT a FROM t UNION ALL SELECT b FROM u LIMIT 10 OFFSET 5");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ((*r)->cores.size(), 2u);
-  ASSERT_EQ((*r)->order_by.size(), 2u);
-  EXPECT_TRUE((*r)->order_by[0].descending);
-  EXPECT_FALSE((*r)->order_by[1].descending);
   EXPECT_EQ((*r)->limit, 10);
   EXPECT_EQ((*r)->offset, 5);
+  EXPECT_TRUE(ParseSelect("SELECT a FROM t UNION ALL SELECT b FROM u "
+                          "ORDER BY a LIMIT 10")
+                  .status()
+                  .IsParseError());
+}
+
+TEST(ParserTest, RejectsOrderBy) {
+  for (const char* sql :
+       {"SELECT a FROM t ORDER BY a", "SELECT a FROM t ORDER BY a DESC",
+        "SELECT a AS order_key FROM t ORDER BY order_key LIMIT 1",
+        "WITH q AS (SELECT a FROM t ORDER BY a) SELECT a FROM q"}) {
+    auto r = ParseSelect(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("ORDER BY"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("decoded terms"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(ParserTest, CaseCoalesceIsNull) {
@@ -122,17 +158,18 @@ TEST(ParserTest, Unnest) {
   EXPECT_EQ(f[1].unnest_column, "v");
 }
 
-TEST(ParserTest, DerivedTable) {
-  auto r = ParseSelect("SELECT q.a FROM (SELECT a FROM t) AS q");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const auto& f = (*r)->cores[0].from;
-  EXPECT_EQ(f[0].kind, FromKind::kSubquery);
-  EXPECT_EQ(f[0].alias, "q");
-}
-
-TEST(ParserTest, DerivedTableRequiresAlias) {
-  EXPECT_TRUE(
-      ParseSelect("SELECT a FROM (SELECT a FROM t)").status().IsParseError());
+TEST(ParserTest, RejectsDerivedTable) {
+  // CTEs are the only materialization: FROM ( is a parse error, aliased or
+  // not, first in FROM or later.
+  for (const char* sql : {"SELECT q.a FROM (SELECT a FROM t) AS q",
+                          "SELECT a FROM (SELECT a FROM t)",
+                          "SELECT t.a FROM t, (SELECT b FROM u) q"}) {
+    auto r = ParseSelect(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("near '('"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(ParserTest, OperatorPrecedence) {
