@@ -36,23 +36,12 @@ rdf::Graph UniformFivePredGraph(uint64_t subjects) {
 }
 
 /// Bytes of \p row under a null-bitmap encoding: one bit per column, and
-/// only the non-NULL values materialized (8 bytes per number, a 4-byte
-/// length plus the bytes per string). NULL columns cost one bit each.
-size_t EncodedRowSize(const sql::Schema& schema, const sql::Row& row) {
+/// only the non-NULL values materialized (8 bytes per BIGINT or DOUBLE).
+/// NULL columns cost one bit each.
+size_t EncodedRowSize(const sql::Row& row) {
   size_t size = (row.size() + 7) / 8;
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) continue;
-    switch (schema.column(i).type) {
-      case sql::ValueType::kInt64:
-      case sql::ValueType::kDouble:
-        size += 8;
-        break;
-      case sql::ValueType::kString:
-        size += 4 + row[i].AsString().size();
-        break;
-      case sql::ValueType::kNull:
-        break;
-    }
+  for (const sql::Value& v : row) {
+    if (!v.is_null()) size += 8;
   }
   return size;
 }
@@ -61,7 +50,7 @@ size_t EncodedRowSize(const sql::Schema& schema, const sql::Row& row) {
 size_t EncodedTableBytes(const sql::Table& table) {
   size_t bytes = 0;
   Status st = table.Scan([&](sql::RowId, const sql::Row& row) {
-    bytes += EncodedRowSize(table.schema(), row);
+    bytes += EncodedRowSize(row);
     return Status::OK();
   });
   if (!st.ok()) std::abort();

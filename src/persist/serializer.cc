@@ -59,9 +59,6 @@ void EncodeValue(std::string* out, const sql::Value& v) {
     case sql::ValueType::kDouble:
       PutDouble(out, v.AsDouble());
       break;
-    case sql::ValueType::kString:
-      PutString(out, v.AsString());
-      break;
   }
 }
 
@@ -78,11 +75,8 @@ Result<sql::Value> DecodeValue(ByteReader* r) {
       RDFREL_ASSIGN_OR_RETURN(double v, r->ReadDouble());
       return sql::Value::Real(v);
     }
-    case sql::ValueType::kString: {
-      RDFREL_ASSIGN_OR_RETURN(std::string_view s, r->ReadString());
-      return sql::Value::Str(std::string(s));
-    }
   }
+  // Tag 3 was VARCHAR, which no store ever wrote; it is unknown like any other.
   return Status::DataLoss("unknown value tag " + std::to_string(tag));
 }
 
@@ -363,8 +357,7 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
     RDFREL_ASSIGN_OR_RETURN(uint8_t type, r->ReadU8());
     def.type = static_cast<sql::ValueType>(type);
     if (def.type != sql::ValueType::kInt64 &&
-        def.type != sql::ValueType::kDouble &&
-        def.type != sql::ValueType::kString) {
+        def.type != sql::ValueType::kDouble) {
       return Status::DataLoss("unknown column type " + std::to_string(type));
     }
     cols.push_back(std::move(def));
@@ -410,7 +403,7 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
       RDFREL_ASSIGN_OR_RETURN(sql::Value v, DecodeValue(r));
       row.push_back(std::move(v));
     }
-    RDFREL_RETURN_NOT_OK(table->Insert(row).status());
+    RDFREL_RETURN_NOT_OK(table->Insert(std::move(row)).status());
   }
   // Indexes last: CreateIndex backfills from the freshly inserted rows —
   // the "rebuild indexes on load" path.

@@ -1,5 +1,8 @@
 #include "rdf/graph.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/hash.h"
 
 namespace rdfrel::rdf {
@@ -25,19 +28,27 @@ std::vector<uint64_t> DistinctInOrder(const std::vector<EncodedTriple>& ts,
   return out;
 }
 
-std::vector<std::pair<uint64_t, std::vector<size_t>>> GroupByField(
-    const std::vector<EncodedTriple>& ts, uint64_t EncodedTriple::*field) {
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> out;
-  std::unordered_map<uint64_t, size_t> pos;
-  for (size_t i = 0; i < ts.size(); ++i) {
-    uint64_t v = ts[i].*field;
-    auto it = pos.find(v);
-    if (it == pos.end()) {
-      pos.emplace(v, out.size());
-      out.push_back({v, {i}});
-    } else {
-      out[it->second].second.push_back(i);
+TripleGroups GroupByField(const std::vector<EncodedTriple>& ts,
+                          uint64_t EncodedTriple::*field) {
+  // Ids are dense, so a group is found by indexing an array with the id;
+  // counting first sizes every group's index list exactly.
+  uint64_t max_id = 0;
+  for (const auto& t : ts) max_id = std::max(max_id, t.*field);
+  std::vector<size_t> group_of(max_id + 1, SIZE_MAX);
+  std::vector<size_t> counts;
+  TripleGroups out;
+  for (const auto& t : ts) {
+    size_t& g = group_of[t.*field];
+    if (g == SIZE_MAX) {
+      g = out.size();
+      out.push_back({t.*field, {}});
+      counts.push_back(0);
     }
+    ++counts[g];
+  }
+  for (size_t g = 0; g < out.size(); ++g) out[g].second.reserve(counts[g]);
+  for (size_t i = 0; i < ts.size(); ++i) {
+    out[group_of[ts[i].*field]].second.push_back(i);
   }
   return out;
 }
@@ -71,13 +82,11 @@ std::vector<EncodedTriple> Graph::DistinctTriples() const {
   return out;
 }
 
-std::vector<std::pair<uint64_t, std::vector<size_t>>> Graph::GroupBySubject()
-    const {
+TripleGroups Graph::GroupBySubject() const {
   return GroupByField(triples_, &EncodedTriple::subject);
 }
 
-std::vector<std::pair<uint64_t, std::vector<size_t>>> Graph::GroupByObject()
-    const {
+TripleGroups Graph::GroupByObject() const {
   return GroupByField(triples_, &EncodedTriple::object);
 }
 

@@ -20,6 +20,10 @@
 
 namespace rdfrel::rdf {
 
+/// Triple indices grouped by one id field: groups in order of the id's
+/// first occurrence, each group's indices ascending.
+using TripleGroups = std::vector<std::pair<uint64_t, std::vector<size_t>>>;
+
 /// Container of encoded triples plus the owning dictionary.
 class Graph {
  public:
@@ -49,9 +53,9 @@ class Graph {
   std::vector<EncodedTriple> DistinctTriples() const;
 
   /// Groups triple indices by subject id (order of first occurrence).
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> GroupBySubject() const;
+  TripleGroups GroupBySubject() const;
   /// Groups triple indices by object id (order of first occurrence).
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> GroupByObject() const;
+  TripleGroups GroupByObject() const;
 
   /// Decodes all triples (test/debug helper; O(n) allocations).
   Result<std::vector<Triple>> DecodeAll() const;

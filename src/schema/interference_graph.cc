@@ -55,9 +55,8 @@ const std::unordered_set<uint64_t>& InterferenceGraph::Neighbors(
   return it == adj_.end() ? kEmpty : it->second;
 }
 
-namespace {
-InterferenceGraph FromGroups(
-    const std::vector<std::pair<uint64_t, std::vector<size_t>>>& groups,
+InterferenceGraph InterferenceGraph::FromGroups(
+    const rdf::TripleGroups& groups,
     const std::vector<rdf::EncodedTriple>& triples) {
   InterferenceGraph g;
   std::vector<uint64_t> preds;
@@ -69,7 +68,6 @@ InterferenceGraph FromGroups(
   }
   return g;
 }
-}  // namespace
 
 InterferenceGraph InterferenceGraph::FromGraphBySubject(const rdf::Graph& g) {
   return FromGroups(g.GroupBySubject(), g.triples());

@@ -40,6 +40,12 @@ class InterferenceGraph {
   /// Neighbors of a node (empty when absent).
   const std::unordered_set<uint64_t>& Neighbors(uint64_t predicate) const;
 
+  /// Builds the interference graph of one grouping of \p triples: each
+  /// group is one entity's triples (Graph::GroupBySubject for the direct
+  /// graph, Graph::GroupByObject for the reverse one).
+  static InterferenceGraph FromGroups(
+      const rdf::TripleGroups& groups,
+      const std::vector<rdf::EncodedTriple>& triples);
   /// Builds the *direct* interference graph of \p g (predicates co-occurring
   /// per subject).
   static InterferenceGraph FromGraphBySubject(const rdf::Graph& g);

@@ -1,7 +1,6 @@
 #include "schema/loader.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/logging.h"
@@ -29,19 +28,87 @@ struct Loader::Direction {
 
 namespace {
 
-/// One entity's predicate -> values, insertion-ordered, values deduplicated.
-struct EntityPredicates {
-  std::vector<uint64_t> order;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> values;
+/// One entity's predicates in first-seen order, each with its values
+/// deduplicated in first-seen order. The buffers are reused from entity to
+/// entity; `pos_` and `seen_` are indexed by dictionary id, which is dense.
+class EntityPredicates {
+ public:
+  explicit EntityPredicates(size_t id_bound)
+      : pos_(id_bound, 0), seen_(id_bound, 0) {}
 
-  void Add(uint64_t pred, uint64_t value) {
-    auto [it, inserted] = values.try_emplace(pred);
-    if (inserted) order.push_back(pred);
-    auto& vs = it->second;
-    if (std::find(vs.begin(), vs.end(), value) == vs.end()) {
-      vs.push_back(value);
+  /// Regroups the triples \p idxs of \p triples, taking each triple's
+  /// \p value field as the value. NotFound for an id outside the
+  /// dictionary.
+  Status Build(const std::vector<rdf::EncodedTriple>& triples,
+               const std::vector<size_t>& idxs,
+               uint64_t rdf::EncodedTriple::*value) {
+    for (uint64_t p : preds_) pos_[p] = 0;
+    preds_.clear();
+    for (size_t i : idxs) {
+      const uint64_t p = triples[i].predicate;
+      const uint64_t v = triples[i].*value;
+      if (p >= pos_.size() || v >= seen_.size()) {
+        return Status::NotFound("triple id outside the dictionary");
+      }
+      uint32_t& pos = pos_[p];
+      if (pos == 0) {
+        preds_.push_back(p);
+        pos = static_cast<uint32_t>(preds_.size());
+        if (values_.size() < pos) values_.emplace_back();
+        values_[pos - 1].clear();
+      }
+      values_[pos - 1].push_back(v);
     }
+    // Drop each predicate's repeated values; one stamp per predicate.
+    for (size_t g = 0; g < preds_.size(); ++g, ++stamp_) {
+      std::vector<uint64_t>& vs = values_[g];
+      size_t kept = 0;
+      for (uint64_t v : vs) {
+        if (seen_[v] == stamp_) continue;
+        seen_[v] = stamp_;
+        vs[kept++] = v;
+      }
+      vs.resize(kept);
+    }
+    return Status::OK();
   }
+
+  size_t size() const { return preds_.size(); }
+  uint64_t pred(size_t g) const { return preds_[g]; }
+  const std::vector<uint64_t>& values(size_t g) const { return values_[g]; }
+
+ private:
+  std::vector<uint32_t> pos_;   ///< predicate id -> index in preds_ + 1
+  std::vector<uint64_t> seen_;  ///< value id -> stamp of the last predicate
+  uint64_t stamp_ = 1;          ///< stamp of the next predicate to dedup
+  std::vector<uint64_t> preds_;
+  std::vector<std::vector<uint64_t>> values_;  ///< parallel to preds_
+};
+
+/// Each predicate's candidate columns under one mapping, computed on the
+/// predicate's first use instead of once per entity.
+class CandidateCache {
+ public:
+  CandidateCache(const rdf::Dictionary& dict, const PredicateMapping& mapping)
+      : dict_(dict), mapping_(mapping), slot_(dict.size() + 1, 0) {}
+
+  /// The candidates of \p pred (an id below the dictionary's bound); valid
+  /// until the next call.
+  Result<const std::vector<uint32_t>*> Get(uint64_t pred) {
+    uint32_t& slot = slot_[pred];
+    if (slot == 0) {
+      RDFREL_ASSIGN_OR_RETURN(rdf::Term term, dict_.Decode(pred));
+      lists_.push_back(mapping_.Columns({pred, term.lexical()}));
+      slot = static_cast<uint32_t>(lists_.size());
+    }
+    return &lists_[slot - 1];
+  }
+
+ private:
+  const rdf::Dictionary& dict_;
+  const PredicateMapping& mapping_;
+  std::vector<uint32_t> slot_;  ///< predicate id -> index in lists_ + 1
+  std::vector<std::vector<uint32_t>> lists_;
 };
 
 }  // namespace
@@ -89,6 +156,12 @@ size_t PlaceIntoRows(std::vector<Row>* rows, uint32_t k, uint64_t entity,
 }  // namespace
 
 Result<LoadStats> Loader::BulkLoad(const rdf::Graph& graph) {
+  return BulkLoad(graph, graph.GroupBySubject(), graph.GroupByObject());
+}
+
+Result<LoadStats> Loader::BulkLoad(const rdf::Graph& graph,
+                                   const rdf::TripleGroups& by_subject,
+                                   const rdf::TripleGroups& by_object) {
   LoadStats batch;
   batch.triples = graph.size();
 
@@ -105,25 +178,27 @@ Result<LoadStats> Loader::BulkLoad(const rdf::Graph& graph) {
        &batch.rs_rows},
   };
 
+  const rdf::TripleGroups* groups[2] = {&by_subject, &by_object};
+  const auto& triples = graph.triples();
+  EntityPredicates ep(graph.dictionary().size() + 1);
+  std::vector<Row> rows;
   for (int d = 0; d < 2; ++d) {
     Direction& dir = dirs[d];
-    auto groups = d == 0 ? graph.GroupBySubject() : graph.GroupByObject();
-    const auto& triples = graph.triples();
-    for (const auto& [entity, idxs] : groups) {
-      EntityPredicates ep;
-      for (size_t i : idxs) {
-        const auto& t = triples[i];
-        ep.Add(t.predicate, d == 0 ? t.object : t.subject);
-      }
+    CandidateCache candidates(graph.dictionary(), *dir.mapping);
+    for (const auto& [entity, idxs] : *groups[d]) {
+      RDFREL_RETURN_NOT_OK(ep.Build(
+          triples, idxs,
+          d == 0 ? &rdf::EncodedTriple::object : &rdf::EncodedTriple::subject));
       // Assemble row images.
-      std::vector<Row> rows;
+      rows.clear();
       rows.emplace_back(2 + 2 * static_cast<size_t>(dir.k));
       rows[0][Db2RdfSchema::kEntrySlot] =
           Value::Int(static_cast<int64_t>(entity));
       rows[0][Db2RdfSchema::kSpillSlot] = Value::Int(0);
 
-      for (uint64_t pred : ep.order) {
-        const auto& objs = ep.values.at(pred);
+      for (size_t g = 0; g < ep.size(); ++g) {
+        const uint64_t pred = ep.pred(g);
+        const std::vector<uint64_t>& objs = ep.values(g);
         int64_t val;
         if (objs.size() == 1) {
           val = static_cast<int64_t>(objs[0]);
@@ -139,19 +214,16 @@ Result<LoadStats> Loader::BulkLoad(const rdf::Graph& graph) {
             ++*dir.secondary_counter;
           }
         }
-        RDFREL_ASSIGN_OR_RETURN(rdf::Term pred_term,
-                                graph.dictionary().Decode(pred));
-        std::vector<uint32_t> candidates =
-            dir.mapping->Columns({pred, pred_term.lexical()});
-        size_t ri = PlaceIntoRows(&rows, dir.k, entity, pred, val,
-                                  candidates);
+        RDFREL_ASSIGN_OR_RETURN(const std::vector<uint32_t>* cands,
+                                candidates.Get(pred));
+        size_t ri = PlaceIntoRows(&rows, dir.k, entity, pred, val, *cands);
         if (ri > 0) dir.spilled->insert(pred);
       }
 
       bool spilled = rows.size() > 1;
       for (auto& row : rows) {
         if (spilled) row[Db2RdfSchema::kSpillSlot] = Value::Int(1);
-        RDFREL_RETURN_NOT_OK(dir.primary->Insert(row).status());
+        RDFREL_RETURN_NOT_OK(dir.primary->Insert(std::move(row)).status());
         ++*dir.rows_counter;
       }
       if (spilled) *dir.spill_rows_counter += rows.size() - 1;

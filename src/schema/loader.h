@@ -51,6 +51,11 @@ class Loader {
   /// RPH). Intended for initially-empty schemas; calling it twice inserts
   /// duplicate entity rows.
   Result<LoadStats> BulkLoad(const rdf::Graph& graph);
+  /// The same, over groupings the caller already holds:
+  /// graph.GroupBySubject() and graph.GroupByObject().
+  Result<LoadStats> BulkLoad(const rdf::Graph& graph,
+                             const rdf::TripleGroups& by_subject,
+                             const rdf::TripleGroups& by_object);
 
   /// Inserts one triple incrementally: finds/extends the subject's DPH rows
   /// and the object's RPH rows, converting single values to multi-value

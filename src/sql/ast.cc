@@ -1,6 +1,5 @@
 #include "sql/ast.h"
 
-#include "util/string_util.h"
 
 namespace rdfrel::sql::ast {
 
@@ -25,7 +24,6 @@ const char* BinaryOpToString(BinaryOp op) {
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
-      if (literal.is_string()) return SqlQuote(literal.AsString());
       return literal.ToString();
     case ExprKind::kColumnRef:
       return qualifier.empty() ? column : qualifier + "." + column;

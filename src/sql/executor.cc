@@ -629,9 +629,6 @@ Status AggregateOp::Update(const AggSpec& spec, AggState* st,
       break;
     case ast::AggFunc::kSum:
     case ast::AggFunc::kAvg:
-      if (v.is_string()) {
-        return Status::ExecutionError("SUM/AVG over string values");
-      }
       if (v.is_int() && st->int_only) {
         st->isum += v.AsInt();
       } else {

@@ -57,12 +57,9 @@ std::string Scope::ToString() const {
 
 // -------------------------------------------------------------- Bound exprs
 
-Result<std::optional<bool>> ValueTruth(const Value& v) {
-  if (v.is_null()) return std::optional<bool>{};
-  if (v.is_string()) {
-    return Status::ExecutionError("string used as boolean predicate");
-  }
-  return std::optional<bool>{v.NumericValue() != 0.0};
+std::optional<bool> ValueTruth(const Value& v) {
+  if (v.is_null()) return std::nullopt;
+  return v.NumericValue() != 0.0;
 }
 
 Status BoundExpr::EvaluateBatch(const RowBatch& batch,
@@ -136,7 +133,7 @@ class BinaryExpr final : public BoundExpr {
     // AND/OR get Kleene shortcuts.
     if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
       RDFREL_ASSIGN_OR_RETURN(Value lv, lhs_->Evaluate(row));
-      RDFREL_ASSIGN_OR_RETURN(std::optional<bool> lt, ValueTruth(lv));
+      const std::optional<bool> lt = ValueTruth(lv);
       if (op_ == BinaryOp::kAnd && lt.has_value() && !*lt) {
         return Value::Bool(false);
       }
@@ -144,7 +141,7 @@ class BinaryExpr final : public BoundExpr {
         return Value::Bool(true);
       }
       RDFREL_ASSIGN_OR_RETURN(Value rv, rhs_->Evaluate(row));
-      RDFREL_ASSIGN_OR_RETURN(std::optional<bool> rt, ValueTruth(rv));
+      const std::optional<bool> rt = ValueTruth(rv);
       if (op_ == BinaryOp::kAnd) {
         if (rt.has_value() && !*rt) return Value::Bool(false);
         if (lt.has_value() && rt.has_value()) return Value::Bool(true);
@@ -184,8 +181,7 @@ class BinaryExpr final : public BoundExpr {
 
   /// slot-vs-literal comparisons select directly against the stored rows:
   /// no operand columns, no boolean Values, no per-row virtual dispatch.
-  /// Semantics mirror Apply exactly (NULL never passes; ordered comparison
-  /// between string and numeric is an error; kEq/kNe tolerate it).
+  /// Semantics mirror Apply exactly (NULL never passes).
   Result<bool> FilterBatch(const RowBatch& batch,
                            std::vector<uint32_t>* passing) const override {
     using ast::BinaryOp;
@@ -214,10 +210,9 @@ class BinaryExpr final : public BoundExpr {
     if (lit->is_null()) return true;  // NULL comparand: nothing passes
     // Decode the literal once; comparisons inline (Compare is symmetric for
     // same-kind non-null operands, so a flipped comparison just negates).
-    const bool lit_is_string = lit->is_string();
     const bool lit_is_int = lit->is_int();
     const int64_t lit_i = lit_is_int ? lit->AsInt() : 0;
-    const double lit_d = lit_is_string ? 0 : lit->NumericValue();
+    const double lit_d = lit->NumericValue();
     for (size_t i = 0; i < n; ++i) {
       const Row& row = batch.Active(i);
       if (static_cast<size_t>(slot) >= row.size()) {
@@ -231,14 +226,8 @@ class BinaryExpr final : public BoundExpr {
       } else if (op_ == BinaryOp::kNe) {
         pass = !v.EqualsNonNull(*lit);
       } else {
-        if (v.is_string() != lit_is_string) {
-          return Status::ExecutionError(
-              "ordered comparison between string and numeric");
-        }
         int c;
-        if (lit_is_string) {
-          c = v.Compare(*lit);
-        } else if (lit_is_int && v.is_int()) {
+        if (lit_is_int && v.is_int()) {
           const int64_t a = v.AsInt();
           c = a < lit_i ? -1 : (a > lit_i ? 1 : 0);
         } else {
@@ -278,10 +267,6 @@ class BinaryExpr final : public BoundExpr {
       case BinaryOp::kLe:
       case BinaryOp::kGt:
       case BinaryOp::kGe: {
-        if (lv.is_string() != rv.is_string()) {
-          return Status::ExecutionError(
-              "ordered comparison between string and numeric");
-        }
         int c = lv.Compare(rv);
         switch (op_) {
           case BinaryOp::kLt: return Value::Bool(c < 0);
@@ -294,9 +279,6 @@ class BinaryExpr final : public BoundExpr {
       case BinaryOp::kSub:
       case BinaryOp::kMul:
       case BinaryOp::kDiv: {
-        if (lv.is_string() || rv.is_string()) {
-          return Status::ExecutionError("arithmetic on string value");
-        }
         if (lv.is_int() && rv.is_int() && op_ != BinaryOp::kDiv) {
           int64_t a = lv.AsInt(), b = rv.AsInt();
           switch (op_) {
@@ -330,7 +312,7 @@ class NotExpr final : public BoundExpr {
   explicit NotExpr(BoundExprPtr child) : child_(std::move(child)) {}
   Result<Value> Evaluate(const Row& row) const override {
     RDFREL_ASSIGN_OR_RETURN(Value v, child_->Evaluate(row));
-    RDFREL_ASSIGN_OR_RETURN(std::optional<bool> t, ValueTruth(v));
+    const std::optional<bool> t = ValueTruth(v);
     if (!t.has_value()) return Value::Null();
     return Value::Bool(!*t);
   }
@@ -349,8 +331,7 @@ class NegExpr final : public BoundExpr {
     RDFREL_ASSIGN_OR_RETURN(Value v, child_->Evaluate(row));
     if (v.is_null()) return Value::Null();
     if (v.is_int()) return Value::Int(-v.AsInt());
-    if (v.is_double()) return Value::Real(-v.AsDouble());
-    return Status::ExecutionError("negation of string value");
+    return Value::Real(-v.AsDouble());
   }
   void CollectSlots(std::vector<int>* out) const override {
     child_->CollectSlots(out);
@@ -623,7 +604,7 @@ BoundExprPtr MakeSlotRef(int slot) {
 
 Result<bool> EvalPredicate(const BoundExpr& expr, const Row& row) {
   RDFREL_ASSIGN_OR_RETURN(Value v, expr.Evaluate(row));
-  RDFREL_ASSIGN_OR_RETURN(std::optional<bool> t, ValueTruth(v));
+  const std::optional<bool> t = ValueTruth(v);
   return t.has_value() && *t;
 }
 
@@ -635,7 +616,7 @@ Status EvalPredicateBatch(const BoundExpr& expr, const RowBatch& batch,
   RDFREL_RETURN_NOT_OK(expr.EvaluateBatch(batch, &values));
   passing->clear();
   for (size_t i = 0; i < values.size(); ++i) {
-    RDFREL_ASSIGN_OR_RETURN(std::optional<bool> t, ValueTruth(values[i]));
+    const std::optional<bool> t = ValueTruth(values[i]);
     if (t.has_value() && *t) passing->push_back(batch.ActiveIndex(i));
   }
   return Status::OK();

@@ -103,9 +103,8 @@ Result<Value> ConstantValue(const ast::Expr& expr);
 /// the projection over aggregate output).
 BoundExprPtr MakeSlotRef(int slot);
 
-/// SQL truthiness: NULL -> nullopt, numeric -> (v != 0). Strings are not
-/// valid predicates (ExecutionError).
-Result<std::optional<bool>> ValueTruth(const Value& v);
+/// SQL truthiness: NULL -> nullopt, numeric -> (v != 0).
+std::optional<bool> ValueTruth(const Value& v);
 
 /// Convenience: evaluates a bound predicate and applies WHERE semantics
 /// (NULL counts as false).

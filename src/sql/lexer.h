@@ -17,7 +17,8 @@ enum class TokenKind {
   kIdentifier,    ///< bare word (keywords included)
   kInteger,       ///< 123
   kFloat,         ///< 1.5
-  kString,        ///< 'text' (quotes stripped, '' unescaped)
+  kString,        ///< 'text' (quotes stripped, '' unescaped); the parser
+                  ///< rejects it, naming it in the error
   kSymbol,        ///< punctuation / operator, in `text`
   kEnd,
 };

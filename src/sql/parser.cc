@@ -294,11 +294,10 @@ class Parser {
         Advance();
         return MakeLiteral(Value::Real(v));
       }
-      case TokenKind::kString: {
-        std::string s = t.text;
-        Advance();
-        return MakeLiteral(Value::Str(std::move(s)));
-      }
+      case TokenKind::kString:
+        return Error(
+            "SQL string literals are unsupported: the store holds dictionary "
+            "ids, not strings");
       case TokenKind::kSymbol:
         if (t.text == "(") {
           Advance();
@@ -538,23 +537,17 @@ class Parser {
         return Error("expected column type");
       }
       std::string ty = ToUpperAscii(t.text);
-      Advance();
       if (ty == "BIGINT" || ty == "INTEGER" || ty == "INT") {
         col.type = ValueType::kInt64;
       } else if (ty == "DOUBLE" || ty == "REAL" || ty == "FLOAT") {
         col.type = ValueType::kDouble;
       } else if (ty == "VARCHAR" || ty == "TEXT" || ty == "STRING") {
-        col.type = ValueType::kString;
-        if (ConsumeSymbol("(")) {  // VARCHAR(n): length is advisory
-          if (Peek().kind != TokenKind::kInteger) {
-            return Error("expected VARCHAR length");
-          }
-          Advance();
-          RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));
-        }
+        return Error("SQL column type " + ty +
+                     " is unsupported: columns are BIGINT or DOUBLE");
       } else {
         return Error("unknown column type " + ty);
       }
+      Advance();
       ct.columns.push_back(std::move(col));
     } while (ConsumeSymbol(","));
     RDFREL_RETURN_NOT_OK(ExpectSymbol(")"));

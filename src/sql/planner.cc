@@ -609,10 +609,10 @@ class BoundAnd final : public BoundExpr {
       : a_(std::move(a)), b_(std::move(b)) {}
   Result<Value> Evaluate(const Row& row) const override {
     RDFREL_ASSIGN_OR_RETURN(Value av, a_->Evaluate(row));
-    RDFREL_ASSIGN_OR_RETURN(std::optional<bool> at, ValueTruth(av));
+    const std::optional<bool> at = ValueTruth(av);
     if (at.has_value() && !*at) return Value::Bool(false);
     RDFREL_ASSIGN_OR_RETURN(Value bv, b_->Evaluate(row));
-    RDFREL_ASSIGN_OR_RETURN(std::optional<bool> bt, ValueTruth(bv));
+    const std::optional<bool> bt = ValueTruth(bv);
     if (bt.has_value() && !*bt) return Value::Bool(false);
     if (at.has_value() && bt.has_value()) return Value::Bool(true);
     return Value::Null();

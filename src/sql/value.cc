@@ -1,6 +1,7 @@
 #include "sql/value.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/hash.h"
@@ -12,16 +13,8 @@ const char* ValueTypeToString(ValueType t) {
     case ValueType::kNull: return "NULL";
     case ValueType::kInt64: return "BIGINT";
     case ValueType::kDouble: return "DOUBLE";
-    case ValueType::kString: return "VARCHAR";
   }
   return "?";
-}
-
-bool Value::EqualsNonNull(const Value& other) const {
-  if (is_string() != other.is_string()) return false;
-  if (is_string()) return AsString() == other.AsString();
-  if (is_int() && other.is_int()) return AsInt() == other.AsInt();
-  return NumericValue() == other.NumericValue();
 }
 
 int Value::Compare(const Value& other) const {
@@ -29,53 +22,34 @@ int Value::Compare(const Value& other) const {
   if (is_null() && other.is_null()) return 0;
   if (is_null()) return -1;
   if (other.is_null()) return 1;
-  // Numerics before strings.
-  bool ls = is_string(), rs = other.is_string();
-  if (ls != rs) return ls ? 1 : -1;
-  if (ls) {
-    int c = AsString().compare(other.AsString());
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
   if (is_int() && other.is_int()) {
-    int64_t a = AsInt(), b = other.AsInt();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    return i_ < other.i_ ? -1 : (i_ > other.i_ ? 1 : 0);
   }
   double a = NumericValue(), b = other.NumericValue();
   return a < b ? -1 : (a > b ? 1 : 0);
 }
 
-bool Value::operator==(const Value& other) const {
-  if (is_null() || other.is_null()) return is_null() == other.is_null();
-  return EqualsNonNull(other);
-}
-
 uint64_t Value::Hash() const {
   if (is_null()) return 0x9b1c3f5a;
-  if (is_string()) return Fnv1a64(AsString());
   // Integral doubles hash as their int64 value so 5 and 5.0 agree with
   // EqualsNonNull.
   if (is_double()) {
-    double d = AsDouble();
-    double r = std::floor(d);
-    if (r == d && d >= -9.2e18 && d <= 9.2e18) {
-      return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+    double r = std::floor(d_);
+    if (r == d_ && d_ >= -9.2e18 && d_ <= 9.2e18) {
+      return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d_)));
     }
     uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
+    static_assert(sizeof(bits) == sizeof(d_));
+    std::memcpy(&bits, &d_, sizeof(bits));
     return Mix64(bits);
   }
-  return Mix64(static_cast<uint64_t>(AsInt()));
+  return Mix64(static_cast<uint64_t>(i_));
 }
 
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
-  if (is_int()) return std::to_string(AsInt());
-  if (is_double()) {
-    std::string s = std::to_string(AsDouble());
-    return s;
-  }
-  return AsString();
+  if (is_int()) return std::to_string(i_);
+  return std::to_string(d_);
 }
 
 size_t ValueVectorHasher::operator()(const std::vector<Value>& vs) const {

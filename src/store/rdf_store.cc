@@ -19,7 +19,8 @@ struct MappingChoice {
   uint32_t columns;
 };
 
-MappingChoice BuildMapping(const rdf::Graph& graph, bool reverse,
+MappingChoice BuildMapping(const rdf::Graph& graph,
+                           const rdf::TripleGroups& groups, bool reverse,
                            const RdfStoreOptions& opts) {
   uint32_t fixed_k = reverse ? opts.k_reverse : opts.k_direct;
   uint64_t seed = reverse ? 2 : 1;
@@ -30,8 +31,7 @@ MappingChoice BuildMapping(const rdf::Graph& graph, bool reverse,
             k};
   }
   schema::InterferenceGraph ig =
-      reverse ? schema::InterferenceGraph::FromGraphByObject(graph)
-              : schema::InterferenceGraph::FromGraphBySubject(graph);
+      schema::InterferenceGraph::FromGroups(groups, graph.triples());
   uint32_t budget = fixed_k != 0 ? fixed_k : opts.max_columns;
   schema::ColoringResult r = schema::ColorInterferenceGraph(ig, budget);
   uint32_t k = fixed_k != 0 ? fixed_k : std::max(r.colors_used, 1u);
@@ -47,8 +47,12 @@ Result<std::unique_ptr<RdfStore>> RdfStore::Load(
   auto store = std::unique_ptr<RdfStore>(new RdfStore());
   store->stats_ = opt::Statistics::FromGraph(graph, options.stats_top_k);
 
-  MappingChoice direct = BuildMapping(graph, /*reverse=*/false, options);
-  MappingChoice rev = BuildMapping(graph, /*reverse=*/true, options);
+  // Grouped once, for both the coloring and the shredding.
+  const rdf::TripleGroups by_subject = graph.GroupBySubject();
+  const rdf::TripleGroups by_object = graph.GroupByObject();
+  MappingChoice direct =
+      BuildMapping(graph, by_subject, /*reverse=*/false, options);
+  MappingChoice rev = BuildMapping(graph, by_object, /*reverse=*/true, options);
 
   schema::Db2RdfConfig cfg;
   cfg.k_direct = direct.columns;
@@ -61,7 +65,8 @@ Result<std::unique_ptr<RdfStore>> RdfStore::Load(
   store->loader_ = std::make_unique<schema::Loader>(
       store->schema_.get(), store->direct_, store->reverse_);
   RDFREL_ASSIGN_OR_RETURN(store->load_stats_,
-                          store->loader_->BulkLoad(graph));
+                          store->loader_->BulkLoad(graph, by_subject,
+                                                   by_object));
 
   if (options.build_lex) {
     store->lex_table_ = options.prefix + "lex";

@@ -71,18 +71,6 @@ std::string JoinStrings(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string SqlQuote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('\'');
-  for (char c : s) {
-    if (c == '\'') out += "''";
-    else out.push_back(c);
-  }
-  out.push_back('\'');
-  return out;
-}
-
 std::string NtEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

@@ -32,10 +32,6 @@ bool EqualsIgnoreCaseAscii(std::string_view a, std::string_view b);
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
 
-/// Escapes a string for embedding in a single-quoted SQL literal
-/// (doubles embedded quotes).
-std::string SqlQuote(std::string_view s);
-
 /// Escapes control characters, quotes and backslashes for N-Triples output.
 std::string NtEscape(std::string_view s);
 

@@ -203,24 +203,52 @@ bool DecodesCatalog(std::string_view payload) {
 }
 
 /// The catalog encoding of a table with every column type, NULLs and two
-/// indexes (an INT and a STRING key).
+/// indexes (one on a column with NULLs).
 std::string SampleCatalog() {
   sql::Catalog catalog;
   auto table = catalog.CreateTable(
       "t", sql::Schema({{"id", sql::ValueType::kInt64},
                         {"x", sql::ValueType::kDouble},
-                        {"s", sql::ValueType::kString}}));
+                        {"s", sql::ValueType::kInt64}}));
   EXPECT_TRUE(table.ok()) << table.status().ToString();
   if (!table.ok()) return "";
   for (int i = 0; i < 6; ++i) {
     sql::Row row{sql::Value::Int(i), sql::Value::Real(i * 0.5),
-                 i % 3 == 0 ? sql::Value::Null()
-                            : sql::Value::Str("v" + std::to_string(i))};
+                 i % 3 == 0 ? sql::Value::Null() : sql::Value::Int(100 + i)};
     EXPECT_TRUE((*table)->Insert(row).ok());
   }
   EXPECT_TRUE((*table)->CreateIndex("t_id", "id").ok());
   EXPECT_TRUE((*table)->CreateIndex("t_s", "s").ok());
   return EncodeCatalog(catalog);
+}
+
+/// Hand-built one-table catalogs carrying VARCHAR's old code 3, which no
+/// store ever wrote: as a column type (with a VARCHAR value in its row), and
+/// as the tag of a value in a BIGINT column.
+std::vector<std::string> VarcharCatalogs() {
+  constexpr uint8_t kBigint = 1, kVarchar = 3;
+  auto catalog = [](uint8_t column_type, uint8_t value_tag) {
+    std::string out;
+    PutU32(&out, 1);  // tables
+    PutString(&out, "t");
+    PutU32(&out, 2);  // columns
+    PutString(&out, "id");
+    PutU8(&out, kBigint);
+    PutString(&out, "s");
+    PutU8(&out, column_type);
+    PutU32(&out, 0);  // indexes
+    PutU64(&out, 1);  // rows
+    PutU8(&out, kBigint);
+    PutU64(&out, 7);
+    PutU8(&out, value_tag);
+    if (value_tag == kVarchar) {
+      PutString(&out, "seven");
+    } else {
+      PutU64(&out, 8);
+    }
+    return out;
+  };
+  return {catalog(kVarchar, kVarchar), catalog(kBigint, kVarchar)};
 }
 
 std::vector<std::string> SampleMappings() {
@@ -277,6 +305,10 @@ TEST(PersistFuzzTest, SectionAndPayloadDecodersReturnStatus) {
                     });
   ok += FuzzPayload("DecodeCatalogInto", catalog, rng, kPayloadMutants,
                     DecodesCatalog);
+  for (const auto& varchar : VarcharCatalogs()) {
+    ok += FuzzPayload("DecodeCatalogInto", varchar, rng, kPayloadMutants / 4,
+                      DecodesCatalog);
+  }
   for (const auto& m : mappings) {
     ok += FuzzPayload("DecodeMapping", m, rng, kPayloadMutants,
                       [](std::string_view p) {
@@ -286,6 +318,23 @@ TEST(PersistFuzzTest, SectionAndPayloadDecodersReturnStatus) {
   }
   // Some mutants (e.g. a flipped count value) stay decodable.
   EXPECT_GT(ok, 0);
+}
+
+TEST(PersistFuzzTest, VarcharColumnTypeAndValueTagAreDataLoss) {
+  const std::vector<std::string> payloads = VarcharCatalogs();
+  ASSERT_EQ(payloads.size(), 2u);
+  for (const auto& payload : payloads) {
+    sql::Catalog catalog;
+    Status st = DecodeCatalogInto(payload, &catalog);
+    EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  }
+  // The same bytes with code 1 (BIGINT) in both places decode.
+  std::string fixed = payloads[1];
+  const size_t tag_at = fixed.find("seven") - 5;
+  fixed.replace(tag_at, 10, std::string(1, '\x01') + std::string(8, '\0'));
+  sql::Catalog catalog;
+  Status st = DecodeCatalogInto(fixed, &catalog);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 /// A real DB2RDF snapshot image of SmallGraph.

@@ -191,12 +191,12 @@ TEST(PersistTestSerializer, CatalogKindBytesDecodeToOneIndex) {
   sql::Catalog catalog;
   auto table = catalog.CreateTable(
       "t", sql::Schema({{"k", sql::ValueType::kInt64},
-                        {"v", sql::ValueType::kString}}));
+                        {"v", sql::ValueType::kDouble}}));
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE((*table)
                     ->Insert({sql::Value::Int(i % 3),
-                              sql::Value::Str("v" + std::to_string(i))})
+                              sql::Value::Real(i * 1.5)})
                     .ok());
   }
   ASSERT_TRUE((*table)->CreateIndex("t_k", "k").ok());

@@ -1,11 +1,18 @@
 #include "schema/loader.h"
 
+#include <cstring>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "benchdata/dbpedia.h"
+#include "benchdata/lubm.h"
+#include "benchdata/prbench.h"
 #include "schema/coloring_mapping.h"
 #include "schema/hash_mapping.h"
+#include "store/rdf_store.h"
+#include "util/hash.h"
 
 namespace rdfrel::schema {
 namespace {
@@ -267,6 +274,87 @@ TEST(LoaderTest, ColoringMappingAvoidsSpillsWhereHashingSpills) {
   EXPECT_EQ(stats->rph_spill_rows, 0u);
   // And the column budget is far below 13 (one per predicate).
   EXPECT_LT(r.colors_used, 13u);
+}
+
+/// FNV-1a over every live row of \p table in slot order: the slot, then
+/// each cell's kind byte and 8 payload bytes.
+uint64_t TableDigest(const sql::Table& table) {
+  std::string bytes;
+  auto put = [&bytes](uint64_t x) {
+    bytes.append(reinterpret_cast<const char*>(&x), sizeof(x));
+  };
+  Status st = table.Scan([&](sql::RowId rid, const sql::Row& row) {
+    put(rid);
+    for (const Value& v : row) {
+      if (v.is_null()) {
+        bytes.push_back('N');
+      } else if (v.is_int()) {
+        bytes.push_back('I');
+        put(static_cast<uint64_t>(v.AsInt()));
+      } else {
+        bytes.push_back('D');
+        const double d = v.AsDouble();
+        uint64_t b;
+        std::memcpy(&b, &d, sizeof(b));
+        put(b);
+      }
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return Fnv1a64(bytes);
+}
+
+// The bulk loader's output, slot by slot, is pinned to digests of the
+// tables an earlier loader (per-entity hash maps, a dictionary decode per
+// entity and predicate) wrote for the same graphs.
+TEST(LoaderTest, BulkLoadLayoutUnchanged) {
+  struct Expected {
+    const char* table;
+    uint64_t rows;
+    uint64_t digest;
+  };
+  struct Case {
+    const char* name;
+    benchdata::Workload (*make)();
+    std::vector<Expected> tables;
+  };
+  const Case cases[] = {
+      {"LUBM(15, seed 4)",
+       [] { return benchdata::MakeLubm(15, 4); },
+       {{"dph", 6090, 0x223659235d77edbbull},
+        {"rph", 6243, 0x331892aaeb5e8ae4ull},
+        {"ds", 7465, 0xb2015d77592a17a8ull},
+        {"rs", 28497, 0x8b2490d7c5f554f4ull},
+        {"lex", 0, 0xcbf29ce484222325ull}}},
+      {"PRBench(20, seed 4)",
+       [] { return benchdata::MakePrbench(20, 4); },
+       {{"dph", 3320, 0x209967b765475efbull},
+        {"rph", 1670, 0x0bfdb1b9d7b264c5ull},
+        {"ds", 970, 0x1a5a22f6cdbbf652ull},
+        {"rs", 20983, 0x82c65c10d2f29cc8ull},
+        {"lex", 41, 0x5163a2fa19a4061bull}}},
+      // Repeats some triples: each value list is deduplicated.
+      {"DBpedia(2000, 300, seed 102)",
+       [] { return benchdata::MakeDbpedia(2000, 300, 102); },
+       {{"dph", 2000, 0x99d41593f526e41bull},
+        {"rph", 3732, 0xa71aef9c627df464ull},
+        {"ds", 10256, 0x424e23dd2ed85149ull},
+        {"rs", 12884, 0x25c4661a16ce8142ull},
+        {"lex", 0, 0xcbf29ce484222325ull}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto store = store::RdfStore::Load(c.make().graph);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (const Expected& e : c.tables) {
+      auto table = (*store)->database().catalog().GetTable(e.table);
+      ASSERT_TRUE(table.ok()) << e.table;
+      EXPECT_EQ((*table)->row_count(), e.rows) << e.table;
+      EXPECT_EQ(TableDigest(**table), e.digest)
+          << e.table << " digest 0x" << std::hex << TableDigest(**table);
+    }
+  }
 }
 
 TEST(Db2RdfSchemaTest, CreateRejectsZeroK) {

@@ -8,7 +8,7 @@ namespace rdfrel::sql {
 namespace {
 
 Schema PeopleSchema() {
-  return Schema({{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+  return Schema({{"id", ValueType::kInt64}, {"name", ValueType::kInt64}});
 }
 
 TEST(CatalogTest, CreateGetDrop) {
@@ -36,7 +36,7 @@ TEST(CatalogTest, TableNamesListed) {
 TEST(TableTest, IndexMaintainedOnInsert) {
   Table t("people", PeopleSchema());
   ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
-  auto rid = t.Insert({Value::Int(1), Value::Str("ann")});
+  auto rid = t.Insert({Value::Int(1), Value::Int(100)});
   ASSERT_TRUE(rid.ok());
   const IndexInfo* idx = t.FindIndexOn("id");
   ASSERT_NE(idx, nullptr);
@@ -47,8 +47,8 @@ TEST(TableTest, IndexMaintainedOnInsert) {
 
 TEST(TableTest, IndexBackfillsExistingRows) {
   Table t("people", PeopleSchema());
-  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Str("a")}).ok());
-  ASSERT_TRUE(t.Insert({Value::Int(2), Value::Str("b")}).ok());
+  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Int(101)}).ok());
+  ASSERT_TRUE(t.Insert({Value::Int(2), Value::Int(102)}).ok());
   ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
   const IndexInfo* idx = t.FindIndexOn("id");
   ASSERT_NE(idx, nullptr);
@@ -58,9 +58,9 @@ TEST(TableTest, IndexBackfillsExistingRows) {
 TEST(TableTest, IndexFollowsUpdateAndDelete) {
   Table t("people", PeopleSchema());
   ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
-  auto rid = t.Insert({Value::Int(1), Value::Str("ann")});
+  auto rid = t.Insert({Value::Int(1), Value::Int(100)});
   ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(t.Update(*rid, {Value::Int(99), Value::Str("ann")}).ok());
+  ASSERT_TRUE(t.Update(*rid, {Value::Int(99), Value::Int(100)}).ok());
   const IndexInfo* idx = t.FindIndexOn("id");
   EXPECT_TRUE(idx->Lookup(Value::Int(1)).empty());
   EXPECT_EQ(idx->Lookup(Value::Int(99)), std::vector<RowId>{*rid});
@@ -71,7 +71,7 @@ TEST(TableTest, IndexFollowsUpdateAndDelete) {
 TEST(TableTest, NullKeysNotIndexed) {
   Table t("people", PeopleSchema());
   ASSERT_TRUE(t.CreateIndex("idx_id", "id").ok());
-  ASSERT_TRUE(t.Insert({Value::Null(), Value::Str("ghost")}).ok());
+  ASSERT_TRUE(t.Insert({Value::Null(), Value::Int(103)}).ok());
   const IndexInfo* idx = t.FindIndexOn("id");
   EXPECT_EQ(idx->Lookup(Value::Null()).size(), 0u);
 }
@@ -87,19 +87,19 @@ TEST(TableTest, DuplicateIndexRejected) {
 
 TEST(HashIndexTest, Basics) {
   HashIndex idx;
-  idx.Insert(Value::Str("a"), RowId{1});
-  idx.Insert(Value::Str("a"), RowId{2});
-  idx.Insert(Value::Str("a"), RowId{1});  // dup ignored
-  idx.Insert(Value::Str("b"), RowId{100});
+  idx.Insert(Value::Int(101), RowId{1});
+  idx.Insert(Value::Int(101), RowId{2});
+  idx.Insert(Value::Int(101), RowId{1});  // dup ignored
+  idx.Insert(Value::Int(102), RowId{100});
   EXPECT_EQ(idx.size(), 3u);
   EXPECT_EQ(idx.num_keys(), 2u);
-  EXPECT_EQ(idx.Lookup(Value::Str("a")).size(), 2u);
-  EXPECT_TRUE(idx.Lookup(Value::Str("zzz")).empty());
-  EXPECT_TRUE(idx.Remove(Value::Str("a"), RowId{1}));
-  EXPECT_FALSE(idx.Remove(Value::Str("a"), RowId{1}));
-  EXPECT_EQ(idx.Lookup(Value::Str("a")).size(), 1u);
-  EXPECT_TRUE(idx.Remove(Value::Str("b"), RowId{100}));
-  EXPECT_FALSE(idx.Contains(Value::Str("b")));
+  EXPECT_EQ(idx.Lookup(Value::Int(101)).size(), 2u);
+  EXPECT_TRUE(idx.Lookup(Value::Int(104)).empty());
+  EXPECT_TRUE(idx.Remove(Value::Int(101), RowId{1}));
+  EXPECT_FALSE(idx.Remove(Value::Int(101), RowId{1}));
+  EXPECT_EQ(idx.Lookup(Value::Int(101)).size(), 1u);
+  EXPECT_TRUE(idx.Remove(Value::Int(102), RowId{100}));
+  EXPECT_FALSE(idx.Contains(Value::Int(102)));
 }
 
 }  // namespace

@@ -11,18 +11,20 @@ namespace {
 
 class DatabaseTest : public ::testing::Test {
  protected:
+  // Names are ids, as the stores keep terms: ann 101, bob 102, cat 103,
+  // dan 104, eve 105; departments empty 200, eng 201, sales 202.
   void SetUp() override {
-    Exec("CREATE TABLE emp (id BIGINT, name VARCHAR, dept BIGINT, "
+    Exec("CREATE TABLE emp (id BIGINT, name BIGINT, dept BIGINT, "
          "salary DOUBLE)");
-    Exec("CREATE TABLE dept (id BIGINT, dname VARCHAR)");
+    Exec("CREATE TABLE dept (id BIGINT, dname BIGINT)");
     Exec("CREATE INDEX idx_emp_id ON emp (id)");
     Exec("CREATE INDEX idx_dept_id ON dept (id)");
-    Exec("INSERT INTO dept VALUES (1, 'eng'), (2, 'sales'), (3, 'empty')");
+    Exec("INSERT INTO dept VALUES (1, 201), (2, 202), (3, 200)");
     Exec("INSERT INTO emp VALUES "
-         "(10, 'ann', 1, 100.0), "
-         "(11, 'bob', 1, 90.0), "
-         "(12, 'cat', 2, 80.0), "
-         "(13, 'dan', NULL, 70.0)");
+         "(10, 101, 1, 100.0), "
+         "(11, 102, 1, 90.0), "
+         "(12, 103, 2, 80.0), "
+         "(13, 104, NULL, 70.0)");
   }
 
   void Exec(const std::string& sql) {
@@ -49,14 +51,14 @@ TEST_F(DatabaseTest, ProjectionAndAlias) {
   auto r = Q("SELECT name AS who, salary * 2 AS dbl FROM emp WHERE id = 10");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.columns, (std::vector<std::string>{"who", "dbl"}));
-  EXPECT_EQ(r.rows[0][0].AsString(), "ann");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 101);
   EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), 200.0);
 }
 
 TEST_F(DatabaseTest, IndexScanOnEquality) {
   auto r = Q("SELECT name FROM emp WHERE id = 12");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "cat");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 103);
 }
 
 TEST_F(DatabaseTest, InListOnIndexedColumnProbesEachKeyOnce) {
@@ -67,10 +69,10 @@ TEST_F(DatabaseTest, InListOnIndexedColumnProbesEachKeyOnce) {
       "SELECT name FROM emp WHERE id IN (12, 10, 12, 99, 10.0, NULL)",
       &profile);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  std::vector<std::string> names;
-  for (const auto& row : r->rows) names.push_back(row[0].AsString());
+  std::vector<int64_t> names;
+  for (const auto& row : r->rows) names.push_back(row[0].AsInt());
   std::sort(names.begin(), names.end());
-  EXPECT_EQ(names, (std::vector<std::string>{"ann", "cat"}));
+  EXPECT_EQ(names, (std::vector<int64_t>{101, 103}));
   EXPECT_NE(profile.find("IndexScan(emp)"), std::string::npos) << profile;
   EXPECT_EQ(profile.find("Filter"), std::string::npos) << profile;
   EXPECT_TRUE(Q("SELECT name FROM emp WHERE id IN (98, 99)").rows.empty());
@@ -80,16 +82,16 @@ TEST_F(DatabaseTest, InListOnIndexedColumnProbesEachKeyOnce) {
 TEST_F(DatabaseTest, InListOnUnindexedColumnFilters) {
   auto r = Q("SELECT name FROM emp WHERE salary IN (90, 70.0, 1)");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "bob");
-  EXPECT_EQ(r.rows[1][0].AsString(), "dan");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 102);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 104);
 }
 
 TEST_F(DatabaseTest, RowValueInListOverAJoin) {
   auto r = Q(
       "SELECT e.name FROM emp AS e, dept AS d WHERE e.dept = d.id AND "
-      "(e.id, d.dname) IN ((10, 'eng'), (12, 'eng'), (11, 'x'))");
+      "(e.id, d.dname) IN ((10, 201), (12, 201), (11, 290))");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "ann");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 101);
   // A NULL operand never passes a WHERE.
   EXPECT_TRUE(Q("SELECT name FROM emp WHERE (dept, id) IN ((NULL, 13))")
                   .rows.empty());
@@ -112,14 +114,14 @@ TEST_F(DatabaseTest, NumericKeysMatchAcrossIntAndDouble) {
   // column (stored as 5.0) and 5.0 against a BIGINT column. Each indexed
   // table must answer exactly as its unindexed twin.
   for (const char* t : {"d_idx", "d_seq"}) {
-    Exec(std::string("CREATE TABLE ") + t + " (x DOUBLE, tag VARCHAR)");
+    Exec(std::string("CREATE TABLE ") + t + " (x DOUBLE, tag BIGINT)");
     Exec(std::string("INSERT INTO ") + t +
-         " VALUES (5, 'a'), (5.0, 'b'), (5.5, 'c'), (7, 'd'), (NULL, 'e')");
+         " VALUES (5, 1), (5.0, 2), (5.5, 3), (7, 4), (NULL, 5)");
   }
   for (const char* t : {"i_idx", "i_seq"}) {
-    Exec(std::string("CREATE TABLE ") + t + " (k BIGINT, tag VARCHAR)");
+    Exec(std::string("CREATE TABLE ") + t + " (k BIGINT, tag BIGINT)");
     Exec(std::string("INSERT INTO ") + t +
-         " VALUES (5, 'a'), (5, 'b'), (6, 'c'), (7, 'd'), (NULL, 'e')");
+         " VALUES (5, 1), (5, 2), (6, 3), (7, 4), (NULL, 5)");
   }
   Exec("CREATE INDEX d_idx_x ON d_idx (x)");
   Exec("CREATE INDEX i_idx_k ON i_idx (k)");
@@ -167,7 +169,7 @@ TEST_F(DatabaseTest, CommaJoinUsesEquiPred) {
              "WHERE e.dept = d.id");
   // dan has NULL dept -> no join
   EXPECT_EQ(SortedRows(r),
-            (std::vector<std::string>{"ann|eng|", "bob|eng|", "cat|sales|"}));
+            (std::vector<std::string>{"101|201|", "102|201|", "103|202|"}));
 }
 
 TEST_F(DatabaseTest, ExplicitInnerJoin) {
@@ -181,26 +183,26 @@ TEST_F(DatabaseTest, ExplicitInnerJoin) {
         << join;
   }
   auto r = Q("SELECT e.name FROM emp e, dept d "
-             "WHERE e.dept = d.id AND d.dname = 'eng'");
-  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"ann|", "bob|"}));
+             "WHERE e.dept = d.id AND d.dname = 201");
+  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"101|", "102|"}));
 }
 
 TEST_F(DatabaseTest, LeftOuterJoinPadsNulls) {
   auto r = Q("SELECT e.name, d.dname FROM emp e "
              "LEFT OUTER JOIN dept d ON e.dept = d.id");
   // dan's dept is NULL -> dname NULL.
-  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"ann|eng|", "bob|eng|",
-                                                     "cat|sales|",
-                                                     "dan|NULL|"}));
+  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"101|201|", "102|201|",
+                                                     "103|202|",
+                                                     "104|NULL|"}));
 }
 
 TEST_F(DatabaseTest, LeftOuterJoinUnmatchedRight) {
   auto r = Q("SELECT d.dname, e.name FROM dept d "
              "LEFT OUTER JOIN emp e ON d.id = e.dept");
   // eng x2, sales x1, empty x1 (padded).
-  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"empty|NULL|", "eng|ann|",
-                                                     "eng|bob|",
-                                                     "sales|cat|"}));
+  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"200|NULL|", "201|101|",
+                                                     "201|102|",
+                                                     "202|103|"}));
 }
 
 TEST_F(DatabaseTest, CrossJoinNoPredicate) {
@@ -242,8 +244,8 @@ TEST_F(DatabaseTest, LimitOffset) {
   // A sequential scan returns rows in insertion order.
   auto r = Q("SELECT name FROM emp LIMIT 2 OFFSET 1");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "bob");
-  EXPECT_EQ(r.rows[1][0].AsString(), "cat");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 102);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 103);
 }
 
 TEST_F(DatabaseTest, CteChain) {
@@ -251,7 +253,7 @@ TEST_F(DatabaseTest, CteChain) {
              "top AS (SELECT name FROM eng WHERE id = 10) "
              "SELECT name FROM top");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "ann");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 101);
 }
 
 TEST_F(DatabaseTest, CteReferencedTwice) {
@@ -266,7 +268,7 @@ TEST_F(DatabaseTest, CteJoinedToIndexedBaseTable) {
   auto r = Q("WITH seed AS (SELECT id AS eid FROM emp WHERE dept = 2) "
              "SELECT t.name FROM emp AS t, seed WHERE t.id = seed.eid");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "cat");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 103);
 }
 
 TEST_F(DatabaseTest, DerivedTable) {
@@ -277,12 +279,12 @@ TEST_F(DatabaseTest, DerivedTable) {
           .IsParseError());
   auto r = Q("WITH q AS (SELECT name FROM emp WHERE dept = 1) "
              "SELECT q.name FROM q");
-  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"ann|", "bob|"}));
+  EXPECT_EQ(SortedRows(r), (std::vector<std::string>{"101|", "102|"}));
 }
 
 TEST_F(DatabaseTest, UnnestFlipsColumnsToRows) {
   auto r = Q("SELECT e.name, lt.v FROM emp e, UNNEST(e.id, e.dept) AS lt(v) "
-             "WHERE e.name = 'ann'");
+             "WHERE e.name = 101");
   ASSERT_EQ(r.rows.size(), 2u);
   EXPECT_EQ(r.rows[0][1].AsInt(), 10);
   EXPECT_EQ(r.rows[1][1].AsInt(), 1);
@@ -295,11 +297,11 @@ TEST_F(DatabaseTest, UnnestKeepsNullsForIsNotNullFiltering) {
 }
 
 TEST_F(DatabaseTest, CaseAndCoalesceInProjection) {
-  auto r = Q("SELECT name, CASE WHEN dept = 1 THEN 'eng' ELSE 'other' END "
+  auto r = Q("SELECT name, CASE WHEN dept = 1 THEN 201 ELSE 299 END "
              "AS tag, COALESCE(dept, -1) AS d FROM emp");
   EXPECT_EQ(SortedRows(r),
-            (std::vector<std::string>{"ann|eng|1|", "bob|eng|1|",
-                                      "cat|other|2|", "dan|other|-1|"}));
+            (std::vector<std::string>{"101|201|1|", "102|201|1|",
+                                      "103|299|2|", "104|299|-1|"}));
 }
 
 TEST_F(DatabaseTest, WherePredicateOnUnknownColumnRejected) {
@@ -311,12 +313,12 @@ TEST_F(DatabaseTest, UnknownTableRejected) {
 }
 
 TEST_F(DatabaseTest, InsertArityMismatchRejected) {
-  auto st = db_.Execute("INSERT INTO dept (id) VALUES (7, 'x')").status();
+  auto st = db_.Execute("INSERT INTO dept (id) VALUES (7, 290)").status();
   EXPECT_TRUE(st.IsInvalidArgument());
 }
 
 TEST_F(DatabaseTest, InsertPartialColumnsDefaultsNull) {
-  Exec("INSERT INTO emp (id, name) VALUES (99, 'eve')");
+  Exec("INSERT INTO emp (id, name) VALUES (99, 105)");
   auto r = Q("SELECT salary FROM emp WHERE id = 99");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_TRUE(r.rows[0][0].is_null());
@@ -381,7 +383,7 @@ TEST_F(DatabaseTest, GroupByWithJoinAndHaving) {
              "FROM emp e, dept d WHERE e.dept = d.id GROUP BY d.dname) "
              "SELECT q.dname, q.n FROM q WHERE q.n > 1");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "eng");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 201);
   EXPECT_EQ(r.rows[0][1].AsInt(), 2);
 }
 
@@ -403,7 +405,7 @@ TEST_F(DatabaseTest, AggregateInCte) {
              "SELECT d.dname FROM sizes, dept d "
              "WHERE sizes.dept = d.id AND sizes.n = 1");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "sales");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 202);
 }
 
 }  // namespace

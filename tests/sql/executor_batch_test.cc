@@ -355,30 +355,30 @@ INSTANTIATE_TEST_SUITE_P(BatchBoundaries, JoinBoundaryTest,
 
 TEST(ExecModeDifferentialTest, WorkloadAgreesAcrossModes) {
   // t(id, grp, v, s): grp = id % 7; v = id * 0.5, NULL when id % 17 == 0;
-  // s = 's' + id % 50, NULL when id % 23 == 0.
+  // s = 1000 + id % 50, NULL when id % 23 == 0.
   constexpr int kRows = 3000;
   Database db;
   ASSERT_TRUE(
       db.Execute("CREATE TABLE t (id INTEGER, grp INTEGER, v DOUBLE, "
-                 "s VARCHAR)")
+                 "s BIGINT)")
           .ok());
   auto v_of = [](int i) -> std::optional<double> {
     if (i % 17 == 0) return std::nullopt;
     return i * 0.5;
   };
-  auto s_of = [](int i) -> std::optional<std::string> {
+  auto s_of = [](int i) -> std::optional<int64_t> {
     if (i % 23 == 0) return std::nullopt;
-    return "s" + std::to_string(i % 50);
+    return 1000 + i % 50;
   };
   auto tuple = [&](int i) -> Row {
     return {Value::Int(i), Value::Int(i % 7),
             v_of(i) ? Value::Real(*v_of(i)) : Value::Null(),
-            s_of(i) ? Value::Str(*s_of(i)) : Value::Null()};
+            s_of(i) ? Value::Int(*s_of(i)) : Value::Null()};
   };
   std::vector<std::string> tuples;
   for (int i = 0; i < kRows; ++i) {
     std::string v = v_of(i) ? std::to_string(*v_of(i)) : "NULL";
-    std::string s = s_of(i) ? "'" + *s_of(i) + "'" : "NULL";
+    std::string s = s_of(i) ? std::to_string(*s_of(i)) : "NULL";
     tuples.push_back(std::string("(").append(std::to_string(i)) + ", " +
                      std::to_string(i % 7) + ", " + v + ", " + s + ")");
   }
@@ -412,7 +412,7 @@ TEST(ExecModeDifferentialTest, WorkloadAgreesAcrossModes) {
       if (!fresh) it->second = std::max(it->second, *v);
     }
     const auto s = s_of(i);
-    if (s && (g[3].is_null() || *s < g[3].AsString())) g[3] = Value::Str(*s);
+    if (s && (g[3].is_null() || *s < g[3].AsInt())) g[3] = Value::Int(*s);
   }
   Expected distinct_grp, grouped, max_over_100;
   for (const auto& [grp, row] : per_grp) {
@@ -450,10 +450,10 @@ TEST(ExecModeDifferentialTest, WorkloadAgreesAcrossModes) {
              "SELECT x.m FROM x WHERE x.m > 100",
              max_over_100);
   ExpectRows(db,
-             "SELECT CASE WHEN grp < 3 THEN 'lo' ELSE 'hi' END, COUNT(*) "
-             "FROM t GROUP BY CASE WHEN grp < 3 THEN 'lo' ELSE 'hi' END",
-             {{Value::Str("lo"), Value::Int(lo)},
-              {Value::Str("hi"), Value::Int(kRows - lo)}});
+             "SELECT CASE WHEN grp < 3 THEN -1 ELSE -2 END, COUNT(*) "
+             "FROM t GROUP BY CASE WHEN grp < 3 THEN -1 ELSE -2 END",
+             {{Value::Int(-1), Value::Int(lo)},
+              {Value::Int(-2), Value::Int(kRows - lo)}});
 }
 
 TEST(ExecModeDifferentialTest, ProfiledQueryReportsOperatorStats) {

@@ -129,11 +129,11 @@ TEST(ExecutorTest, HashJoinResidualFiltersWithinMatches) {
 
 TEST(ExecutorTest, IndexNLJoinProbesAndPads) {
   Table table("inner", Schema({{"id", ValueType::kInt64},
-                               {"v", ValueType::kString}}));
+                               {"v", ValueType::kInt64}}));
   ASSERT_TRUE(table.CreateIndex("idx", "id").ok());
-  ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("one")}).ok());
-  ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("uno")}).ok());
-  ASSERT_TRUE(table.Insert({Value::Int(2), Value::Str("two")}).ok());
+  ASSERT_TRUE(table.Insert({Value::Int(1), Value::Int(101)}).ok());
+  ASSERT_TRUE(table.Insert({Value::Int(1), Value::Int(102)}).ok());
+  ASSERT_TRUE(table.Insert({Value::Int(2), Value::Int(103)}).ok());
 
   auto outer = Fixed({{Value::Int(1)}, {Value::Int(3)}, {Value::Null()}},
                      {"k"}, "o");

@@ -42,19 +42,6 @@ TEST(HashIndexTest, DuplicateKeysAccumulate) {
   EXPECT_EQ(idx.num_keys(), 1u);
 }
 
-TEST(HashIndexTest, StringKeys) {
-  HashIndex idx;
-  for (int i = 0; i < 50; ++i) {
-    idx.Insert(Value::Str("key" + std::to_string(i)),
-               Rid(static_cast<uint32_t>(i)));
-  }
-  EXPECT_EQ(idx.num_keys(), 50u);
-  EXPECT_EQ(idx.Lookup(Value::Str("key42")), std::vector<RowId>{Rid(42)});
-  EXPECT_TRUE(idx.Lookup(Value::Str("nope")).empty());
-  // A string never matches the number it spells.
-  EXPECT_TRUE(idx.Lookup(Value::Int(42)).empty());
-}
-
 TEST(HashIndexTest, RemovePostings) {
   HashIndex idx;
   idx.Insert(Value::Int(1), Rid(10));

@@ -126,7 +126,7 @@ TEST(OperatorVerifierTest, IndexScanKeysAreNonNull) {
     return VerifyOperatorTree(scan);
   };
   EXPECT_TRUE(verify({Value::Int(1)}).ok());
-  EXPECT_TRUE(verify({Value::Int(1), Value::Int(2), Value::Str("1")}).ok());
+  EXPECT_TRUE(verify({Value::Int(1), Value::Int(2), Value::Real(2.5)}).ok());
   EXPECT_TRUE(verify({}).ok());  // an all-NULL IN list matches nothing
   // Open dedups the rids, so a repeated key only probes twice.
   EXPECT_TRUE(verify({Value::Int(1), Value::Real(1.0)}).ok());

@@ -135,7 +135,7 @@ TEST(ParserTest, RejectsOrderBy) {
 
 TEST(ParserTest, CaseCoalesceIsNull) {
   auto r = ParseSelect(
-      "SELECT CASE WHEN a = 1 THEN 'one' ELSE 'other' END, "
+      "SELECT CASE WHEN a = 1 THEN 10 ELSE 20 END, "
       "COALESCE(b, c, 0), d IS NOT NULL FROM t");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const auto& items = (*r)->cores[0].items;
@@ -191,15 +191,45 @@ TEST(ParserTest, ArithmeticPrecedence) {
 
 TEST(ParserTest, CreateTable) {
   auto r = ParseSql(
-      "CREATE TABLE t (id BIGINT, name VARCHAR(100), score DOUBLE)");
+      "CREATE TABLE t (id BIGINT, name INTEGER, score DOUBLE)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->kind, StatementKind::kCreateTable);
   const auto& ct = *r->create_table;
   EXPECT_EQ(ct.table_name, "t");
   ASSERT_EQ(ct.columns.size(), 3u);
   EXPECT_EQ(ct.columns[0].type, ValueType::kInt64);
-  EXPECT_EQ(ct.columns[1].type, ValueType::kString);
+  EXPECT_EQ(ct.columns[1].type, ValueType::kInt64);
   EXPECT_EQ(ct.columns[2].type, ValueType::kDouble);
+}
+
+TEST(ParserTest, RejectsStringLiterals) {
+  // Terms live in the dictionary; SQL carries only their ids.
+  for (const char* sql :
+       {"SELECT 'text' FROM t", "SELECT a FROM t WHERE a = 'x'",
+        "SELECT a FROM t WHERE a IN (1, 'it''s')",
+        "SELECT CASE WHEN a = 1 THEN 'one' END FROM t",
+        "WITH q AS (SELECT a FROM t WHERE b = '') SELECT a FROM q"}) {
+    auto r = ParseSelect(sql);
+    ASSERT_TRUE(r.status().IsParseError()) << sql;
+    EXPECT_NE(r.status().message().find("string literals are unsupported"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  auto ins = ParseSql("INSERT INTO t (id, name) VALUES (1, 'a')");
+  EXPECT_TRUE(ins.status().IsParseError()) << ins.status().ToString();
+}
+
+TEST(ParserTest, RejectsStringColumnTypes) {
+  for (const char* ty : {"VARCHAR(100)", "VARCHAR", "text", "STRING"}) {
+    const std::string sql =
+        std::string("CREATE TABLE t (id BIGINT, name ") + ty + ")";
+    auto r = ParseSql(sql);
+    ASSERT_TRUE(r.status().IsParseError()) << sql;
+    EXPECT_NE(r.status().message().find("is unsupported: columns are BIGINT "
+                                        "or DOUBLE"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(ParserTest, CreateIndexVariants) {
@@ -215,7 +245,7 @@ TEST(ParserTest, CreateIndexVariants) {
 
 TEST(ParserTest, InsertMultiRow) {
   auto r = ParseSql(
-      "INSERT INTO t (id, name) VALUES (1, 'a'), (2, NULL)");
+      "INSERT INTO t (id, name) VALUES (1, 7), (2, NULL)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->kind, StatementKind::kInsert);
   EXPECT_EQ(r->insert->columns.size(), 2u);
@@ -259,7 +289,7 @@ TEST(ParserTest, ExprToStringRoundTripParses) {
 }
 
 TEST(ParserTest, SingleColumnInList) {
-  auto r = ParseSelect("SELECT a FROM t WHERE T.entry IN (3, -4, 5.5, 'x')");
+  auto r = ParseSelect("SELECT a FROM t WHERE T.entry IN (3, -4, 5.5, 7)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const ast::Expr& in = *(*r)->cores[0].where;
   ASSERT_EQ(in.kind, ExprKind::kIn);
@@ -268,7 +298,7 @@ TEST(ParserTest, SingleColumnInList) {
   ASSERT_EQ(in.in_rows.size(), 4u);
   for (const auto& row : in.in_rows) EXPECT_EQ(row.size(), 1u);
   EXPECT_EQ(in.in_rows[2][0]->literal, Value::Real(5.5));
-  EXPECT_EQ(in.in_rows[3][0]->literal, Value::Str("x"));
+  EXPECT_EQ(in.in_rows[3][0]->literal, Value::Int(7));
   EXPECT_EQ(in.args[0]->ToString() + " " + in.in_rows[1][0]->ToString(),
             "T.entry (-4)");
   // IN binds tighter than AND and looser than arithmetic.

@@ -49,11 +49,6 @@ TEST(StringUtilTest, Join) {
   EXPECT_EQ(JoinStrings({"x"}, ","), "x");
 }
 
-TEST(StringUtilTest, SqlQuoteDoublesQuotes) {
-  EXPECT_EQ(SqlQuote("O'Brien"), "'O''Brien'");
-  EXPECT_EQ(SqlQuote(""), "''");
-}
-
 TEST(StringUtilTest, NtEscape) {
   EXPECT_EQ(NtEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(NtEscape("plain"), "plain");
